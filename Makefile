@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fuzz-short bench-json bench-regress bench-sweep obs-smoke soak soak-smoke all
+.PHONY: build test race vet fuzz-short bench-json bench-regress bench-sweep perfbench-smoke obs-smoke soak soak-smoke all
 
 all: build vet test
 
@@ -64,11 +64,11 @@ bench-json:
 # completes); 25% bounds it without gating on noise.
 # The -max ceilings pin the simulator hot loops at 0 allocs/op and bound
 # their residual B/op.  The residual bytes at 0 allocs/op are amortized
-# one-time buffer growth (observer wheel buckets, pending-list slices)
-# divided by b.N — they shrink as -benchtime grows (34 -> 13 B/op from
-# 200k to 1M iterations on the CXL stream) and are NOT a steady-state
-# leak; the ceilings (~2x measured at 200k) catch a real per-op
-# allocation sneaking in, which would add >=16 B/op at these counts.
+# one-time buffer growth (observer wheel slots and buckets, pending-list
+# slices) divided by b.N — they shrink as -benchtime grows (12 -> 1 B/op
+# from 200k to 2M iterations on the CXL stream) and are NOT a steady-state
+# leak; the ceilings catch a real per-op allocation sneaking in, which
+# would add >=16 B/op at these counts.
 bench-regress:
 	@tmp=$$(mktemp); trap 'rm -f '"$$tmp" EXIT; \
 	GOMAXPROCS=$(BENCH_GOMAXPROCS) $(GO) test -run '^$$' -bench 'SimLocalStream|SimCXLStream|SimMultiCoreStream|CaptureSnapshot|EpochLoop' -benchmem -benchtime 200000x -count 3 . \
@@ -114,6 +114,20 @@ bench-sweep:
 		-pairs 'BenchmarkSweepForked=BenchmarkSweepScratch' \
 		-max 'BenchmarkSweepForked:allocs/op:0' \
 		"$$tmp"
+
+# The end-to-end benchmark (perfbench/README.md) is a Go module of its own,
+# so the root build, vet and test never compile it and a change to the sim
+# API could break it unseen.  This smoke vets and tests the module, then
+# runs every workload for one second and fails unless the result line (the
+# last line perfbench prints) reports "correct":true.
+perfbench-smoke:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+	@for w in cxl-stream profile-mix fig-suite; do \
+		last=$$(python3 perfbench/run.py --workload $$w --seconds 1 --trace 0 | tail -n 1); \
+		echo "$$w: $$last"; \
+		case "$$last" in *'"correct":true'*) ;; \
+		*) echo "perfbench-smoke: $$w did not report \"correct\":true" >&2; exit 1 ;; esac; \
+	done
 
 # End-to-end check of `pathfinder -serve`: boots the introspection server
 # on a random port and requires live /metrics and /status content.

@@ -162,7 +162,7 @@ type Snapshot struct {
 	idx   *BankIndex
 	arena []uint64
 
-	pool *sync.Pool // recycler; nil for snapshots not owned by a capturer
+	pool *snapshotPool // recycler; nil for snapshots not owned by a capturer
 }
 
 // Index returns the snapshot's bank layout.
@@ -177,7 +177,44 @@ func (s *Snapshot) Release() {
 		return
 	}
 	s.pool = nil // double-Release is a no-op, not a pool corruption
-	p.Put(s)
+	p.put(s)
+}
+
+// snapshotPoolMax bounds a capturer's free list: an epoch loop holds one
+// or two snapshots at a time, and any released beyond the bound are left
+// to the garbage collector.
+const snapshotPoolMax = 4
+
+// snapshotPool is a capturer's free list of released snapshots.  A
+// sync.Pool misses whenever the goroutine migrates to another P between
+// Release and Capture; this list hands back the most recently released
+// snapshot on any goroutine, so recycling is deterministic.  Release may
+// run on any goroutine, hence the mutex.
+type snapshotPool struct {
+	mu   sync.Mutex
+	free []*Snapshot
+}
+
+func (p *snapshotPool) put(s *Snapshot) {
+	p.mu.Lock()
+	if len(p.free) < snapshotPoolMax {
+		p.free = append(p.free, s)
+	}
+	p.mu.Unlock()
+}
+
+// get pops the most recently released snapshot, or returns nil.
+func (p *snapshotPool) get() *Snapshot {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.free)
+	if n == 0 {
+		return nil
+	}
+	s := p.free[n-1]
+	p.free[n-1] = nil
+	p.free = p.free[:n-1]
+	return s
 }
 
 // bankDelta returns the delta vector of a named bank.  Unknown names are a
@@ -194,7 +231,7 @@ func (s *Snapshot) bankDelta(name string) []uint64 {
 
 // Capturer produces snapshots from a machine by differencing bank totals
 // between epochs.  It owns the machine's BankIndex, a reused pair of total
-// arenas, and a sync.Pool of recycled snapshots, so steady-state epoch
+// arenas, and a free list of recycled snapshots, so steady-state epoch
 // loops capture without allocating.
 type Capturer struct {
 	m     *sim.Machine
@@ -202,7 +239,7 @@ type Capturer struct {
 	banks []*pmu.Bank // slot order
 	prev  []uint64    // bank totals at the previous capture
 	cur   []uint64    // scratch for the current totals
-	pool  *sync.Pool
+	pool  *snapshotPool
 	seq   int
 	last  sim.Cycles
 
@@ -217,7 +254,7 @@ func NewCapturer(m *sim.Machine) *Capturer {
 		m:     m,
 		idx:   IndexFor(m),
 		banks: m.Banks(),
-		pool:  &sync.Pool{},
+		pool:  &snapshotPool{},
 	}
 	c.prev = make([]uint64, c.idx.ArenaLen())
 	c.cur = make([]uint64, c.idx.ArenaLen())
@@ -243,7 +280,7 @@ func (c *Capturer) copyTotals(dst []uint64) {
 func (c *Capturer) Capture() *Snapshot {
 	c.m.Sync()
 	now := c.m.Now()
-	s, _ := c.pool.Get().(*Snapshot)
+	s := c.pool.get()
 	if s == nil {
 		c.poolMisses++
 		s = &Snapshot{arena: make([]uint64, c.idx.ArenaLen())}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"pathfinder/internal/pmu"
@@ -100,6 +101,51 @@ func TestSnapshotRecycler(t *testing.T) {
 	idx := NewBankIndex([]string{"core0"}, pmu.Default.Len())
 	loose := &Snapshot{idx: idx, arena: make([]uint64, idx.ArenaLen())}
 	loose.Release()
+}
+
+// TestSnapshotReleaseConcurrent: snapshots released from several
+// goroutines at once land on the capturer's free list up to its bound, a
+// second Release of each is a no-op, and the next captures recycle exactly
+// the listed snapshots.
+func TestSnapshotReleaseConcurrent(t *testing.T) {
+	m, _, cxlReg := testRig(t)
+	cap := NewCapturer(m)
+	m.Attach(0, workload.NewStream(region(cxlReg), 1, 0.2, 1))
+
+	snaps := make([]*Snapshot, 2*snapshotPoolMax)
+	released := map[*Snapshot]bool{}
+	for i := range snaps {
+		m.Run(10_000)
+		snaps[i] = cap.Capture()
+		released[snaps[i]] = true
+	}
+	var wg sync.WaitGroup
+	for _, s := range snaps {
+		wg.Add(1)
+		go func(s *Snapshot) {
+			defer wg.Done()
+			s.Release()
+		}(s)
+	}
+	wg.Wait()
+	for _, s := range snaps {
+		s.Release()
+	}
+
+	hits0, misses0 := cap.PoolStats()
+	for i := 0; i < snapshotPoolMax; i++ {
+		if s := cap.Capture(); !released[s] {
+			t.Fatalf("capture %d after concurrent releases allocated a new snapshot", i)
+		}
+	}
+	hits, misses := cap.PoolStats()
+	if hits-hits0 != snapshotPoolMax || misses != misses0 {
+		t.Fatalf("pool hits/misses moved by %d/%d, want %d/0",
+			hits-hits0, misses-misses0, snapshotPoolMax)
+	}
+	if s := cap.Capture(); released[s] {
+		t.Fatal("free list held more snapshots than its bound")
+	}
 }
 
 // TestCaptureSteadyStateAllocs: after warmup, a capture+release epoch loop

@@ -306,23 +306,21 @@ func copyEngineState(dst, src *Engine, rm *remapper) {
 	dst.occupied = src.occupied
 	dst.wheelLen = src.wheelLen
 
-	// Observer lane: same union walk over the (much wider) observer wheel.
-	for w := 0; w < obsWheelWords; w++ {
-		union := src.obsOcc[w] | dst.obsOcc[w]
+	// Observer lane: the same union walk over both wheel levels.
+	for w := 0; w < obsNearWords; w++ {
+		union := src.obsNearOcc[w] | dst.obsNearOcc[w]
 		for union != 0 {
 			slot := w<<6 + bits.TrailingZeros64(union)
 			union &= union - 1
-			b := dst.obsWheel[slot]
-			clear(b)
-			b = b[:0]
-			for _, ev := range src.obsWheel[slot] {
-				ev.target = rm.target(ev.target)
-				b = append(b, ev)
-			}
-			dst.obsWheel[slot] = b
+			dst.obsNear[slot] = copyObsSlot(dst.obsNear[slot], src.obsNear[slot], rm)
 		}
 	}
-	dst.obsOcc = src.obsOcc
+	for union := src.obsCoarseOcc | dst.obsCoarseOcc; union != 0; union &= union - 1 {
+		b := bits.TrailingZeros64(union)
+		dst.obsCoarse[b] = copyObsSlot(dst.obsCoarse[b], src.obsCoarse[b], rm)
+	}
+	dst.obsNearOcc = src.obsNearOcc
+	dst.obsCoarseOcc = src.obsCoarseOcc
 	dst.obsLen = src.obsLen
 	dst.obsFar = dst.obsFar[:0]
 	for _, fe := range src.obsFar {
@@ -331,6 +329,18 @@ func copyEngineState(dst, src *Engine, rm *remapper) {
 	}
 	dst.obsSeq = src.obsSeq
 	dst.obsLast = src.obsLast
+}
+
+// copyObsSlot overwrites the observer slot dst with src's entries,
+// remapped, reusing dst's buffer.
+func copyObsSlot(dst, src []obsEvent, rm *remapper) []obsEvent {
+	clear(dst) // release stale target references
+	dst = dst[:0]
+	for _, ev := range src {
+		ev.target = rm.target(ev.target)
+		dst = append(dst, ev)
+	}
+	return dst
 }
 
 func copyCoreState(dst, src *Core) {

@@ -61,7 +61,14 @@ const (
 	evCXLWriteWPQ
 	evCXLWriteDone // target *cxlPort: device-side read/write stages
 	evCXLCRC       // target *cxlPort: link CRC error + replay, arg=bytes
+	evRecord       // target obsRecorder: the lane's order probe in tests
 )
+
+// obsRecorder receives evRecord entries as the observer lane applies them,
+// so tests can check the applied order itself, not only its PMU effect.
+// The entry is passed by value: a pointer would escape through the
+// interface call and move every obsAt's entry to the heap.
+type obsRecorder interface{ record(ev obsEvent) }
 
 // event is a scheduled action: either a pre-bound payload (kind != evFunc)
 // or a callback.  target always holds a pointer, so boxing it in the
@@ -108,17 +115,24 @@ const (
 	wheelWords = wheelSlots / 64
 )
 
-// The observer lane gets a much wider wheel than the event engine.  Event
-// delays are bounded by device latencies, but observer completion entries
-// ride the *backlogged* service times of saturated CXL/IMC queues, which
-// run tens of thousands of cycles ahead of the clock under backpressure.
-// Keeping those on the O(1) wheel path instead of the O(log n) far heap is
-// worth the extra slot headers (~1.5 MiB per engine).
+// The observer lane keeps a 65,536-cycle horizon, far wider than the event
+// wheel's: event delays are bounded by device latencies, but observer
+// completion entries ride the *backlogged* service times of saturated
+// CXL/IMC queues, which run tens of thousands of cycles ahead of the clock
+// under backpressure.  A one-cycle slot per horizon cycle would put every
+// insert and every drain on a cold cache line, so the horizon is split in
+// two levels (DESIGN.md §11.2): obsNearSlots one-cycle slots hold the block
+// of cycles the drain cursor is in, and obsCoarseSlots buckets of one block
+// each hold the blocks after it.
 const (
-	obsWheelBits  = 16
-	obsWheelSlots = 1 << obsWheelBits
-	obsWheelMask  = obsWheelSlots - 1
-	obsWheelWords = obsWheelSlots / 64
+	obsNearBits    = 10
+	obsNearSlots   = 1 << obsNearBits // cycles per block
+	obsNearMask    = obsNearSlots - 1
+	obsNearWords   = obsNearSlots / 64
+	obsCoarseBits  = 6
+	obsCoarseSlots = 1 << obsCoarseBits
+	obsCoarseMask  = obsCoarseSlots - 1
+	obsHorizon     = obsNearSlots * obsCoarseSlots
 )
 
 // Engine is the discrete-event core: a timing wheel for near events and a
@@ -164,42 +178,38 @@ type Engine struct {
 	// before any evFunc closure, and at every clock advance).  obsLast is
 	// the drain cursor: every entry with when <= obsLast has been applied.
 	//
-	// Because the lane is drained whenever the clock advances, every
-	// pending wheel entry's when lies in (obsLast, obsLast+obsWheelSlots):
-	// one wheel turn.  A slot therefore holds entries of exactly one
-	// cycle (appended in schedule order), and walking occupied slots
-	// forward from the cursor visits entries in global cycle order — no
-	// sorting anywhere on the hot path.  Entries scheduled beyond the
-	// turn go to obsFar, a (when, seq) min-heap; a far entry's seq is
-	// always below any wheel entry's for the same cycle (near-eligibility
-	// only grows as the clock advances), so draining the far heap up to
-	// each slot's cycle before the slot preserves schedule order exactly.
-	obsWheel [][]obsEvent
-	obsOcc   [obsWheelWords]uint64
-	obsLen   int // wheel-resident entries
-	obsFar   []obsFarEvent
-	obsSeq   uint64
-	obsLast  Cycles
+	// Entries within obsHorizon of the cursor live on a two-level wheel.
+	// obsNear holds the cursor's own block of obsNearSlots cycles, one
+	// slot per cycle, so a slot holds entries of exactly one cycle in
+	// schedule order.  obsCoarse holds the next blocks, one bucket per
+	// block in schedule order: entries lie at most obsHorizon ahead, so
+	// the pending blocks are (cursor block, cursor block+obsCoarseSlots]
+	// and no two share a bucket.  When drainObs crosses into a block it
+	// first cascades that block's bucket into the (then empty) near slots
+	// in bucket order, and obsAt sends entries of the cursor's block to
+	// the near slots only, so same-cycle entries keep their schedule order
+	// across the two levels.  Entries beyond the horizon go to obsFar, a
+	// (when, seq) min-heap; a far entry's seq is always below any wheel
+	// entry's for the same cycle (wheel-eligibility only grows as the
+	// cursor advances), so draining the far heap up to each near slot's
+	// cycle before the slot preserves schedule order exactly.
+	obsNear      [obsNearSlots][]obsEvent
+	obsNearOcc   [obsNearWords]uint64
+	obsCoarse    [obsCoarseSlots][]obsEvent
+	obsCoarseOcc uint64 // bit b: obsCoarse[b] is non-empty
+	obsLen       int    // wheel-resident entries, near and coarse
+	obsFar       []obsFarEvent
+	obsSeq       uint64
+	obsLast      Cycles
 }
 
 // NewEngine returns an engine at cycle zero.
 func NewEngine() *Engine {
-	e := &Engine{
+	return &Engine{
 		wheel:     make([][]event, wheelSlots),
-		obsWheel:  make([][]obsEvent, obsWheelSlots),
 		runAhead:  true,
 		drainSlot: -1,
 	}
-	// Seed every observer slot with capacity 2 carved from one flat arena.
-	// Lazy growth would spread ~4 allocations per touched slot over the
-	// first wheel turn — construction-time cost leaking into measured
-	// steady state; only slots that ever exceed two same-cycle entries
-	// fall back to the ordinary append-grow path.
-	arena := make([]obsEvent, 2*obsWheelSlots)
-	for i := range e.obsWheel {
-		e.obsWheel[i] = arena[2*i : 2*i : 2*i+2]
-	}
-	return e
 }
 
 // Now returns the current simulated cycle.
@@ -252,65 +262,82 @@ func (e *Engine) at(when Cycles, kind evKind, target any, aux int32, arg uint64)
 // in-order application is preserved.
 func (e *Engine) obsAt(when Cycles, kind evKind, target any, aux int32, arg uint64) {
 	e.checkPast(when)
+	ev := obsEvent{target: target, when: when, arg: arg, aux: aux, kind: kind}
 	if when <= e.obsLast {
-		ev := obsEvent{target: target, when: when, arg: arg, aux: aux, kind: kind}
 		e.applyObs(&ev)
 		return
 	}
-	if when-e.now < obsWheelSlots {
-		slot := int(when) & obsWheelMask
-		e.obsWheel[slot] = append(e.obsWheel[slot],
-			obsEvent{target: target, when: when, arg: arg, aux: aux, kind: kind})
-		e.obsOcc[slot>>6] |= 1 << uint(slot&63)
+	if when-e.obsLast < obsHorizon {
+		if when^e.obsLast < obsNearSlots { // the cursor's block
+			slot := int(when) & obsNearMask
+			e.obsNear[slot] = append(e.obsNear[slot], ev)
+			e.obsNearOcc[slot>>6] |= 1 << uint(slot&63)
+		} else {
+			b := int(when>>obsNearBits) & obsCoarseMask
+			e.obsCoarse[b] = append(e.obsCoarse[b], ev)
+			e.obsCoarseOcc |= 1 << uint(b)
+		}
 		e.obsLen++
 		return
 	}
 	e.obsSeq++
-	e.obsFar = append(e.obsFar, obsFarEvent{
-		ev:  obsEvent{target: target, when: when, arg: arg, aux: aux, kind: kind},
-		seq: e.obsSeq,
-	})
+	e.obsFar = append(e.obsFar, obsFarEvent{ev: ev, seq: e.obsSeq})
 	e.obsSiftUp(len(e.obsFar) - 1)
 }
 
 // drainObs applies every buffered observer entry with when <= ts, in
 // nondecreasing when order (same-cycle entries in schedule order), and
-// advances the drain cursor to ts.  Because the cursor rides the clock,
-// the occupied-slot window it scans is as narrow as the advance itself —
-// one word of the occupancy bitmap for a typical inline step.
+// advances the drain cursor to ts.  Because the cursor rides the clock, a
+// typical inline step scans one word of the near bitmap; a drain that
+// leaves the cursor's block jumps straight to the next block holding
+// coarse entries.
 func (e *Engine) drainObs(ts Cycles) {
 	if ts <= e.obsLast {
 		return
 	}
-	if e.obsLen == 0 {
-		if len(e.obsFar) > 0 {
-			e.drainFarUpTo(ts)
+	cur, end := e.obsLast, e.obsLast|obsNearMask // end: last cycle of cur's block
+	for e.obsLen > 0 {
+		if ts <= end {
+			e.drainNear(cur, ts)
+			break
 		}
-		e.obsLast = ts
+		e.drainNear(cur, end)
+		if e.obsCoarseOcc == 0 {
+			break
+		}
+		// Pending coarse blocks lie in (end's block, end's block +
+		// obsCoarseSlots]: rotate the bitmap so bit 0 is the next block's.
+		next := end>>obsNearBits + 1
+		next += Cycles(bits.TrailingZeros64(bits.RotateLeft64(e.obsCoarseOcc, -int(next&obsCoarseMask))))
+		if next > ts>>obsNearBits {
+			break
+		}
+		e.cascade(int(next & obsCoarseMask))
+		cur, end = next<<obsNearBits-1, next<<obsNearBits|obsNearMask
+	}
+	if len(e.obsFar) > 0 {
+		e.drainFarUpTo(ts)
+	}
+	e.obsLast = ts
+}
+
+// drainNear applies the near slots for cycles (cur, end], both in the
+// cursor's block, each after the far entries due by its cycle.  Slots at
+// or before cur are already empty, so only the scan's top is masked.
+func (e *Engine) drainNear(cur, end Cycles) {
+	if end <= cur {
 		return
 	}
-	// Every pending wheel when is in (obsLast, obsLast+obsWheelSlots); cap
-	// the scan at one full turn — beyond it there is nothing to find.
-	endC := ts
-	if m := e.obsLast + obsWheelSlots - 1; endC > m {
-		endC = m
-	}
-	start := int(e.obsLast+1) & obsWheelMask
-	n := int(endC - e.obsLast) // slots in the window
-	wi := start >> 6
-	first := start & 63
-	for n > 0 {
-		span := 64 - first
-		mask := ^uint64(0) << uint(first)
-		if n < span {
-			mask &= ^uint64(0) >> uint(64-(first+n))
-			span = n
+	hi := int(end) & obsNearMask
+	for wi := (int(cur+1) & obsNearMask) >> 6; wi <= hi>>6; wi++ {
+		w := e.obsNearOcc[wi]
+		if wi == hi>>6 {
+			w &= ^uint64(0) >> uint(63-hi&63)
 		}
-		w := e.obsOcc[wi] & mask
 		for w != 0 {
 			slot := wi<<6 + bits.TrailingZeros64(w)
 			w &= w - 1
-			b := e.obsWheel[slot]
+			b := e.obsNear[slot]
 			if len(e.obsFar) > 0 {
 				e.drainFarUpTo(b[0].when)
 			}
@@ -319,20 +346,25 @@ func (e *Engine) drainObs(ts Cycles) {
 			}
 			e.obsLen -= len(b)
 			clear(b) // release target references
-			e.obsWheel[slot] = b[:0]
-			e.obsOcc[slot>>6] &^= 1 << uint(slot&63)
-		}
-		n -= span
-		first = 0
-		wi++
-		if wi == obsWheelWords {
-			wi = 0
+			e.obsNear[slot] = b[:0]
+			e.obsNearOcc[wi] &^= 1 << uint(slot&63)
 		}
 	}
-	if len(e.obsFar) > 0 {
-		e.drainFarUpTo(ts)
+}
+
+// cascade moves coarse bucket k — the block the cursor is entering — into
+// the near slots, in bucket (schedule) order.  The near slots are empty:
+// the previous block was drained to its end before the cursor left it.
+func (e *Engine) cascade(k int) {
+	src := e.obsCoarse[k]
+	for i := range src {
+		slot := int(src[i].when) & obsNearMask
+		e.obsNear[slot] = append(e.obsNear[slot], src[i])
+		e.obsNearOcc[slot>>6] |= 1 << uint(slot&63)
 	}
-	e.obsLast = ts
+	clear(src) // release target references
+	e.obsCoarse[k] = src[:0]
+	e.obsCoarseOcc &^= 1 << uint(k)
 }
 
 // drainFarUpTo applies far-heap entries due at or before w.
@@ -589,8 +621,8 @@ func (e *Engine) Step() bool {
 	}
 	e.now = when
 	// Settle observer work due by the new cycle before dispatching: the
-	// cursor must ride the clock so pending entries stay within one
-	// wheel turn of it (the single-cycle-per-slot invariant).
+	// cursor rides the clock, so observer entries are never stamped behind
+	// a cycle the engine has already passed.
 	e.drainObs(when)
 	slot := int(when) & wheelMask
 	haveW := len(e.wheel[slot]) > 0 && e.wheel[slot][0].when == when
@@ -825,5 +857,7 @@ func (e *Engine) applyObs(ev *obsEvent) {
 		p.devBank.Inc(pmu.CXLLinkCRCErrors)
 		p.devBank.Inc(pmu.CXLLinkRetries)
 		p.devBank.Add(pmu.CXLLinkReplayBytes, ev.arg)
+	case evRecord:
+		ev.target.(obsRecorder).record(*ev)
 	}
 }

@@ -250,8 +250,10 @@ func (m *Machine) coreStep(c *Core, now Cycles) {
 			eng.now = next
 			eng.inlineSteps++
 			// Apply observer entries due by the new cycle before the next
-			// op, exactly as the dispatch loop would have; keeping the
-			// observer wheel near-empty also keeps its buckets cache-hot.
+			// op, exactly as the dispatch loop would have.  This does not
+			// keep the lane small: a saturated CXL device stamps most
+			// entries thousands of cycles ahead, where they wait in the
+			// coarse buckets (DESIGN.md §11.2).
 			eng.drainObs(next)
 			now = next
 			continue

@@ -99,49 +99,57 @@ func TestEngineStepRunUntilEquivalence(t *testing.T) {
 }
 
 // TestObserverLaneIntegrals schedules occupancy edges through the deferred
-// observer lane — near-wheel and far-heap, in scrambled order — and checks
-// the tracker integrates exactly as immediate in-order updates would.
+// observer lane — near slots, coarse buckets on a block edge, and the far
+// heap, in scrambled order — and checks the tracker integrates exactly as
+// immediate in-order updates would.
 func TestObserverLaneIntegrals(t *testing.T) {
 	e := NewEngine()
 	b := pmu.NewBank(pmu.Default, "imc0ch0")
 	tr := pmu.NewOccTracker(b, pmu.RPQOccupancy, pmu.RPQCyclesNE, -1, 0)
 
-	far := Cycles(3 * wheelSlots)
+	far := Cycles(3 * obsHorizon)
+	edge := Cycles(2 * obsNearSlots) // first cycle of the third block
 	// Scrambled schedule order; correct time order is what must apply.
 	e.obsAt(250, evOcc, tr, -1, 0)
+	e.obsAt(edge, evOcc, tr, -1, 0)
 	e.obsAt(100, evOcc, tr, +1, 0)
 	e.obsAt(far+50, evOcc, tr, -1, 0)
 	e.obsAt(200, evOcc, tr, +1, 0)
 	e.obsAt(far, evOcc, tr, +1, 0)
+	e.obsAt(edge-1, evOcc, tr, +1, 0)
 	e.obsAt(300, evOcc, tr, -1, 0)
 
-	e.RunUntil(4 * wheelSlots)
-	// 1*(200-100) + 2*(250-200) + 1*(300-250) + 1*50 = 300
-	if got := b.Read(pmu.RPQOccupancy); got != 300 {
-		t.Fatalf("occupancy integral = %d, want 300", got)
+	e.RunUntil(4 * obsHorizon)
+	// 1*(200-100) + 2*(250-200) + 1*(300-250) + 1*1 + 1*50 = 301
+	if got := b.Read(pmu.RPQOccupancy); got != 301 {
+		t.Fatalf("occupancy integral = %d, want 301", got)
 	}
-	// not-empty: (300-100) + 50 = 250
-	if got := b.Read(pmu.RPQCyclesNE); got != 250 {
-		t.Fatalf("not-empty cycles = %d, want 250", got)
+	// not-empty: (300-100) + 1 + 50 = 251
+	if got := b.Read(pmu.RPQCyclesNE); got != 251 {
+		t.Fatalf("not-empty cycles = %d, want 251", got)
 	}
 	if e.obsLen != 0 || len(e.obsFar) != 0 {
 		t.Fatalf("observer lane not drained: wheel=%d far=%d", e.obsLen, len(e.obsFar))
 	}
 }
 
-// TestObserverFarBeforeNearSameCycle: an entry scheduled while its cycle
-// was beyond the wheel (far heap) precedes a same-cycle entry scheduled
-// later from nearby.  Order is observable here because applying the -1
-// first would drive the tracker negative and panic.
+// TestObserverFarBeforeNearSameCycle: entries for one cycle scheduled from
+// ever closer clocks — beyond the horizon (far heap), from a coarse
+// distance (coarse bucket), then from the cycle's own block (near slot) —
+// apply in schedule order.  Order is observable here because any inversion
+// of the levels drives the tracker negative and panics.
 func TestObserverFarBeforeNearSameCycle(t *testing.T) {
 	e := NewEngine()
 	b := pmu.NewBank(pmu.Default, "imc0ch0")
 	tr := pmu.NewOccTracker(b, pmu.RPQOccupancy, -1, -1, 0)
 
-	target := Cycles(2 * wheelSlots)
+	target := Cycles(2*obsHorizon) + 10
 	e.obsAt(target, evOcc, tr, +1, 0) // far at schedule time
-	e.RunUntil(target - 10)
-	e.obsAt(target, evOcc, tr, -1, 0) // near, same cycle, later seq
+	e.RunUntil(target - 2*obsNearSlots)
+	e.obsAt(target, evOcc, tr, -1, 0) // coarse, same cycle, later seq
+	e.obsAt(target, evOcc, tr, +1, 0)
+	e.RunUntil(target - 5)
+	e.obsAt(target, evOcc, tr, -1, 0) // near: the cursor's block
 	e.RunUntil(target + 10)
 	if tr.Len() != 0 {
 		t.Fatalf("occupancy = %d, want 0", tr.Len())

@@ -434,6 +434,18 @@ func (m *Machine) tryParallelWindow(minC *Core, bound, eWhen Cycles, eOk bool, l
 	if h <= start {
 		return false
 	}
+	// A window needs two participants.  Count them before touching any
+	// core: with a single active core (the common case at auto lanes) the
+	// window never opens, and the sequential step fetches the op itself.
+	n := 0
+	for _, c := range m.cores {
+		if c.stepPending && c.running && c.stepAt < h {
+			n++
+		}
+	}
+	if n < 2 {
+		return false
+	}
 	// The head op is about to execute at the window's minimal (cycle, key)
 	// position, where nothing can block it.  If it classifies shared, the
 	// whole window would commit zero ops (the head's frozen frontier parks
@@ -457,12 +469,6 @@ func (m *Machine) tryParallelWindow(minC *Core, bound, eWhen Cycles, eOk bool, l
 		}
 		c.lanePos.Store(parkedPos)
 		c.laneDone.Store(true)
-	}
-	if len(s.parts) < 2 {
-		for _, c := range s.parts {
-			c.lanePos.Store(0) // no window opened; clear stale state lazily
-		}
-		return false
 	}
 	// Initial commit keys in mirror order: the engine would dispatch these
 	// pending steps by (stepAt, stepSeq).
