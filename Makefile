@@ -18,22 +18,21 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Benchmark numbers are lane-config experiments: GOMAXPROCS decides how
-# many worker lanes the window scheduler gets under the auto policy, so
-# both bench targets pin it to one explicit, overridable value
+# The simulator steps on one goroutine, but GOMAXPROCS still decides how
+# many CPUs the garbage collector and runtime get beside it, so both bench
+# targets pin it to one explicit, overridable value
 # (`make BENCH_GOMAXPROCS=8 bench-json`).  benchjson parses the run's
-# GOMAXPROCS from the benchmark-name suffixes and records it plus the
-# declared lane policy in the snapshot; benchregress refuses to gate a
-# run against a baseline with a different recorded config.
+# GOMAXPROCS from the benchmark-name suffixes and records it in the
+# snapshot; benchregress refuses to gate a run against a baseline with a
+# different recorded value.
 BENCH_GOMAXPROCS ?= $(shell nproc)
-BENCH_LANES ?= auto
 
 # Snapshot the simulator/profiler micro-benchmarks (ns/op, allocs/op,
 # derived sim-ops/sec) into BENCH_<date>.json so the perf trajectory is
 # tracked across PRs.
 bench-json:
 	GOMAXPROCS=$(BENCH_GOMAXPROCS) $(GO) test -run '^$$' -bench 'SimLocalStream|SimCXLStream|SimMultiCoreStream|SimThinkHeavyStream|CaptureSnapshot|PFBuilder|PFEstimator|PFAnalyzer|AnalyzeQueues|EpochLoop' \
-		-benchmem -benchtime 200000x . | $(GO) run ./cmd/benchjson -lanes $(BENCH_LANES) -o BENCH_$$(date +%Y%m%d).json
+		-benchmem -benchtime 200000x . | $(GO) run ./cmd/benchjson -o BENCH_$$(date +%Y%m%d).json
 	@echo wrote BENCH_$$(date +%Y%m%d).json
 
 # Gate the profiler hot paths against the committed baseline: fail when
@@ -43,17 +42,12 @@ bench-json:
 # the gate takes the fastest of three repetitions to filter scheduler noise.
 # The TracerOff pairs additionally bound the cost of an attached-but-
 # disabled request tracer — compared within the same run, where a tight
-# tolerance is meaningful.  The bound is 8%: the run-ahead fast path cut
+# tolerance is meaningful.  The bound is 8%: inline core stepping cut
 # per-op cost ~1.5x, so the tracer's fixed per-op check (one predicted
 # branch + an inlined atomic load) is now a larger fraction of a smaller
 # number (~4-5% on the CXL stream), and the multi-core pair adds scheduler
 # noise on top.  An accidentally-enabled tracer costs ~10x, far outside
 # the bound either way.
-# The LanesOff pair additionally bounds the windowed scheduler against the
-# dispatch-only engine in the same run: the window-parallel default may not
-# run more than 8% slower than forcing every core step through the event
-# engine, on any GOMAXPROCS (at 1 the windowed path degenerates to the
-# run-ahead sweep, which already beats dispatch).
 # The Flight pairs ride the same bench run (benchregress accepts a file, so
 # the output is captured once and gated at three tolerances): the disabled
 # flight recorder is meant to ride along in production, so its off-cost is
@@ -74,20 +68,17 @@ bench-regress:
 	GOMAXPROCS=$(BENCH_GOMAXPROCS) $(GO) test -run '^$$' -bench 'SimLocalStream|SimCXLStream|SimMultiCoreStream|CaptureSnapshot|EpochLoop' -benchmem -benchtime 200000x -count 3 . \
 		| tee "$$tmp" && \
 	$(GO) run ./cmd/benchregress \
-		-lanes $(BENCH_LANES) \
 		-watch 'BenchmarkSimCXLStream,BenchmarkSimMultiCoreStream,BenchmarkCaptureSnapshot,BenchmarkEpochLoop' \
 		-pair-tolerance 0.08 \
-		-pairs 'BenchmarkSimCXLStreamTracerOff=BenchmarkSimCXLStream,BenchmarkSimMultiCoreStreamTracerOff=BenchmarkSimMultiCoreStream,BenchmarkEpochLoopTracerOff=BenchmarkEpochLoop,BenchmarkSimMultiCoreStream=BenchmarkSimMultiCoreStreamLanesOff' \
+		-pairs 'BenchmarkSimCXLStreamTracerOff=BenchmarkSimCXLStream,BenchmarkSimMultiCoreStreamTracerOff=BenchmarkSimMultiCoreStream,BenchmarkEpochLoopTracerOff=BenchmarkEpochLoop' \
 		-max 'BenchmarkSimLocalStream:allocs/op:0,BenchmarkSimCXLStream:allocs/op:0,BenchmarkSimMultiCoreStream:allocs/op:0,BenchmarkSimLocalStream:B/op:64,BenchmarkSimCXLStream:B/op:64,BenchmarkSimMultiCoreStream:B/op:256' \
 		"$$tmp" && \
 	$(GO) run ./cmd/benchregress \
-		-lanes $(BENCH_LANES) \
 		-watch 'BenchmarkSimCXLStream' \
 		-pair-tolerance 0.02 \
 		-pairs 'BenchmarkSimCXLStreamFlightOff=BenchmarkSimCXLStream,BenchmarkSimMultiCoreStreamFlightOff=BenchmarkSimMultiCoreStream' \
 		"$$tmp" && \
 	$(GO) run ./cmd/benchregress \
-		-lanes $(BENCH_LANES) \
 		-watch 'BenchmarkSimCXLStream' \
 		-pair-tolerance 0.25 \
 		-pairs 'BenchmarkSimCXLStreamFlightOn=BenchmarkSimCXLStreamFlightOff' \
@@ -108,7 +99,6 @@ bench-sweep:
 	GOMAXPROCS=$(BENCH_GOMAXPROCS) $(GO) test -run '^$$' -bench 'BenchmarkSweep' -benchmem -benchtime 5x . \
 		| tee "$$tmp" && \
 	$(GO) run ./cmd/benchregress \
-		-lanes $(BENCH_LANES) \
 		-watch '' \
 		-pair-tolerance -0.5 \
 		-pairs 'BenchmarkSweepForked=BenchmarkSweepScratch' \

@@ -195,8 +195,8 @@ func BenchmarkSimCXLStream(b *testing.B) {
 
 // BenchmarkSimMultiCoreStream measures throughput with all four cores
 // streaming (two local, two CXL).  Per-op cost is higher than the
-// single-core streams because concurrent cores schedule events into each
-// other's run-ahead windows; this is the fast path's contended case.
+// single-core streams because four cores contend in the shared uncore
+// and the sweep picks the earliest of four pending steps for every op.
 func BenchmarkSimMultiCoreStream(b *testing.B) {
 	m, r := benchRig(b, 0)
 	rc, err := m.AddressSpace().Alloc(64<<20, mem.Fixed(1))
@@ -222,40 +222,9 @@ func BenchmarkSimMultiCoreStream(b *testing.B) {
 	}
 }
 
-// BenchmarkSimMultiCoreStreamLanesOff is BenchmarkSimMultiCoreStream with
-// the windowed scheduler forced off (every core step dispatched through the
-// event engine).  `make bench-regress -pairs` gates the windowed benchmark
-// against this same-run twin, so the window scheduler's speedup is measured
-// against the machine it actually ran on, not a stale baseline snapshot.
-func BenchmarkSimMultiCoreStreamLanesOff(b *testing.B) {
-	m, r := benchRig(b, 0)
-	m.SetLanes(-1)
-	rc, err := m.AddressSpace().Alloc(64<<20, mem.Fixed(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	cxlReg := workload.Region{Base: rc.Base, Size: rc.Size}
-	g := workload.NewStream(r, 2, 0.2, 1)
-	g.Reuse = 4
-	m.Attach(0, workload.NewLimit(g, uint64(b.N)))
-	for c := 1; c < 4; c++ {
-		reg := r
-		if c >= 2 {
-			reg = cxlReg
-		}
-		gc := workload.NewStream(reg, 2, 0.2, uint64(c+10))
-		gc.Reuse = 4
-		m.Attach(c, gc)
-	}
-	b.ResetTimer()
-	for m.Core(0).Running() {
-		m.Run(1_000_000)
-	}
-}
-
 // BenchmarkSimThinkHeavyStream measures a compute-bound core (200 think
 // cycles between accesses): long quiet gaps between memory events, the
-// run-ahead fast path's best case.
+// sweep's best case.
 func BenchmarkSimThinkHeavyStream(b *testing.B) {
 	m, r := benchRig(b, 0)
 	g := workload.NewStream(r, 200, 0.2, 1)

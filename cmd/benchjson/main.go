@@ -23,8 +23,6 @@ import (
 
 func main() {
 	out := flag.String("o", "", "output file (default stdout)")
-	lanes := flag.String("lanes", "auto",
-		"lane config the benchmarks ran under (the -lanes policy; recorded so benchregress refuses cross-config comparisons)")
 	flag.Parse()
 
 	var in io.Reader = os.Stdin
@@ -42,11 +40,9 @@ func main() {
 		fatal(err)
 	}
 	doc.Date = time.Now().UTC().Format("2006-01-02T15:04:05Z")
-	// GoMaxProcs is parsed from the -N benchmark-name suffixes; Lanes is
-	// declared by the caller (the Makefile pins both).  Together they make
-	// the snapshot's lane config explicit, so benchregress can refuse to
-	// compare runs measured under different window-scheduler parallelism.
-	doc.Lanes = *lanes
+	// GoMaxProcs is parsed from the -N benchmark-name suffixes, so
+	// benchregress can refuse to compare runs measured on different CPU
+	// counts.
 
 	w := os.Stdout
 	if *out != "" {

@@ -30,8 +30,6 @@ func main() {
 		"allowed ns/op growth of a pair's variant over its base, same run")
 	maxes := flag.String("max", "",
 		"comma-separated absolute metric ceilings (Name:metric:limit, e.g. BenchmarkSimCXLStream:B/op:64)")
-	lanes := flag.String("lanes", "auto",
-		"lane config the current run used (must match the baseline's recorded lanes)")
 	flag.Parse()
 
 	var in io.Reader = os.Stdin
@@ -59,10 +57,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// A baseline measured under a different GOMAXPROCS or -lanes policy ran
-	// the window scheduler with a different worker-lane count; its ns/op is
-	// a different experiment, and "comparing" it would gate on noise.
-	cur.Lanes = *lanes
+	// A baseline measured under a different GOMAXPROCS is a different
+	// experiment, and "comparing" it would gate on noise.
 	if err := benchparse.LaneMismatch(base, cur); err != nil {
 		fatal(fmt.Errorf("refusing to compare against %s: %w", basePath, err))
 	}

@@ -84,18 +84,12 @@ type runStatus struct {
 	Checkpoints experiments.CheckpointCacheStats `json:"checkpoint_cache"`
 }
 
-// statusEngine surfaces the run-ahead fast path's effectiveness: ops the
-// core stepper executed inline versus events dispatched through the
-// engine.  A healthy hit-dominated run keeps inline_steps well above
-// dispatched_events.  The window section reports the parallel lane
-// scheduler (DESIGN.md §12): lanes configured, windows opened, and barrier
-// merges completed (zero under the sequential sweep).
+// statusEngine surfaces the sequential sweep's effectiveness: ops the core
+// stepper executed inline versus events dispatched through the engine.  A
+// healthy run keeps inline_steps well above dispatched_events.
 type statusEngine struct {
 	InlineSteps      uint64 `json:"inline_steps"`
 	DispatchedEvents uint64 `json:"dispatched_events"`
-	Lanes            int    `json:"lanes"`
-	Windows          uint64 `json:"windows"`
-	BarrierMerges    uint64 `json:"barrier_merges"`
 }
 
 type statusApp struct {
@@ -157,7 +151,6 @@ func main() {
 	fault := flag.String("fault", "", "CXL link fault plan, e.g. 'seed=42,crc=1e-3,burst=100000:20000:0.5:400000,timeout=500000:50000,poison=0:64' (empty = healthy link)")
 	listApps := flag.Bool("list-apps", false, "print the application catalog and exit")
 	listEvents := flag.Bool("list-events", false, "print the PMU event catalog and exit")
-	lanes := flag.Int("lanes", 0, "core-step scheduling: 0 auto (GOMAXPROCS worker lanes), 1 sequential sweep, n>1 capped parallel lanes, -1 engine dispatch only")
 	serve := flag.String("serve", "", "serve /metrics, /status, /trace, /debug/pprof on this address (e.g. :6060); keeps serving after the run")
 	traceSample := flag.Int("trace-sample", 0, "trace one request in N through the request path (0 = tracing off)")
 	traceBuf := flag.Int("trace-buf", 4096, "request-path trace ring capacity in records")
@@ -218,7 +211,6 @@ func main() {
 		{ID: 2, Kind: mem.CXLDRAM, Device: 0, Capacity: 256 << 30},
 	})
 	m := sim.New(cfg, as)
-	m.SetLanes(*lanes)
 
 	var tr *obs.Tracer
 	if *traceSample > 0 {
@@ -342,13 +334,9 @@ func main() {
 			st.Apps = append(st.Apps, statusApp{Label: run.Label, Core: run.Core})
 		}
 		st.Checkpoints = experiments.CheckpointCache()
-		ws := m.WindowStats()
 		st.Engine = statusEngine{
 			InlineSteps:      m.InlineSteps(),
 			DispatchedEvents: m.DispatchedEvents(),
-			Lanes:            m.Lanes(),
-			Windows:          ws.Windows,
-			BarrierMerges:    ws.BarrierMerges,
 		}
 		if last != nil {
 			s := last.Snapshot

@@ -29,8 +29,6 @@ func main() {
 	quick := flag.Bool("quick", false, "shorter runs (coarser numbers)")
 	parallel := flag.Int("parallel", runtime.NumCPU(),
 		"worker goroutines for independent machine runs (1 = serial)")
-	lanes := flag.Int("lanes", 0,
-		"window lanes per machine: 0 auto-budget (GOMAXPROCS/-parallel), 1 sequential sweep, n>1 capped parallel lanes, -1 engine dispatch only; results are lane-invariant")
 	warmCache := flag.Bool("warm-cache", false,
 		"fork warm-shared experiment matrices from cached warmed checkpoints instead of re-warming every point (identical results, much faster warm-heavy sweeps)")
 	cpuprofile := flag.String("cpuprofile", "", "write CPU profile to file")
@@ -141,7 +139,6 @@ func main() {
 	}()
 
 	experiments.SetParallelism(*parallel)
-	experiments.SetLanes(*lanes)
 	experiments.SetWarmCache(*warmCache)
 
 	cfg := sim.SPR()

@@ -13,7 +13,7 @@
 // residency compares against the whole recorded population.
 //
 // With -status it summarizes a live `-serve` /status document — run state,
-// engine fast-path counters, and the checkpoint cache — so soak and sweep
+// engine stepping counters, and the checkpoint cache — so soak and sweep
 // runs can confirm warm-prefix reuse is engaging without parsing JSON.
 package main
 
@@ -156,8 +156,6 @@ type statusDoc struct {
 	Engine      struct {
 		InlineSteps      uint64 `json:"inline_steps"`
 		DispatchedEvents uint64 `json:"dispatched_events"`
-		Lanes            int    `json:"lanes"`
-		Windows          uint64 `json:"windows"`
 	} `json:"engine"`
 	Checkpoints struct {
 		Entries int    `json:"entries"`
@@ -200,7 +198,6 @@ func summarizeStatus(addr string) {
 	t.AddRow("epoch", fmt.Sprintf("%d/%d (%d kcycles each)", doc.Epoch, doc.Epochs, doc.EpochCycles/1000))
 	t.AddRow("engine inline steps", fmt.Sprint(doc.Engine.InlineSteps))
 	t.AddRow("engine dispatched events", fmt.Sprint(doc.Engine.DispatchedEvents))
-	t.AddRow("engine lanes / windows", fmt.Sprintf("%d / %d", doc.Engine.Lanes, doc.Engine.Windows))
 	c := doc.Checkpoints
 	t.AddRow("checkpoint images", fmt.Sprintf("%d (%d bytes)", c.Entries, c.Bytes))
 	t.AddRow("checkpoint hits/misses", fmt.Sprintf("%d / %d", c.Hits, c.Misses))

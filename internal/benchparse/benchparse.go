@@ -26,10 +26,10 @@ type Benchmark struct {
 
 // Doc is one benchmark snapshot (the BENCH_<date>.json layout).
 //
-// GoMaxProcs and Lanes pin the lane configuration the run measured:
-// GOMAXPROCS decides how many worker lanes the window scheduler gets under
-// the "auto" policy, so ns/op from different lane configs are different
-// experiments and must never be compared (see LaneMismatch).
+// GoMaxProcs pins the CPU count the run measured, so ns/op from different
+// counts are never compared (see LaneMismatch).  Snapshots recorded before
+// the window scheduler was removed also carry a "lanes" field; decoding
+// ignores it.
 type Doc struct {
 	Date       string      `json:"date"`
 	GoOS       string      `json:"goos,omitempty"`
@@ -37,7 +37,6 @@ type Doc struct {
 	Pkg        string      `json:"pkg,omitempty"`
 	CPU        string      `json:"cpu,omitempty"`
 	GoMaxProcs int         `json:"gomaxprocs,omitempty"`
-	Lanes      string      `json:"lanes,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
@@ -177,19 +176,16 @@ func LatestBaseline(dir string) (string, error) {
 	return matches[len(matches)-1], nil
 }
 
-// LaneMismatch reports why base and cur must not be compared: a different
-// GOMAXPROCS or -lanes configuration changes how many worker lanes the
-// window scheduler runs, which moves ns/op for reasons that are not
-// regressions.  A side that predates the fields (zero/empty) is unknown
-// and allowed through — old baselines age out, they don't brick the gate.
+// LaneMismatch reports why base and cur must not be compared: the
+// simulator steps on one goroutine, but GOMAXPROCS still decides how many
+// CPUs the garbage collector and the runtime use beside it, which moves
+// ns/op for reasons that are not regressions.  A side that predates the
+// field (zero) is unknown and allowed through — old baselines age out,
+// they don't brick the gate.
 func LaneMismatch(base, cur *Doc) error {
 	if base.GoMaxProcs != 0 && cur.GoMaxProcs != 0 && base.GoMaxProcs != cur.GoMaxProcs {
 		return fmt.Errorf("benchparse: GOMAXPROCS mismatch: baseline ran with %d, current with %d — rerun with GOMAXPROCS=%d or record a new baseline",
 			base.GoMaxProcs, cur.GoMaxProcs, base.GoMaxProcs)
-	}
-	if base.Lanes != "" && cur.Lanes != "" && base.Lanes != cur.Lanes {
-		return fmt.Errorf("benchparse: lane config mismatch: baseline measured lanes=%s, current lanes=%s — rerun with the baseline's lane config or record a new baseline",
-			base.Lanes, cur.Lanes)
 	}
 	return nil
 }

@@ -74,17 +74,28 @@ func TestParseCapturesGoMaxProcs(t *testing.T) {
 }
 
 func TestLaneMismatch(t *testing.T) {
-	base := &Doc{GoMaxProcs: 8, Lanes: "auto"}
-	cur := &Doc{GoMaxProcs: 8, Lanes: "auto"}
+	base := &Doc{GoMaxProcs: 8}
+	cur := &Doc{GoMaxProcs: 8}
 	if err := LaneMismatch(base, cur); err != nil {
 		t.Fatalf("matching configs refused: %v", err)
 	}
 
-	if err := LaneMismatch(base, &Doc{GoMaxProcs: 1, Lanes: "auto"}); err == nil {
+	if err := LaneMismatch(base, &Doc{GoMaxProcs: 1}); err == nil {
 		t.Fatal("GOMAXPROCS 8 vs 1 accepted")
 	}
-	if err := LaneMismatch(base, &Doc{GoMaxProcs: 8, Lanes: "2"}); err == nil {
-		t.Fatal("lanes auto vs 2 accepted")
+
+	// A committed snapshot from before the window scheduler went still
+	// carries "lanes": "auto"; it must load and gate like any other.
+	old, err := ReadDoc("../../BENCH_20260808c.json")
+	if err != nil {
+		t.Fatalf("snapshot with a lanes field: %v", err)
+	}
+	if old.GoMaxProcs != 1 || old.Find("BenchmarkSimCXLStream") == nil {
+		t.Fatalf("snapshot with a lanes field decoded as gomaxprocs=%d, %d benchmarks",
+			old.GoMaxProcs, len(old.Benchmarks))
+	}
+	if err := LaneMismatch(old, &Doc{GoMaxProcs: 1}); err != nil {
+		t.Fatalf("snapshot with a lanes field refused: %v", err)
 	}
 
 	// Sides that predate the fields are unknown, not mismatched: old

@@ -120,9 +120,8 @@ func chaosSpace() (*mem.AddressSpace, mem.Region, mem.Region, error) {
 }
 
 // workloadNames is the workload matrix cases cycle through.  The
-// "multicore" row drives both cores under parallel window lanes (DESIGN.md
-// §12), so fault plans soak the lane scheduler's bail-out and barrier
-// paths, not just the single-core sweep.
+// "multicore" row drives two cores at once, so fault plans soak two cores
+// contending in the uncore, not just one core's stream.
 var workloadNames = [...]string{"stream", "chase", "zipf", "multicore"}
 
 // workloadFor derives the case's workload from its seed.
@@ -133,7 +132,7 @@ func workloadFor(seed uint64) string {
 // buildWorkloads constructs the named case's per-core generators.  Single
 // workload names drive core 0 over the CXL region; the "multicore" row
 // returns one generator per core — a CXL stream racing a mostly-local
-// Zipf — which Run schedules on parallel window lanes.
+// Zipf.
 func buildWorkloads(name string, local, cxlr workload.Region, seed uint64) ([]workload.Generator, error) {
 	switch name {
 	case "stream":
@@ -294,11 +293,6 @@ func runCase(c Case, extra []Invariant, charge func(uint64) error, fp *forkProbe
 	fl := obs.NewFlight(cfg.Cores, flightRingCap, flightTailCap)
 	fl.Enable()
 	m.SetFlight(fl)
-	if len(gens) > 1 {
-		// Multi-core rows run on parallel lanes regardless of GOMAXPROCS,
-		// so every soak exercises the window scheduler under faults.
-		m.SetLanes(len(gens))
-	}
 	for i, g := range gens {
 		m.Attach(i, g)
 	}
@@ -327,9 +321,9 @@ func runCase(c Case, extra []Invariant, charge func(uint64) error, fp *forkProbe
 			}
 		}
 		// Midpoint checkpoint for the run-twice replay: taken at a chunk
-		// boundary (never inside an open window) with suffix cycles left to
-		// replay.  A machine that cannot be checkpointed records why, and
-		// the caller falls back to a full second run.
+		// boundary with suffix cycles left to replay.  A machine that
+		// cannot be checkpointed records why, and the caller falls back to
+		// a full second run.
 		if fp != nil && fp.cp == nil && fp.skip == nil && done >= c.Cycles/2 {
 			if done == c.Cycles {
 				fp.skip = fmt.Errorf("chaos: case too short to fork (%d cycles)", c.Cycles)
@@ -372,9 +366,9 @@ func runCase(c Case, extra []Invariant, charge func(uint64) error, fp *forkProbe
 
 // runForkedSuffix replays the case suffix on a fork restored from the
 // midpoint checkpoint, filling fp.forked with the suffix PMU digest.  The
-// fork carries the straight leg's lane setting and fault-plan state by
-// construction; the flight recorder is deliberately left detached (it does
-// not influence PMU counters).  Charging mirrors the straight leg's chunk
+// fork carries the straight leg's fault-plan state by construction; the
+// flight recorder is deliberately left detached (it does not influence PMU
+// counters).  Charging mirrors the straight leg's chunk
 // cadence so supervised soaks account the replayed cycles.
 func runForkedSuffix(fp *forkProbe, cycles, chunk uint64, charge func(uint64) error) error {
 	m := fp.cp.Restore()

@@ -55,8 +55,8 @@ func TestSoakClean(t *testing.T) {
 }
 
 // TestRunTwiceForkEngages: the run-twice replay must actually fork from a
-// midpoint checkpoint on every workload row — including the multicore row
-// under parallel lanes — not silently fall back to a full second run, and
+// midpoint checkpoint on every workload row — including the two-core
+// multicore row — not silently fall back to a full second run, and
 // the forked suffix digest must match the straight leg byte for byte.
 func TestRunTwiceForkEngages(t *testing.T) {
 	covered := map[string]bool{}
@@ -352,8 +352,8 @@ func TestParseReplaySpec(t *testing.T) {
 	}
 }
 
-// TestMulticoreRowReplayable: the multicore matrix row — both cores on
-// parallel window lanes — runs under a seeded fault plan, and replaying
+// TestMulticoreRowReplayable: the multicore matrix row — two cores
+// stepping at once — runs under a seeded fault plan, and replaying
 // the same (seed, plan) pair reproduces a byte-identical report.
 func TestMulticoreRowReplayable(t *testing.T) {
 	var seed uint64

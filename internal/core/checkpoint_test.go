@@ -11,13 +11,14 @@ import (
 // scenario — including the fault-plan, viral-escalation, and surprise-
 // removal cases — a machine restored from a warm checkpoint must produce
 // byte-identical per-epoch snapshot digests to a scratch machine that ran
-// the same span, across every core-step scheduling mode.  The Capturer is
+// the same span, on the sweep and on the dispatch oracle.  The Capturer is
 // delta-based, so both machines get their capturer attached at the warm
 // barrier and only suffix epochs are compared.
 
 // runCheckpointGolden runs scenario `name` three ways — scratch, source
-// continued past its own checkpoint, and a fork restored on lane mode
-// `lanes` — and requires identical digests from all three.
+// continued past its own checkpoint, and a fork restored on stepping mode
+// `lanes` (SetLanes: -1 the dispatch oracle, 1 the sweep) — and requires
+// identical digests from all three.
 func runCheckpointGolden(t *testing.T, name string, lanes int) {
 	epochs, cyc, setup := goldenScenario(t, name)
 	warm := cyc // first epoch's worth of cycles is the shared prefix
@@ -61,7 +62,7 @@ func runCheckpointGolden(t *testing.T, name string, lanes int) {
 		cleanup()
 	}
 
-	// The fork runs the identical suffix on the requested lane mode.
+	// The fork runs the identical suffix on the requested stepping mode.
 	fork := cp.Restore()
 	fork.SetLanes(lanes)
 	forkCap := NewCapturer(fork)
@@ -77,7 +78,7 @@ func runCheckpointGolden(t *testing.T, name string, lanes int) {
 
 func checkpointGoldenAllLanes(t *testing.T, name string) {
 	t.Helper()
-	for _, lanes := range []int{-1, 1, 2} {
+	for _, lanes := range []int{-1, 1} {
 		runCheckpointGolden(t, name, lanes)
 	}
 }
@@ -103,14 +104,14 @@ func TestCheckpointGoldenSurpriseRemoval(t *testing.T) {
 }
 
 // TestCheckpointGoldenLaneTransitions pins restore-then-SetLanes ordering:
-// switching scheduling modes between suffix epochs on a restored machine
-// must match a fresh machine making the same transitions at the same
-// cycles.
+// switching between the sweep and the dispatch oracle between suffix
+// epochs on a restored machine must match a fresh machine making the same
+// transitions at the same cycles.
 func TestCheckpointGoldenLaneTransitions(t *testing.T) {
 	const name = "MultiCoreMixed"
 	epochs, cyc, setup := goldenScenario(t, name)
 	warm := cyc
-	transitions := []int{2, -1, 1, 2}
+	transitions := []int{1, -1, 1}
 
 	run := func(m *sim.Machine) []Digest {
 		cap := NewCapturer(m)

@@ -11,11 +11,11 @@ import (
 	"pathfinder/internal/workload"
 )
 
-// Run-ahead equivalence: the core-stepping fast path executes
-// hit-dominated op runs inline, advancing the engine clock without
-// event-engine round-trips.  It must be invisible to every observable:
-// these tests run identical fixed-seed scenarios with the fast path on
-// and forced off, and require the captured snapshot digests — every PMU
+// Sweep equivalence: the sequential sweep executes every op inline,
+// advancing the engine clock without event-engine round-trips.  It must be
+// invisible to every observable: these tests run identical fixed-seed
+// scenarios on the sweep and on the dispatch oracle (one evCoreStep per
+// op, SetLanes(-1)), and require the captured snapshot digests — every PMU
 // counter of every bank, serialized — to be byte-identical per epoch.
 
 // fastpathScenario configures a freshly built rig (workloads, fault
@@ -33,7 +33,9 @@ type fastpathRun struct {
 func runFastpath(t *testing.T, fast bool, epochs int, cyc sim.Cycles, setup fastpathScenario) fastpathRun {
 	t.Helper()
 	m, localReg, cxlReg := testRig(t)
-	m.SetRunAhead(fast)
+	if !fast {
+		m.SetLanes(-1)
+	}
 	cleanup := setup(t, m, region(localReg), region(cxlReg))
 	cap := NewCapturer(m)
 	var out fastpathRun
@@ -59,14 +61,14 @@ func fastpathGolden(t *testing.T, epochs int, cyc sim.Cycles, setup fastpathScen
 		t.Fatalf("final clock differs: fast=%d dispatch=%d", on.now, off.now)
 	}
 	if on.inline == 0 {
-		t.Fatal("fast-path run executed zero inline steps; scenario does not exercise run-ahead")
+		t.Fatal("sweep run executed zero inline steps")
 	}
 	if off.inline != 0 {
 		t.Fatalf("dispatch-only run reported %d inline steps", off.inline)
 	}
 	for e := range on.digests {
 		if !bytes.Equal(on.digests[e], off.digests[e]) {
-			t.Errorf("epoch %d digest differs between run-ahead and dispatch-only engines", e)
+			t.Errorf("epoch %d digest differs between the sweep and the dispatch oracle", e)
 			diffDigests(t, on.digests[e], off.digests[e])
 		}
 	}
@@ -95,11 +97,10 @@ func diffDigests(t *testing.T, a, b Digest) {
 	}
 }
 
-// goldenScenarios is the shared scenario table: every engine-equivalence
-// suite — run-ahead fastpath (this file) and the windowed sweep/parallel
-// lane modes (window_test.go) — runs each entry against the dispatch-only
-// baseline and requires byte-identical digests.  The tracer scenario stays
-// a standalone test in both files because it captures tracer statistics.
+// goldenScenarios is the shared scenario table: the sweep-equivalence
+// suite (this file) and the checkpoint goldens run each entry against the
+// dispatch oracle and require byte-identical digests.  The tracer scenario
+// stays a standalone test because it captures tracer statistics.
 var goldenScenarios = []struct {
 	name   string
 	epochs int
@@ -195,8 +196,8 @@ func TestFastpathGoldenTracerAttached(t *testing.T) {
 	i := 0
 	fastpathGolden(t, 2, 1_000_000,
 		func(t *testing.T, m *sim.Machine, local, cxlReg workload.Region) func() {
-			// Sampling every 4th op mixes traced (dispatch-forced) and
-			// untraced (inline-eligible) ops in the same run.
+			// Sampling every 4th op mixes traced and untraced ops in the
+			// same run.
 			tr := obs.NewTracer(1<<14, 4)
 			tr.Enable()
 			m.SetTracer(tr)
@@ -219,9 +220,9 @@ func TestFastpathGoldenTracerAttached(t *testing.T) {
 
 // TestFastpathGoldenFlightAttached: the always-on flight recorder files a
 // record for every completed request, so unlike the sampling tracer it is
-// active on the inline fast path itself.  Digests must stay byte-identical
-// with it enabled, and the recorder must see the identical request
-// population in both engine modes.
+// active on every inline step.  Digests must stay byte-identical with it
+// enabled, and the recorder must see the identical request population in
+// both stepping modes.
 func TestFastpathGoldenFlightAttached(t *testing.T) {
 	var stats [2]struct {
 		records, promoted uint64
@@ -252,11 +253,9 @@ func TestFastpathGoldenFlightAttached(t *testing.T) {
 	}
 }
 
-// TestFastpathStepEquivalence drives the same workload via one big
-// RunUntil (run-ahead eligible) and via repeated short Run slices (which
-// constantly re-clips the horizon), requiring identical digests.  This
-// pins the horizon-clipping bail-out: inline stepping must never cross a
-// RunUntil boundary in an observable way.
+// TestFastpathStepEquivalence drives the same workload via one long Run
+// and via many short Run slices, requiring identical digests: the sweep
+// must never step past a Run bound in an observable way.
 func TestFastpathStepEquivalence(t *testing.T) {
 	run := func(slices int, each sim.Cycles) Digest {
 		m, localReg, cxlReg := testRig(t)
@@ -271,17 +270,17 @@ func TestFastpathStepEquivalence(t *testing.T) {
 	whole := run(1, 1_200_000)
 	sliced := run(1200, 1_000)
 	if !bytes.Equal(whole, sliced) {
-		t.Fatal("digest differs between one RunUntil and 1200 sliced Runs")
+		t.Fatal("digest differs between one Run and 1200 sliced Runs")
 	}
 	finer := run(300, 4_000)
 	if !bytes.Equal(whole, finer) {
-		t.Fatal("digest differs between one RunUntil and 300 sliced Runs")
+		t.Fatal("digest differs between one Run and 300 sliced Runs")
 	}
 }
 
 // TestFastpathCounters checks the introspection counters behave as
 // documented: inline steps dominate dispatches on a hit-heavy stream, and
-// disabling run-ahead routes every op through the engine.
+// the dispatch oracle routes every op through the engine.
 func TestFastpathCounters(t *testing.T) {
 	m, localReg, _ := testRig(t)
 	m.Attach(0, workload.NewStream(region(localReg), 2, 0.2, 1))
@@ -294,11 +293,11 @@ func TestFastpathCounters(t *testing.T) {
 		t.Errorf("inline steps (%d) should dominate dispatched events (%d) on a local stream", in, ev)
 	}
 	m2, localReg2, _ := testRig(t)
-	m2.SetRunAhead(false)
+	m2.SetLanes(-1)
 	m2.Attach(0, workload.NewStream(region(localReg2), 2, 0.2, 1))
 	m2.Run(500_000)
 	if m2.InlineSteps() != 0 {
-		t.Fatalf("run-ahead disabled but %d inline steps recorded", m2.InlineSteps())
+		t.Fatalf("dispatch oracle recorded %d inline steps", m2.InlineSteps())
 	}
 	if m2.DispatchedEvents() == 0 {
 		t.Fatal("dispatch-only run recorded no dispatched events")

@@ -115,10 +115,6 @@ type profMetrics struct {
 	heapDepth   *obs.Gauge
 	inlineSteps *obs.Counter
 	dispatched  *obs.Counter
-	barrierMrg  *obs.Counter
-	windowHist  *obs.Histogram
-	laneBusy    []*obs.Counter // one per lane, registered on first sight
-	reg         *obs.Registry
 	poolHits    *obs.Counter
 	poolMisses  *obs.Counter
 	linkRetries *obs.Counter
@@ -131,33 +127,17 @@ type profMetrics struct {
 
 	lastHits, lastMisses     uint64
 	lastInline, lastDispatch uint64
-	lastWindow               sim.WindowStats
-}
-
-// windowBuckets are the pf_engine_window_cycles histogram bounds: one per
-// power of two, matching the scheduler's log2 span histogram.
-func windowBuckets() []float64 {
-	b := make([]float64, 24)
-	for i := range b {
-		b[i] = float64(uint64(1) << uint(i))
-	}
-	return b
 }
 
 func newProfMetrics(reg *obs.Registry) *profMetrics {
 	return &profMetrics{
-		reg: reg,
-		barrierMrg: reg.Counter("pf_engine_barrier_merges",
-			"parallel-window barrier merge passes completed"),
-		windowHist: reg.Histogram("pf_engine_window_cycles",
-			"consumed span, in cycles, of closed parallel windows", windowBuckets()),
 		epochs:      reg.Counter("pf_profiler_epochs_total", "scheduling epochs run"),
 		truncated:   reg.Counter("pf_profiler_epochs_truncated_total", "epochs cut short by the watchdog"),
 		watchdog:    reg.Counter("pf_profiler_watchdog_expiries_total", "watchdog budget expiries"),
 		idle:        reg.Counter("pf_profiler_epochs_idle_total", "epochs ended early with every workload idle"),
 		epochCycles: reg.Gauge("pf_profiler_epoch_cycles", "cycles simulated in the latest epoch"),
 		heapDepth:   reg.Gauge("pf_engine_events_pending", "event-engine depth (timing wheel + heap)"),
-		inlineSteps: reg.Counter("pf_engine_inline_steps", "workload ops executed inline by the run-ahead fast path"),
+		inlineSteps: reg.Counter("pf_engine_inline_steps", "workload ops executed inline by the sequential sweep"),
 		dispatched:  reg.Counter("pf_engine_dispatched_events", "events dispatched through the engine"),
 		poolHits:    reg.Counter("pf_snapshot_pool_hits_total", "captures served from the snapshot pool"),
 		poolMisses:  reg.Counter("pf_snapshot_pool_misses_total", "captures that allocated a snapshot"),
@@ -312,36 +292,6 @@ func (p *Profiler) runEpoch() (truncated bool, note string, ran sim.Cycles) {
 	return false, "", done
 }
 
-// publishWindows pushes the windowed scheduler's counters: barrier merges,
-// the window-span histogram (bucket deltas via ObserveN at the bucket's
-// lower bound), and per-lane busy-time counters, registered lazily the
-// first time a lane reports.
-func (mt *profMetrics) publishWindows(ws sim.WindowStats) {
-	mt.barrierMrg.Add(ws.BarrierMerges - mt.lastWindow.BarrierMerges)
-	for i, n := range ws.WindowCycles {
-		var prev uint64
-		if i < len(mt.lastWindow.WindowCycles) {
-			prev = mt.lastWindow.WindowCycles[i]
-		}
-		mt.windowHist.ObserveN(float64(uint64(1)<<uint(i)), n-prev)
-	}
-	for i, ns := range ws.LaneBusyNs {
-		for len(mt.laneBusy) <= i {
-			mt.laneBusy = append(mt.laneBusy, mt.reg.Counter(
-				fmt.Sprintf("pf_engine_lane_busy_ns{lane=%q}", fmt.Sprint(len(mt.laneBusy))),
-				"wall-clock nanoseconds each worker lane spent executing window work"))
-		}
-		var prev uint64
-		if i < len(mt.lastWindow.LaneBusyNs) {
-			prev = mt.lastWindow.LaneBusyNs[i]
-		}
-		if ns > prev {
-			mt.laneBusy[i].Add(ns - prev)
-		}
-	}
-	mt.lastWindow = ws
-}
-
 // publish pushes one epoch's observability series into the registry.  It
 // runs on the profiler's goroutine at an epoch-sync boundary; scrapers see
 // only the atomic handles.
@@ -363,7 +313,6 @@ func (p *Profiler) publish(snap *Snapshot, truncated bool, note string, ran sim.
 	mt.inlineSteps.Add(in - mt.lastInline)
 	mt.dispatched.Add(ev - mt.lastDispatch)
 	mt.lastInline, mt.lastDispatch = in, ev
-	mt.publishWindows(p.spec.Machine.WindowStats())
 	hits, misses := p.cap.PoolStats()
 	mt.poolHits.Add(hits - mt.lastHits)
 	mt.poolMisses.Add(misses - mt.lastMisses)

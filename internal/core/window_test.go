@@ -10,25 +10,23 @@ import (
 	"pathfinder/internal/workload"
 )
 
-// Windowed-scheduler equivalence: the window-parallel execution mode (the
-// sequential per-core sweep at one lane, parallel worker lanes above it)
-// must be invisible to every observable, exactly like the run-ahead fast
-// path it extends.  Every shared golden scenario runs under each lane
-// configuration against the dispatch-only engine and the captured snapshot
-// digests must match byte for byte.
+// Lane-count equivalence: SetLanes still accepts the lane counts of the
+// removed window scheduler, and every n >= 0 must select the sequential
+// sweep.  perfbench and old scripts pass such counts, so each scenario runs
+// a short prefix at each count and must match the dispatch oracle byte for
+// byte.  The full-length sweep-vs-oracle comparison is fastpath_test.go's.
 
-// runWindowMode executes a golden scenario with the given lane setting:
-// -1 forces every core step through the event engine with run-ahead off
-// (the baseline), 1 is the windowed sweep, >=2 enables parallel lanes, and
-// 0 is auto.
+// windowPrefix is the span each lane-count row runs: long enough for every
+// scenario to miss to CXL and contend, short enough that the table stays
+// cheap next to the full-length goldens.
+const windowPrefix = sim.Cycles(100_000)
+
+// runWindowMode executes a golden scenario with the given SetLanes value:
+// -1 is the dispatch oracle, anything else the sweep.
 func runWindowMode(t *testing.T, lanes, epochs int, cyc sim.Cycles, setup fastpathScenario) fastpathRun {
 	t.Helper()
 	m, localReg, cxlReg := testRig(t)
-	if lanes < 0 {
-		m.SetRunAhead(false)
-	} else {
-		m.SetLanes(lanes)
-	}
+	m.SetLanes(lanes)
 	cleanup := setup(t, m, region(localReg), region(cxlReg))
 	cap := NewCapturer(m)
 	var out fastpathRun
@@ -44,48 +42,52 @@ func runWindowMode(t *testing.T, lanes, epochs int, cyc sim.Cycles, setup fastpa
 	return out
 }
 
-// windowLaneConfigs are the lane settings every scenario is verified
-// under: the sequential sweep, two parallel lanes, one lane per core, and
-// auto (GOMAXPROCS-resolved).
+// windowLaneConfigs are the former lane settings: the sequential sweep, two
+// parallel lanes, one lane per core, and auto.
 var windowLaneConfigs = []int{1, 2, 4, 0}
+
+// sameRun fails unless got matches the oracle run base: same final clock,
+// same digest every epoch, and inline stepping actually used.
+func sameRun(t *testing.T, tag string, got, base fastpathRun) {
+	t.Helper()
+	if got.now != base.now {
+		t.Fatalf("%s: final clock differs: %d vs oracle %d", tag, got.now, base.now)
+	}
+	if got.inline == 0 {
+		t.Fatalf("%s: executed zero inline steps", tag)
+	}
+	for e := range got.digests {
+		if !bytes.Equal(got.digests[e], base.digests[e]) {
+			t.Errorf("%s: epoch %d digest differs from the dispatch oracle", tag, e)
+			diffDigests(t, got.digests[e], base.digests[e])
+		}
+	}
+}
 
 func TestWindowGoldenScenarios(t *testing.T) {
 	for _, sc := range goldenScenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			base := runWindowMode(t, -1, sc.epochs, sc.cyc, sc.setup)
+			base := runWindowMode(t, -1, 1, windowPrefix, sc.setup)
 			if base.inline != 0 {
-				t.Fatalf("baseline run reported %d inline steps", base.inline)
+				t.Fatalf("oracle run reported %d inline steps", base.inline)
 			}
 			for _, lanes := range windowLaneConfigs {
 				t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
-					got := runWindowMode(t, lanes, sc.epochs, sc.cyc, sc.setup)
-					if got.now != base.now {
-						t.Fatalf("final clock differs: windowed=%d baseline=%d", got.now, base.now)
-					}
-					if got.inline == 0 {
-						t.Fatal("windowed run executed zero inline steps")
-					}
-					for e := range got.digests {
-						if !bytes.Equal(got.digests[e], base.digests[e]) {
-							t.Errorf("epoch %d digest differs from dispatch-only baseline", e)
-							diffDigests(t, got.digests[e], base.digests[e])
-						}
-					}
+					sameRun(t, "sweep", runWindowMode(t, lanes, 1, windowPrefix, sc.setup), base)
 				})
 			}
 		})
 	}
 }
 
-// TestWindowGoldenTracerEnabled runs the sampling-tracer scenario under
-// parallel lanes.  An enabled tracer mutates per-op sampling state, so the
-// scheduler must fall back to the exact sequential sweep — and the tracer
-// must observe the identical request population.
+// TestWindowGoldenTracerEnabled: with an enabled sampling tracer, every
+// lane count still runs the sweep, and the tracer observes the same
+// request population as on the oracle.
 func TestWindowGoldenTracerEnabled(t *testing.T) {
 	type stats struct{ committed, dropped uint64 }
 	run := func(lanes int) (fastpathRun, stats) {
 		var st stats
-		out := runWindowMode(t, lanes, 2, 1_000_000,
+		out := runWindowMode(t, lanes, 2, windowPrefix,
 			func(t *testing.T, m *sim.Machine, local, cxlReg workload.Region) func() {
 				tr := obs.NewTracer(1<<14, 4)
 				tr.Enable()
@@ -97,80 +99,51 @@ func TestWindowGoldenTracerEnabled(t *testing.T) {
 		return out, st
 	}
 	base, baseStats := run(-1)
-	for _, lanes := range windowLaneConfigs {
-		got, gotStats := run(lanes)
-		if got.now != base.now {
-			t.Fatalf("lanes=%d: final clock differs: %d vs %d", lanes, got.now, base.now)
-		}
-		if gotStats != baseStats {
-			t.Fatalf("lanes=%d: tracer stats differ: %+v vs %+v", lanes, gotStats, baseStats)
-		}
-		for e := range got.digests {
-			if !bytes.Equal(got.digests[e], base.digests[e]) {
-				t.Errorf("lanes=%d: epoch %d digest differs", lanes, e)
-				diffDigests(t, got.digests[e], base.digests[e])
-			}
-		}
-	}
 	if baseStats.committed == 0 {
 		t.Fatal("tracer committed no records")
 	}
+	for _, lanes := range windowLaneConfigs {
+		got, gotStats := run(lanes)
+		sameRun(t, fmt.Sprintf("lanes=%d", lanes), got, base)
+		if gotStats != baseStats {
+			t.Fatalf("lanes=%d: tracer stats differ: %+v vs %+v", lanes, gotStats, baseStats)
+		}
+	}
 }
 
-// TestWindowGoldenFlightEnabled runs an always-on flight recorder under
-// every lane configuration.  Unlike the tracer, the recorder must NOT
-// force the sequential sweep — lanes defer shared promotion work to the
-// window barrier instead — and the PMU digests must stay byte-identical
-// with the dispatch-only baseline.  The recorder sees the same request
-// population in every mode; promotion decisions may legitimately differ
-// across lane configs (the quantile sketch is order-dependent), but never
-// the digests.
+// TestWindowGoldenFlightEnabled: with an enabled flight recorder, every
+// lane count still runs the sweep, and the recorder files the same records
+// as on the oracle.
 func TestWindowGoldenFlightEnabled(t *testing.T) {
-	run := func(lanes int) (fastpathRun, uint64, sim.WindowStats) {
+	run := func(lanes int) (fastpathRun, uint64) {
 		var records uint64
-		var ws sim.WindowStats
-		out := runWindowMode(t, lanes, 2, 1_000_000,
+		out := runWindowMode(t, lanes, 2, windowPrefix,
 			func(t *testing.T, m *sim.Machine, local, cxlReg workload.Region) func() {
 				fl := obs.NewFlight(m.Cores(), 2048, 128)
 				fl.Enable()
 				m.SetFlight(fl)
 				m.Attach(0, workload.NewStream(cxlReg, 2, 0.2, 5))
 				m.Attach(1, workload.NewStream(local, 2, 0.2, 6))
-				return func() {
-					records = fl.RecordsTotal()
-					ws = m.WindowStats()
-				}
+				return func() { records = fl.RecordsTotal() }
 			})
-		return out, records, ws
+		return out, records
 	}
-	base, baseRecords, _ := run(-1)
+	base, baseRecords := run(-1)
 	if baseRecords == 0 {
 		t.Fatal("flight recorder filed no records")
 	}
-	for _, lanes := range []int{1, 2} {
-		got, records, ws := run(lanes)
-		if got.now != base.now {
-			t.Fatalf("lanes=%d: final clock differs: %d vs %d", lanes, got.now, base.now)
-		}
+	for _, lanes := range windowLaneConfigs {
+		got, records := run(lanes)
+		sameRun(t, fmt.Sprintf("lanes=%d", lanes), got, base)
 		if records != baseRecords {
-			t.Fatalf("lanes=%d: flight saw %d records, baseline %d", lanes, records, baseRecords)
-		}
-		if lanes >= 2 && ws.Windows == 0 {
-			t.Fatalf("lanes=%d: flight recorder suppressed parallel windows", lanes)
-		}
-		for e := range got.digests {
-			if !bytes.Equal(got.digests[e], base.digests[e]) {
-				t.Errorf("lanes=%d: epoch %d digest differs with flight enabled", lanes, e)
-				diffDigests(t, got.digests[e], base.digests[e])
-			}
+			t.Fatalf("lanes=%d: flight saw %d records, oracle %d", lanes, records, baseRecords)
 		}
 	}
 }
 
 // TestWindowStepEquivalence drives the same two-core workload through one
-// long Run and through many short slices under parallel lanes: slicing
-// re-clips the window horizon constantly, so this pins the H-boundary
-// handling (a window must never commit work beyond the Run bound).
+// oracle Run and through many short sweep slices at a former parallel lane
+// count: the sweep must never step past a Run bound in an observable way.
 func TestWindowStepEquivalence(t *testing.T) {
 	run := func(lanes, slices int, each sim.Cycles) Digest {
 		m, localReg, cxlReg := testRig(t)
@@ -183,47 +156,24 @@ func TestWindowStepEquivalence(t *testing.T) {
 		}
 		return EncodeDigest(cap.Capture())
 	}
-	whole := run(2, 1, 1_200_000)
-	sliced := run(2, 1200, 1_000)
-	if !bytes.Equal(whole, sliced) {
-		t.Fatal("digest differs between one Run and 1200 sliced Runs under lanes=2")
-	}
-	sweep := run(1, 300, 4_000)
-	if !bytes.Equal(whole, sweep) {
-		t.Fatal("digest differs between lanes=2 and the sweep under sliced Runs")
+	whole := run(-1, 1, 3*windowPrefix)
+	if sliced := run(2, 300, windowPrefix/100); !bytes.Equal(whole, sliced) {
+		t.Fatal("digest differs between one oracle Run and 300 sliced sweep Runs")
 	}
 }
 
-// TestWindowStatsPopulated checks the scheduler's introspection counters:
-// a multi-core run under parallel lanes must open windows and merge at
-// barriers, and the sweep must not.
+// TestWindowStatsPopulated: the deprecated window counters stay zero, since
+// the sweep opens no windows at any lane count.
 func TestWindowStatsPopulated(t *testing.T) {
-	run := func(lanes int) sim.WindowStats {
-		m, localReg, cxlReg := testRig(t)
-		m.SetLanes(lanes)
-		m.Attach(0, workload.NewStream(region(localReg), 2, 0.2, 1))
-		m.Attach(1, workload.NewStream(region(cxlReg), 2, 0.3, 2))
-		m.Attach(2, workload.NewStream(region(localReg), 2, 0, 3))
-		m.Attach(3, workload.NewStream(region(cxlReg), 2, 0.1, 4))
-		m.Run(500_000)
-		return m.WindowStats()
+	m, localReg, cxlReg := testRig(t)
+	m.SetLanes(2)
+	m.Attach(0, workload.NewStream(region(localReg), 2, 0.2, 1))
+	m.Attach(1, workload.NewStream(region(cxlReg), 2, 0.3, 2))
+	m.Run(windowPrefix)
+	if ws := m.WindowStats(); ws != (sim.WindowStats{}) {
+		t.Fatalf("window counters = %+v, want zero", ws)
 	}
-	par := run(2)
-	if par.Windows == 0 {
-		t.Fatal("lanes=2 multi-core run opened no parallel windows")
-	}
-	if par.BarrierMerges != par.Windows {
-		t.Fatalf("barrier merges (%d) != windows (%d)", par.BarrierMerges, par.Windows)
-	}
-	var cycles uint64
-	for _, c := range par.WindowCycles {
-		cycles += c
-	}
-	if cycles != par.Windows {
-		t.Fatalf("window-cycle histogram total %d != windows %d", cycles, par.Windows)
-	}
-	sweep := run(1)
-	if sweep.Windows != 0 {
-		t.Fatalf("sweep run reported %d parallel windows", sweep.Windows)
+	if m.InlineSteps() == 0 {
+		t.Fatal("SetLanes(2) did not select the sweep")
 	}
 }

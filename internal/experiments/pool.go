@@ -50,7 +50,6 @@ func RunPool(cfg sim.Config, quick bool) *PoolResult {
 		}
 		as := mem.NewAddressSpace(12, nodes)
 		m := sim.New(c, as)
-		m.SetLanes(LaneBudget())
 		k := core.ConstsFor(c)
 
 		// Twelve streaming cores, working sets striped across the pool.

@@ -53,7 +53,6 @@ func NewRig(opt RigOptions) *Rig {
 		{ID: 2, Kind: mem.CXLDRAM, Device: 0, Capacity: 64 << 30},
 	})
 	m := sim.New(cfg, as)
-	m.SetLanes(LaneBudget())
 	return &Rig{
 		Machine:    m,
 		Space:      as,

@@ -44,34 +44,11 @@ func Parallelism() int {
 	return n
 }
 
-// laneOverride pins every rig's window-lane count when nonzero
-// (see SetLanes); zero means the auto budget below.
-var laneOverride atomic.Int64
-
-// SetLanes overrides the per-machine window-lane setting experiment rigs
-// are built with: n > 0 pins that many lanes, -1 forces engine dispatch
-// only, and 0 restores the auto budget.  It returns the previous setting.
-func SetLanes(n int) int {
-	return int(laneOverride.Swap(int64(n)))
-}
-
-// LaneBudget is the window-lane count experiment rigs run with.  The
-// runner pool already fans Parallelism() machines across the CPUs, so
-// under the auto budget each machine gets GOMAXPROCS/Parallelism() worker
-// lanes — at least 1, the sequential per-core sweep — rather than every
-// machine claiming GOMAXPROCS lanes and oversubscribing the box.  Lane
-// count never changes results (digests are lane-invariant by
-// construction, DESIGN.md §12), only scheduling.
-func LaneBudget() int {
-	if n := int(laneOverride.Load()); n != 0 {
-		return n
-	}
-	lanes := runtime.GOMAXPROCS(0) / Parallelism()
-	if lanes < 1 {
-		lanes = 1
-	}
-	return lanes
-}
+// SetLanes does nothing and returns 0: every rig runs the sequential
+// sweep.
+//
+// Deprecated: window lanes are gone; perfbench is its last caller.
+func SetLanes(int) int { return 0 }
 
 // workerMetrics returns the dispatch counter and the per-worker busy-time
 // counter of the pool, published to the process-wide registry so

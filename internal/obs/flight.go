@@ -18,19 +18,9 @@ import (
 //
 // The recorder is strictly an observer: it never touches engine, cache, or
 // PMU state, so simulated timing is byte-identical with it attached (the
-// golden digest suites prove this across fastpath scenarios and window
-// lane modes).  The hot path is allocation-free: records are packed value
-// structs, rings and pending buffers are sized up front, and the quantile
-// sketch is five fixed markers.
-//
-// Window-lane safety mirrors the §12 observer-buffer design: outside a
-// parallel window the machine calls Record, which files the ring entry and
-// runs the shared promotion pipeline inline; inside a window each lane
-// calls Defer, which only touches that core's own lane state, and the
-// barrier drains the pending buffers through MergeDeferred in core order —
-// deterministic for a given schedule.  Promotion decisions therefore
-// depend on the (deterministic) processing order of a given lane config;
-// PMU digests never do.
+// golden digest suites prove this on the sweep and the dispatch oracle).
+// The hot path is allocation-free: records are packed value structs, rings
+// are sized up front, and the quantile sketch is five fixed markers.
 
 // Flight workload classes: demand loads and demand stores track separate
 // latency populations (a CXL store commit and a CXL load miss live on
@@ -198,16 +188,12 @@ func (s *p2) estimate() float64 {
 }
 
 // flightLane is one core's slice of the recorder: a ring of the last
-// ringCap records and the pending buffer parallel window lanes defer
-// shared-state work into.  The mutex orders the single sim-side writer
-// against HTTP-side snapshot readers; it is never contended between lanes
-// because each core's lane state is written only by the goroutine stepping
-// that core.
+// ringCap records.  The mutex orders the single sim-side writer against
+// HTTP-side snapshot readers.
 type flightLane struct {
 	mu   sync.Mutex
 	ring []FlightRec
 	n    uint64 // total records ever filed on this core
-	pend []FlightRec
 }
 
 func (ln *flightLane) push(r FlightRec) {
@@ -251,7 +237,7 @@ type Flight struct {
 	hist      [flightClasses]*Histogram
 	tail      []TailRec
 	tailN     uint64
-	pendingFn func() int // engine-depth probe; only called outside windows
+	pendingFn func() int // engine-depth probe, called from the sim goroutine
 }
 
 // NewFlight sizes the recorder at attach time: cores per-core rings of
@@ -270,7 +256,6 @@ func NewFlight(cores, ringCap, tailCap int) *Flight {
 	}
 	for i := range f.lanes {
 		f.lanes[i].ring = make([]FlightRec, 0, ringCap)
-		f.lanes[i].pend = make([]FlightRec, 0, ringCap)
 	}
 	for c := range f.sketch {
 		f.sketch[c] = newP2(0.99)
@@ -301,18 +286,16 @@ func (f *Flight) SetEpoch(e uint64) { f.epoch.Store(e) }
 func (f *Flight) Epoch() uint64 { return f.epoch.Load() }
 
 // SetPendingProbe installs the engine-depth probe stamped into promotion
-// context.  The probe is only invoked from inline Record processing and
-// from MergeDeferred — both outside parallel windows — so it may read
-// engine state.
+// context.  The probe is only invoked from Record, on the goroutine that
+// steps the machine, so it may read engine state.
 func (f *Flight) SetPendingProbe(fn func() int) {
 	f.mu.Lock()
 	f.pendingFn = fn
 	f.mu.Unlock()
 }
 
-// Record files a completed request inline: ring entry plus the shared
-// promotion pipeline.  It must not be called from inside a parallel
-// window; lanes use Defer instead.
+// Record files a completed request: ring entry plus the shared promotion
+// pipeline.
 func (f *Flight) Record(core int, r FlightRec) {
 	ln := f.lane(core)
 	ln.mu.Lock()
@@ -320,35 +303,6 @@ func (f *Flight) Record(core int, r FlightRec) {
 	ln.mu.Unlock()
 	f.mu.Lock()
 	f.process(&r)
-	f.mu.Unlock()
-}
-
-// Defer files a completed request from a window lane: the ring entry is
-// core-private, and the shared promotion work is parked in the core's
-// pending buffer until the window barrier calls MergeDeferred.
-func (f *Flight) Defer(core int, r FlightRec) {
-	ln := f.lane(core)
-	ln.mu.Lock()
-	ln.push(r)
-	ln.pend = append(ln.pend, r)
-	ln.mu.Unlock()
-}
-
-// MergeDeferred drains every core's pending buffer through the shared
-// promotion pipeline, in core order with each core's records in file
-// order — deterministic for a deterministic schedule.  The window barrier
-// calls it after the lane-observer merge.
-func (f *Flight) MergeDeferred() {
-	f.mu.Lock()
-	for i := range f.lanes {
-		ln := &f.lanes[i]
-		ln.mu.Lock()
-		for j := range ln.pend {
-			f.process(&ln.pend[j])
-		}
-		ln.pend = ln.pend[:0]
-		ln.mu.Unlock()
-	}
 	f.mu.Unlock()
 }
 

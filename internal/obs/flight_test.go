@@ -200,47 +200,6 @@ func TestFlightClassesSeparate(t *testing.T) {
 	}
 }
 
-func TestFlightMergeDeferredCoreOrder(t *testing.T) {
-	f := NewFlight(3, 16, 8)
-	f.Enable()
-	// File in scrambled core order, as racing lanes would.
-	f.Defer(2, flightRec(2, 10, 100))
-	f.Defer(0, flightRec(0, 20, 100))
-	f.Defer(1, flightRec(1, 30, 100))
-	f.Defer(0, flightRec(0, 40, 100))
-	if got := f.Seen(FlightLoad); got != 0 {
-		t.Fatalf("deferred records hit the pipeline before the barrier: %d", got)
-	}
-	f.MergeDeferred()
-	if got := f.Seen(FlightLoad); got != 4 {
-		t.Fatalf("pipeline saw %d records after merge, want 4", got)
-	}
-	// Sequence numbers are assigned in core order, file order within a
-	// core: core0's two records first, then core1, then core2.
-	wantOrder := []struct {
-		core  int
-		issue uint64
-		seq   uint32
-	}{{0, 20, 1}, {0, 40, 2}, {1, 30, 3}, {2, 10, 4}}
-	for _, w := range wantOrder {
-		recs := f.CoreRecords(w.core)
-		found := false
-		for _, r := range recs {
-			if r.Issue == w.issue {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("core %d ring missing issue %d", w.core, w.issue)
-		}
-	}
-	// A second merge with nothing pending is a no-op.
-	f.MergeDeferred()
-	if got := f.Seen(FlightLoad); got != 4 {
-		t.Fatalf("empty merge changed record count to %d", got)
-	}
-}
-
 func TestFlightRecordAllocFree(t *testing.T) {
 	f := NewFlight(1, 64, 8)
 	f.Enable()
@@ -255,13 +214,6 @@ func TestFlightRecordAllocFree(t *testing.T) {
 		f.Record(0, flightRec(0, i*10, 100+(i%900)))
 	}); got != 0 {
 		t.Fatalf("Record allocates %.1f per op in steady state, want 0", got)
-	}
-	if got := testing.AllocsPerRun(1000, func() {
-		i++
-		f.Defer(0, flightRec(0, i*10, 100+(i%900)))
-		f.MergeDeferred()
-	}); got != 0 {
-		t.Fatalf("Defer+MergeDeferred allocates %.1f per op in steady state, want 0", got)
 	}
 }
 

@@ -84,25 +84,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// ObserveN records n samples of value v in one shot — the bulk form used
-// when a subsystem keeps its own bucketed counts (the engine's window-span
-// histogram) and publishes per-epoch deltas.
-func (h *Histogram) ObserveN(v float64, n uint64) {
-	if n == 0 {
-		return
-	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i].Add(n)
-	h.count.Add(n)
-	for {
-		old := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v*float64(n))
-		if h.sum.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 

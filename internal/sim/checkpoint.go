@@ -46,9 +46,6 @@ type Checkpoint struct {
 // position (RNG streams, cursors, pending ops) can continue independently
 // on each forked machine.
 func (m *Machine) Checkpoint() (*Checkpoint, error) {
-	if m.eng.laneGuard {
-		return nil, fmt.Errorf("sim: Checkpoint inside an open parallel window")
-	}
 	if err := m.checkpointable(); err != nil {
 		return nil, err
 	}
@@ -103,9 +100,6 @@ func (cp *Checkpoint) Restore() *Machine {
 // checkpoint.  Attachments (tracer, flight recorder, access hook) are
 // detached, exactly as Restore leaves them.
 func (cp *Checkpoint) RestoreInto(m *Machine) error {
-	if m.eng.laneGuard {
-		return fmt.Errorf("sim: RestoreInto inside an open parallel window")
-	}
 	if m.cfg != cp.cfg {
 		return fmt.Errorf("sim: RestoreInto machine built from a different Config (%q vs %q)",
 			m.cfg.Name, cp.cfg.Name)
@@ -255,9 +249,7 @@ func copyMachineState(dst, src *Machine, srcIdx map[any]int32) {
 		dst.banks[i].CopyCountersFrom(b)
 	}
 	dst.lastSync = src.lastSync
-	dst.lanes = src.lanes
-	dst.wstat = src.wstat
-	dst.wstat.LaneBusyNs = nil
+	dst.dispatch = src.dispatch
 
 	// Attachments are observers of one particular run, not machine state.
 	dst.tr = nil
@@ -269,10 +261,6 @@ func copyMachineState(dst, src *Machine, srcIdx map[any]int32) {
 func copyEngineState(dst, src *Engine, rm *remapper) {
 	dst.now = src.now
 	dst.seq = src.seq
-	dst.horizon = src.horizon
-	dst.runAhead = src.runAhead
-	dst.laneGuard = false
-	dst.drainSlot, dst.drainConsumed = -1, 0
 	dst.inlineSteps = src.inlineSteps
 	dst.dispatched = src.dispatched
 
@@ -285,9 +273,9 @@ func copyEngineState(dst, src *Engine, rm *remapper) {
 
 	// Timing wheel: visit the union of occupied slots — src's to copy, dst's
 	// to clear stale residue — so the cost scales with live entries, not
-	// wheel size.  Non-empty buckets always carry their occupancy bit (runAt
-	// drops a bucket's bit with its last entry), so the union covers every
-	// slot that needs touching.
+	// wheel size.  Between Run slices every non-empty bucket carries its
+	// occupancy bit (runAt drops the bit as it empties the bucket), so the
+	// union covers every slot that needs touching.
 	for w := 0; w < wheelWords; w++ {
 		union := src.occupied[w] | dst.occupied[w]
 		for union != 0 {
@@ -369,18 +357,9 @@ func copyCoreState(dst, src *Core) {
 
 	dst.running = src.running
 	dst.op = src.op
-	dst.opPending = src.opPending
 	dst.stepPending = src.stepPending
 	dst.stepAt = src.stepAt
 	dst.stepSeq = src.stepSeq
-
-	// Lane state is only valid inside an open window; at quiescence it is
-	// scratch and starts clean on the restored machine.
-	dst.lanePos.Store(0)
-	dst.laneDone.Store(false)
-	dst.laneKey = 0
-	dst.laneOps = 0
-	dst.laneObs = dst.laneObs[:0]
 }
 
 func copyCacheState(dst, src *Cache) {

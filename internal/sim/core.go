@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"sync/atomic"
-
 	"pathfinder/internal/pmu"
 	"pathfinder/internal/workload"
 )
@@ -71,36 +69,17 @@ type Core struct {
 	running bool
 
 	// op is the scratch operation filled by gen.Next.  It lives on the
-	// core, not the coreStep stack: a stack-local would escape through the
+	// core, not the stepOne stack: a stack-local would escape through the
 	// Generator interface call and cost one heap object per simulated op.
 	op workload.Op
 
-	// opPending marks that op holds a fetched-but-unexecuted operation: the
-	// window classifier pulls the next op from the generator to inspect it,
-	// and on a bail-out the op must not be re-fetched (the generator has
-	// already advanced) — the deferred sequential step consumes the stash.
-	opPending bool
-
-	// The windowed scheduler's core-step mirror (see window.go): instead of
+	// The sweep's core-step mirror (see sweep.go): instead of
 	// round-tripping an evCoreStep through the engine, each core's next
 	// step is held here as (cycle, engine-seq), directly comparable against
 	// engine events for exact dispatch ordering.
 	stepPending bool
 	stepAt      Cycles
 	stepSeq     uint64
-
-	// Parallel-lane state, valid only inside an open window.  lanePos packs
-	// (stepAt-windowStart)<<32 | commitKey and is the frontier other lanes
-	// compare against; laneDone marks the lane finished for this window
-	// (bailed, past the horizon, or blocked by an earlier frozen frontier).
-	// laneKey mirrors the packed key for the barrier's re-sequencing sort;
-	// laneOps counts ops committed this window; laneObs buffers deferred
-	// observer entries for the barrier merge.
-	lanePos  atomic.Uint64
-	laneDone atomic.Bool
-	laneKey  uint64
-	laneOps  uint64
-	laneObs  []obsEvent
 }
 
 func newCore(id, cluster int, cfg *Config, bank *pmu.Bank) *Core {

@@ -144,36 +144,24 @@ type Engine struct {
 
 	heap []event // far-horizon events, (when, seq)-ordered binary heap
 
-	// wheel buckets normally hold one `when` each; while the run-ahead
-	// fast path advances the clock mid-drain, a bucket may additionally
-	// accumulate entries for later wheel rotations (when-nondecreasing in
-	// append order, so the head is always the bucket minimum).
+	// wheel buckets hold one `when` each, in seq order: the clock never
+	// passes a pending event, so a slot cannot collect entries of two
+	// wheel rotations.
 	wheel    [][]event
 	occupied [wheelWords]uint64
 	wheelLen int
 
-	// Run-ahead state.  horizon is the active RunUntil bound; runAhead
-	// gates the core-stepping fast path (tests force it off to prove PMU
-	// equivalence).  drainSlot/drainConsumed expose how far runAt has
-	// consumed the bucket it is draining, so quietUntil can tell
-	// already-dispatched prefix entries from live ones mid-dispatch.
-	horizon       Cycles
-	runAhead      bool
-	laneGuard     bool // set while parallel lanes run; engine access panics
-	drainSlot     int
-	drainConsumed int
-
-	// Fast-path observability: ops executed inline by the run-ahead loop
-	// versus events dispatched through the engine (the
-	// pf_engine_inline_steps / pf_engine_dispatched_events counter pair).
+	// Stepping observability: ops the sweep executed inline versus events
+	// dispatched through the engine (the pf_engine_inline_steps /
+	// pf_engine_dispatched_events counter pair).
 	inlineSteps uint64
 	dispatched  uint64
 
 	// The observer lane: PMU bookkeeping (bank increments, occupancy and
 	// busy edges) scheduled for a future cycle but carrying no simulation
 	// side effects.  These entries never enter the event wheel or heap,
-	// so they neither wake the engine nor block the run-ahead fast path;
-	// they are applied in exact (when, schedule-order) order by drainObs
+	// so they neither wake the engine nor interrupt the sweep; they are
+	// applied in exact (when, schedule-order) order by drainObs
 	// at every observation point (RunUntil exit, Step exit, Sync, DevLoad,
 	// before any evFunc closure, and at every clock advance).  obsLast is
 	// the drain cursor: every entry with when <= obsLast has been applied.
@@ -205,11 +193,7 @@ type Engine struct {
 
 // NewEngine returns an engine at cycle zero.
 func NewEngine() *Engine {
-	return &Engine{
-		wheel:     make([][]event, wheelSlots),
-		runAhead:  true,
-		drainSlot: -1,
-	}
+	return &Engine{wheel: make([][]event, wheelSlots)}
 }
 
 // Now returns the current simulated cycle.
@@ -424,12 +408,6 @@ func (e *Engine) obsFarPop() obsFarEvent {
 }
 
 func (e *Engine) checkPast(when Cycles) {
-	if e.laneGuard {
-		// Lanes execute only core-private work; anything that reaches the
-		// engine from inside an open parallel window is an op the window
-		// classifier wrongly treated as private.
-		panic("sim: engine touched from a parallel lane (op misclassified as core-private)")
-	}
 	if when < e.now {
 		panic(fmt.Sprintf(
 			"sim: scheduling into the past: when=%d now=%d (%d cycles behind, %d events pending)",
@@ -549,9 +527,9 @@ func (e *Engine) nextWhen() (Cycles, bool) {
 }
 
 // peekNext returns the (when, seq) of the earliest scheduled event across
-// wheel and heap without removing it.  The windowed scheduler compares it
-// against pending core steps to reproduce the engine's exact dispatch
-// order, including same-cycle seq interleavings.
+// wheel and heap without removing it.  The sweep compares it against
+// pending core steps to reproduce the engine's exact dispatch order,
+// including same-cycle seq interleavings.
 func (e *Engine) peekNext() (when Cycles, seq uint64, ok bool) {
 	if len(e.heap) > 0 {
 		when, seq, ok = e.heap[0].when, e.heap[0].seq, true
@@ -567,30 +545,16 @@ func (e *Engine) peekNext() (when Cycles, seq uint64, ok bool) {
 // matches a single global priority queue.  Events scheduled for `when`
 // during execution (same-cycle cascades) are appended to the bucket and
 // drained in the same pass.
-//
-// The drain exposes its progress through drainSlot/drainConsumed so the
-// core-stepping fast path (quietUntil) can see through the
-// already-dispatched prefix of the bucket.  A dispatched handler may
-// advance the clock via run-ahead; the drain then stops — any entries left
-// in the bucket were pushed for later wheel rotations while the clock
-// moved and stay queued.  The bucket's occupancy bit is dropped the moment
-// its last entry is taken (push re-sets it on a same-cycle cascade), so
-// the bitmap never shows a consumed-only bucket as live.
 func (e *Engine) runAt(when Cycles) {
 	slot := int(when) & wheelMask
-	e.drainSlot, e.drainConsumed = slot, 0
 	i := 0
-	for e.now == when {
+	for {
 		b := e.wheel[slot]
-		haveW := i < len(b) && b[i].when == when
+		haveW := i < len(b)
 		haveH := len(e.heap) > 0 && e.heap[0].when == when
 		if haveW && (!haveH || b[i].seq < e.heap[0].seq) {
 			ev := b[i]
 			i++
-			e.drainConsumed = i
-			if i == len(b) {
-				e.occupied[slot>>6] &^= 1 << uint(slot&63)
-			}
 			e.dispatch(&ev, when)
 		} else if haveH {
 			ev := e.heapPop()
@@ -600,17 +564,12 @@ func (e *Engine) runAt(when Cycles) {
 		}
 	}
 	if i > 0 {
-		// Release the consumed prefix.  Entries past it belong to future
-		// cycles (wheel-wrap collisions pushed while run-ahead advanced
-		// the clock past `when`) and keep the slot occupied — push set
-		// the bit when it appended them.
 		b := e.wheel[slot]
-		rem := copy(b, b[i:])
-		clear(b[rem:]) // release target/fn references
-		e.wheel[slot] = b[:rem]
+		clear(b) // release target/fn references
+		e.wheel[slot] = b[:0]
+		e.occupied[slot>>6] &^= 1 << uint(slot&63)
 		e.wheelLen -= i
 	}
-	e.drainSlot, e.drainConsumed = -1, 0
 }
 
 // Step executes the earliest event, returning false when none remain.
@@ -650,11 +609,8 @@ func (e *Engine) Step() bool {
 
 // RunUntil executes events up to and including cycle t, then advances the
 // clock to t.  Events scheduled during execution are honored if they fall
-// within the horizon.  While the loop runs, t is published as the engine's
-// run-ahead horizon: the core-stepping fast path may advance the clock
-// inline up to t, but never beyond it.
+// at or before t.
 func (e *Engine) RunUntil(t Cycles) {
-	e.horizon = t
 	for {
 		when, ok := e.nextWhen()
 		if !ok || when > t {
@@ -667,56 +623,9 @@ func (e *Engine) RunUntil(t Cycles) {
 	if t > e.now {
 		e.now = t
 	}
-	// Leave no stale future horizon behind: a later Step must execute
-	// exactly one event, never run ahead on the strength of an old bound.
-	e.horizon = e.now
 	// Apply all deferred observer bookkeeping the run produced, so callers
 	// observe counters exactly as the event-per-observer engine left them.
 	e.drainObs(e.now)
-}
-
-// quietUntil reports whether no live event — wheel or heap, beyond the
-// already-dispatched prefix of the bucket being drained — is scheduled at
-// or before cycle t.  This is the run-ahead safety check: when it holds,
-// a core step at t would have been the globally next event anyway, so
-// executing it inline (advancing the clock directly) preserves the event
-// interleaving, and with it every PMU counter, exactly.
-func (e *Engine) quietUntil(t Cycles) bool {
-	if len(e.heap) > 0 && e.heap[0].when <= t {
-		return false
-	}
-	if e.wheelLen == e.drainConsumed {
-		return true // every wheel entry is the current drain's consumed prefix
-	}
-	// Live wheel entries all land within [now, now+wheelSlots) and the
-	// occupancy bitmap carries no stale bits (runAt drops a bucket's bit
-	// with its last entry), so any occupied slot in the circular window
-	// [now, t] holds an event at or before t.
-	if t-e.now >= wheelSlots-1 {
-		return false
-	}
-	start := int(e.now) & wheelMask
-	n := int(t-e.now) + 1 // slots to inspect
-	wi := start >> 6
-	first := start & 63
-	for n > 0 {
-		span := 64 - first
-		mask := ^uint64(0) << uint(first)
-		if n < span {
-			mask &= ^uint64(0) >> uint(64-(first+n))
-			span = n
-		}
-		if e.occupied[wi]&mask != 0 {
-			return false
-		}
-		n -= span
-		first = 0
-		wi++
-		if wi == wheelWords {
-			wi = 0
-		}
-	}
-	return true
 }
 
 // packClassLoc folds a request class and serve location into an event aux.

@@ -42,24 +42,19 @@ type Machine struct {
 
 	// tr is the attached request-path tracer (nil when tracing is off);
 	// cur is the record of the demand op currently executing, set only for
-	// the synchronous extent of one sampled coreStep.
+	// the synchronous extent of one sampled op.
 	tr  *obs.Tracer
 	cur *obs.ReqRec
 
 	// fl is the attached flight recorder (nil when detached).  Unlike the
 	// sampled tracer it observes every demand load and store completion,
-	// filing packed records from the functional timing path — inline when
-	// the engine owns the clock, deferred through per-core pending buffers
-	// when window lanes are running (see the barrier in window.go).
+	// filing packed records from the functional timing path.
 	fl *obs.Flight
 
-	// Window-parallel scheduling (see window.go).  lanes selects the mode:
-	// <0 forces every core step through the event engine (the golden-test
-	// baseline), 0 is auto (windowed; parallel lanes iff GOMAXPROCS>1),
-	// 1 is the windowed sequential sweep, >1 caps the parallel lane count.
-	lanes int
-	sched *laneSched
-	wstat WindowStats
+	// dispatch selects the dispatch oracle (see sweep.go): every core step
+	// round-trips through the event engine as one evCoreStep per op.  The
+	// default, false, is the sequential sweep.
+	dispatch bool
 
 	// compTable is the reusable component-table scratch for checkpoint
 	// restore (see checkpoint.go); keeping it on the machine makes
@@ -163,12 +158,11 @@ func (m *Machine) Attach(i int, gen workload.Generator) {
 	wasRunning := c.running
 	c.gen = gen
 	c.running = gen != nil
-	c.opPending = false
 	if c.running && !wasRunning {
-		if m.windowed() {
-			m.armStep(c, m.eng.Now())
-		} else {
+		if m.dispatch {
 			m.eng.at(m.eng.Now(), evCoreStep, c, 0, 0)
+		} else {
+			m.armStep(c, m.eng.Now())
 		}
 	}
 }
@@ -178,17 +172,16 @@ func (m *Machine) Detach(i int) {
 	c := m.cores[i]
 	c.gen = nil
 	c.running = false
-	c.opPending = false
 	c.stepPending = false
 }
 
 // Run advances the simulation by d cycles.
 func (m *Machine) Run(d Cycles) {
-	if m.windowed() {
-		m.runWindowed(m.eng.Now() + d)
+	if m.dispatch {
+		m.eng.RunUntil(m.eng.Now() + d)
 		return
 	}
-	m.eng.RunUntil(m.eng.Now() + d)
+	m.runSweep(m.eng.Now() + d)
 }
 
 // Sync flushes all occupancy/busy trackers and clocktick counters to the
@@ -225,58 +218,24 @@ func (m *Machine) Sync() {
 // Core instruction stepping.
 // ---------------------------------------------------------------------------
 
-// coreStep executes workload ops on core c, starting at cycle now.
-//
-// After each op it computes the core's continuation cycle `next` and —
-// instead of unconditionally scheduling an evCoreStep and round-tripping
-// through the engine — keeps executing inline, advancing the clock
-// directly, for as long as (a) no other live event (wheel or heap) is
-// scheduled at or before `next`, (b) `next` stays within the active
-// RunUntil horizon, and (c) the op was not sampled by the tracer.  The
-// fast path only fires when the core step would have been the globally
-// next event anyway, so the op/event interleaving — and every PMU
-// counter, occupancy integral, and trace span derived from it — is
-// identical to the event-driven path by construction (pinned by the
-// fast-path golden digest suite).  Hit-dominated op runs thus cost no
-// engine round-trips; misses bail out on their own same-cycle events.
+// coreStep is the dispatch oracle's evCoreStep payload: it executes one
+// workload op on core c and schedules the continuation as a fresh event.
 func (m *Machine) coreStep(c *Core, now Cycles) {
-	eng := m.eng
-	for {
-		next, sampled, ok := m.stepOne(c, now)
-		if !ok {
-			return
-		}
-		if eng.runAhead && next <= eng.horizon && !sampled && eng.quietUntil(next) {
-			eng.now = next
-			eng.inlineSteps++
-			// Apply observer entries due by the new cycle before the next
-			// op, exactly as the dispatch loop would have.  This does not
-			// keep the lane small: a saturated CXL device stamps most
-			// entries thousands of cycles ahead, where they wait in the
-			// coarse buckets (DESIGN.md §11.2).
-			eng.drainObs(next)
-			now = next
-			continue
-		}
-		eng.at(next, evCoreStep, c, 0, 0)
-		return
+	if next, ok := m.stepOne(c, now); ok {
+		m.eng.at(next, evCoreStep, c, 0, 0)
 	}
 }
 
 // stepOne executes exactly one workload op on core c at cycle now, returning
-// the core's continuation cycle.  It consumes the classifier's op stash when
-// one is pending (a window bail-out) so no op is ever skipped or repeated.
-// ok is false when the core has stopped (no op was executed); the caller
-// owns rescheduling.
-func (m *Machine) stepOne(c *Core, now Cycles) (next Cycles, sampled, ok bool) {
+// the core's continuation cycle.  ok is false when the core has stopped (no
+// op was executed); the caller owns rescheduling.
+func (m *Machine) stepOne(c *Core, now Cycles) (next Cycles, ok bool) {
 	if !c.running || c.gen == nil {
-		return 0, false, false
+		return 0, false
 	}
-	if c.opPending {
-		c.opPending = false
-	} else if !c.gen.Next(&c.op) {
+	if !c.gen.Next(&c.op) {
 		c.running = false
-		return 0, false, false
+		return 0, false
 	}
 	op := &c.op
 	t := now + Cycles(op.Think)
@@ -285,7 +244,6 @@ func (m *Machine) stepOne(c *Core, now Cycles) (next Cycles, sampled, ok bool) {
 	switch op.Kind {
 	case workload.Load:
 		if tr := m.tr; tr != nil && tr.Sample() {
-			sampled = true
 			m.cur = tr.Begin(c.id, op.Addr, "DRd")
 			next = m.load(c, op.Addr, t, op.Dep)
 			tr.Commit(m.cur)
@@ -295,7 +253,6 @@ func (m *Machine) stepOne(c *Core, now Cycles) (next Cycles, sampled, ok bool) {
 		}
 	case workload.Store:
 		if tr := m.tr; tr != nil && tr.Sample() {
-			sampled = true
 			m.cur = tr.Begin(c.id, op.Addr, "DWr")
 			next = m.store(c, op.Addr, t)
 			tr.Commit(m.cur)
@@ -313,7 +270,7 @@ func (m *Machine) stepOne(c *Core, now Cycles) (next Cycles, sampled, ok bool) {
 		next = now + 1
 	}
 	c.bank.Add(pmu.CPUClkUnhalted, next-now)
-	return next, sampled, true
+	return next, true
 }
 
 // load executes a demand load issued at t, returning when the core may
@@ -432,7 +389,7 @@ func (m *Machine) missPath(c *Core, class ReqClass, la uint64, t Cycles) accessR
 
 // demandRec returns the current trace record when the request class is the
 // sampled demand op itself (DRd/RFO) and the record's memory stages are
-// still open — prefetches and writebacks riding on the same coreStep get
+// still open — prefetches and writebacks riding on the same op get
 // nil, so they never pollute the demand waterfall.
 func (m *Machine) demandRec(class ReqClass) *obs.ReqRec {
 	r := m.cur
@@ -1183,11 +1140,11 @@ func (m *Machine) Idle() bool {
 }
 
 // PendingEvents reports the current scheduled-work depth (engine wheel +
-// heap, plus mirrored core steps in windowed mode) — the
+// heap, plus the sweep's mirrored core steps) — the
 // pf_engine_events_pending gauge.
 func (m *Machine) PendingEvents() int { return m.eng.Pending() + m.pendingSteps() }
 
-// pendingSteps counts core steps armed in the windowed scheduler's mirror.
+// pendingSteps counts core steps armed in the sweep's mirror.
 func (m *Machine) pendingSteps() int {
 	n := 0
 	for _, c := range m.cores {
@@ -1198,58 +1155,13 @@ func (m *Machine) pendingSteps() int {
 	return n
 }
 
-// SetRunAhead enables or disables the core-stepping run-ahead fast path
-// (on by default).  Forcing it off makes every op round-trip through the
-// event engine; the golden digest suite runs both ways to prove the PMU
-// output is byte-identical.  Disabling run-ahead also forces the windowed
-// scheduler off (every op dispatches as an engine event).
-func (m *Machine) SetRunAhead(on bool) {
-	m.eng.runAhead = on
-	if !on && m.lanes >= 0 {
-		m.SetLanes(-1)
-	}
-}
-
-// SetLanes selects the core-step scheduling mode.  n < 0 forces every core
-// step through the event engine (the PR-6 behavior and the golden-test
-// baseline).  n == 0, the default, is auto: the windowed scheduler runs
-// core steps off a per-core mirror, using parallel worker lanes when
-// GOMAXPROCS > 1 and the sequential per-core sweep otherwise.  n == 1 pins
-// the windowed sequential sweep; n > 1 caps the parallel lane count at n
-// (and at the core count).  Call between Run slices; switching mid-run is
-// supported but re-sequences pending steps against already-scheduled
-// events.
-func (m *Machine) SetLanes(n int) {
-	if n == m.lanes {
-		return
-	}
-	was, is := m.lanes >= 0, n >= 0
-	m.lanes = n
-	if was == is {
-		return
-	}
-	if is {
-		m.absorbCoreEvents()
-	} else {
-		m.flushStepMirror()
-	}
-}
-
-// Lanes returns the configured lane mode (see SetLanes).
-func (m *Machine) Lanes() int { return m.lanes }
-
-// windowed reports whether core steps run off the mirror (windowed modes)
-// rather than as engine events.
-func (m *Machine) windowed() bool { return m.lanes >= 0 }
-
-// InlineSteps reports how many workload ops the run-ahead fast path has
-// executed inline, without an event-engine round-trip — the
-// pf_engine_inline_steps counter.
+// InlineSteps reports how many workload ops the sweep has executed inline,
+// without an event-engine round-trip — the pf_engine_inline_steps counter.
 func (m *Machine) InlineSteps() uint64 { return m.eng.inlineSteps }
 
 // DispatchedEvents reports how many events the engine has dispatched —
-// the pf_engine_dispatched_events counter.  The ratio of InlineSteps to
-// ops stepped is the fast-path hit rate.
+// the pf_engine_dispatched_events counter.  The sweep dispatches only
+// device and closure events; the dispatch oracle adds one per op.
 func (m *Machine) DispatchedEvents() uint64 { return m.eng.dispatched }
 
 // SetTracer attaches a request-path tracer (nil detaches).  With no tracer
@@ -1283,9 +1195,7 @@ func (m *Machine) Flight() *obs.Flight { return m.fl }
 // flightDone files one completed demand request with the attached flight
 // recorder.  Callers have already checked m.fl.Enabled().  rt carries the
 // stage times for requests that left the core (nil for cache-served
-// completions).  Inside a parallel window the record is deferred to the
-// core's pending buffer — shared promotion state is only touched at the
-// barrier — so lanes never contend and the schedule stays deterministic.
+// completions).
 func (m *Machine) flightDone(c *Core, class uint8, addr uint64, issue, done Cycles, loc ServeLoc, rt *reqTimes) {
 	r := obs.FlightRec{
 		Addr:  addr,
@@ -1302,11 +1212,7 @@ func (m *Machine) flightDone(c *Core, class uint8, addr uint64, issue, done Cycl
 		r.TOREnter = flightDelta(issue, rt.torEnter)
 		r.MemEnter = flightDelta(issue, rt.memEnter)
 	}
-	if m.eng.laneGuard {
-		m.fl.Defer(c.id, r)
-	} else {
-		m.fl.Record(c.id, r)
-	}
+	m.fl.Record(c.id, r)
 }
 
 // flightDelta packs a stage timestamp as a cycle delta from issue; 0 means

@@ -107,68 +107,6 @@ func (p *prefetcher) train(la uint64, out []uint64) []uint64 {
 	return out
 }
 
-// preview appends the candidates train(la, out) would produce, without
-// mutating any prefetcher state — the window classifier's pure twin of
-// train.  The two must walk identical control flow: the classifier uses
-// preview to prove a training event would issue nothing (so the op is
-// core-private), then lets the real train run at commit time.
-func (p *prefetcher) preview(la uint64, out []uint64) []uint64 {
-	if p.degree <= 0 {
-		return out
-	}
-	page := la >> 12
-	line := int64(la >> mem.LineShift)
-
-	var e *streamEntry
-	for i := range p.streams {
-		s := &p.streams[i]
-		if s.valid && s.page == page {
-			e = s
-			break
-		}
-	}
-	if e == nil {
-		return out // train would only allocate a fresh stream
-	}
-	stride := line - e.lastLine
-	if stride == 0 {
-		return out
-	}
-	conf, st, head := e.conf, e.stride, e.head
-	if stride == st {
-		conf++
-	} else {
-		st = stride
-		conf = 1
-		head = line + stride
-	}
-	if conf < p.trainHits {
-		return out
-	}
-	ahead := func(h int64) int64 {
-		if st > 0 {
-			return h - line
-		}
-		return line - h
-	}
-	if ahead(head) <= 0 {
-		head = line + st
-	}
-	limit := int64(p.distance) * abs64(st)
-	for i := 0; i < p.degree; i++ {
-		if ahead(head) > limit || head < 0 {
-			break
-		}
-		nla := uint64(head) << mem.LineShift
-		if nla>>12 != page {
-			break
-		}
-		out = append(out, nla)
-		head += st
-	}
-	return out
-}
-
 func abs64(v int64) int64 {
 	if v < 0 {
 		return -v

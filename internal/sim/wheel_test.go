@@ -38,31 +38,6 @@ func TestEngineWheelBoundary(t *testing.T) {
 	}
 }
 
-// TestEngineQuietUntilMidDrain checks the fast-path safety predicate sees
-// through the consumed prefix of the bucket being drained: while the last
-// same-cycle event runs, earlier entries of its own bucket must not count
-// as pending, but a later-cycle event must.
-func TestEngineQuietUntilMidDrain(t *testing.T) {
-	e := NewEngine()
-	var inA, inB []bool
-	e.Schedule(100, func(Cycles) {
-		// B (same cycle) is still live: nothing through 104 is quiet.
-		inA = append(inA, e.quietUntil(100), e.quietUntil(104))
-	})
-	e.Schedule(100, func(Cycles) {
-		// A and B are both consumed; only C at 105 remains.
-		inB = append(inB, e.quietUntil(104), e.quietUntil(105))
-	})
-	e.Schedule(105, func(Cycles) {})
-	e.RunUntil(200)
-	if fmt.Sprint(inA) != "[false false]" {
-		t.Fatalf("during A: quietUntil(100),quietUntil(104) = %v, want [false false]", inA)
-	}
-	if fmt.Sprint(inB) != "[true false]" {
-		t.Fatalf("during B: quietUntil(104),quietUntil(105) = %v, want [true false]", inB)
-	}
-}
-
 // TestEngineStepRunUntilEquivalence runs an identical mixed wheel+heap
 // schedule (with same-cycle cascades) through Step-by-Step execution and
 // through one RunUntil, requiring the same firing sequence and clock.

@@ -10,12 +10,11 @@ bin=$(mktemp)
 bundle=$(mktemp)
 trap 'kill $pid 2>/dev/null || true; rm -f "$log" "$bin" "$bundle"' EXIT
 
-# Two apps on parallel lanes (no tracing: an enabled tracer forces the
-# sequential sweep) so the window scheduler demonstrably opens windows.
-# The flight recorder rides along at its default sizing and dumps its
-# postmortem bundle to $bundle on SIGQUIT.
+# Two apps stepping on the sequential sweep.  The flight recorder rides
+# along at its default sizing and dumps its postmortem bundle to $bundle on
+# SIGQUIT.
 go build -o "$bin" ./cmd/pathfinder
-"$bin" -serve 127.0.0.1:0 -apps LBM:cxl,MCF:local -lanes 2 -epochs 2 \
+"$bin" -serve 127.0.0.1:0 -apps LBM:cxl,MCF:local -epochs 2 \
     -epoch-kcycles 200 -report flows -flight-dump "$bundle" >"$log" 2>&1 &
 pid=$!
 
@@ -35,32 +34,18 @@ code=$(curl -s -o /tmp/obs_smoke_metrics -w '%{http_code}' "$url/metrics")
 [ "$code" = 200 ] || fail "/metrics returned $code"
 grep -q '^pf_' /tmp/obs_smoke_metrics || fail "/metrics has no pf_ series (empty registry)"
 
-# The run-ahead fast path must be live: inline steps exported and non-zero
-# (a zero here means every op went through the event engine).
+# The sweep must be live: inline steps exported and non-zero (a zero here
+# means every op went through the event engine).
 inline=$(sed -n 's/^pf_engine_inline_steps \([0-9][0-9]*\)$/\1/p' /tmp/obs_smoke_metrics)
 [ -n "$inline" ] || fail "/metrics lacks pf_engine_inline_steps"
-[ "$inline" -gt 0 ] || fail "pf_engine_inline_steps is 0 (run-ahead fast path inactive)"
+[ "$inline" -gt 0 ] || fail "pf_engine_inline_steps is 0 (sweep inactive)"
 grep -q '^pf_engine_dispatched_events ' /tmp/obs_smoke_metrics || \
     fail "/metrics lacks pf_engine_dispatched_events"
-
-# The window scheduler must be live under -lanes 2: barrier merges
-# exported and non-zero, the window-span histogram populated, and busy
-# time attributed to at least lane 0.
-merges=$(sed -n 's/^pf_engine_barrier_merges \([0-9][0-9]*\)$/\1/p' /tmp/obs_smoke_metrics)
-[ -n "$merges" ] || fail "/metrics lacks pf_engine_barrier_merges"
-[ "$merges" -gt 0 ] || fail "pf_engine_barrier_merges is 0 (window scheduler inactive under -lanes 2)"
-wincount=$(sed -n 's/^pf_engine_window_cycles_count \([0-9][0-9]*\)$/\1/p' /tmp/obs_smoke_metrics)
-[ -n "$wincount" ] || fail "/metrics lacks pf_engine_window_cycles histogram"
-[ "$wincount" -gt 0 ] || fail "pf_engine_window_cycles histogram is empty"
-grep -q '^pf_engine_lane_busy_ns{lane="0"} ' /tmp/obs_smoke_metrics || \
-    fail "/metrics lacks per-lane pf_engine_lane_busy_ns counters"
 
 code=$(curl -s -o /tmp/obs_smoke_status -w '%{http_code}' "$url/status")
 [ "$code" = 200 ] || fail "/status returned $code"
 grep -q '"epochs"' /tmp/obs_smoke_status || fail "/status JSON lacks epoch fields"
 grep -q '"inline_steps"' /tmp/obs_smoke_status || fail "/status JSON lacks engine section"
-grep -q '"barrier_merges"' /tmp/obs_smoke_status || fail "/status JSON lacks window scheduler fields"
-grep -q '"lanes": *2' /tmp/obs_smoke_status || fail "/status does not report the configured lane count"
 
 # The flight recorder must be live: /flight serves its snapshot with real
 # records filed by the run.
