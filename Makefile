@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fuzz-short bench-json bench-regress bench-sweep perfbench-smoke obs-smoke soak soak-smoke all
+.PHONY: build test race vet fuzz-short bench-json bench-regress bench-sweep bench-allocs perfbench-smoke obs-smoke soak soak-smoke all
 
 all: build vet test
 
@@ -91,9 +91,10 @@ bench-regress:
 # speedup: Forked ns/op may not exceed 0.5x Scratch ns/op.  -watch '' —
 # the sweep benchmarks are deliberately absent from the committed
 # baseline (each iteration runs a full 16-point sweep, far too slow for
-# bench-json's fixed iteration counts).  5 iterations amortize the
-# handful of one-time allocations (pool internals, timer) that would
-# otherwise round the forked loop's allocs/op up from zero.
+# bench-json's fixed iteration counts); with no watched row benchregress
+# loads no baseline, so the gate runs at any GOMAXPROCS.  5 iterations
+# amortize the handful of one-time allocations (pool internals, timer)
+# that would otherwise round the forked loop's allocs/op up from zero.
 bench-sweep:
 	@tmp=$$(mktemp); trap 'rm -f '"$$tmp" EXIT; \
 	GOMAXPROCS=$(BENCH_GOMAXPROCS) $(GO) test -run '^$$' -bench 'BenchmarkSweep' -benchmem -benchtime 5x . \
@@ -103,6 +104,24 @@ bench-sweep:
 		-pair-tolerance -0.5 \
 		-pairs 'BenchmarkSweepForked=BenchmarkSweepScratch' \
 		-max 'BenchmarkSweepForked:allocs/op:0' \
+		"$$tmp"
+
+# Allocation guard: the three simulator stream loops must stay at 0
+# allocs/op and at most 64 B/op.  Go rounds both down from total/N, so
+# allocs/op:0 alone only means fewer than one allocation per op; the B/op
+# ceiling (today 3, 12 and 22 B/op of amortized one-time buffer growth)
+# also catches an allocation made on a fraction of the ops.  Like
+# bench-sweep it gates within the run (-watch ''), so it passes or fails
+# on the code alone, on any host and at any GOMAXPROCS.  200000
+# iterations amortize the one-time growth that would otherwise round
+# allocs/op up from zero.
+bench-allocs:
+	@tmp=$$(mktemp); trap 'rm -f '"$$tmp" EXIT; \
+	GOMAXPROCS=$(BENCH_GOMAXPROCS) $(GO) test -run '^$$' -bench 'BenchmarkSim(Local|CXL|MultiCore)Stream$$' -benchmem -benchtime 200000x . \
+		| tee "$$tmp" && \
+	$(GO) run ./cmd/benchregress \
+		-watch '' \
+		-max 'BenchmarkSimLocalStream:allocs/op:0,BenchmarkSimCXLStream:allocs/op:0,BenchmarkSimMultiCoreStream:allocs/op:0,BenchmarkSimLocalStream:B/op:64,BenchmarkSimCXLStream:B/op:64,BenchmarkSimMultiCoreStream:B/op:64' \
 		"$$tmp"
 
 # The end-to-end benchmark (perfbench/README.md) is a Go module of its own,

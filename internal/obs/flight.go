@@ -188,10 +188,8 @@ func (s *p2) estimate() float64 {
 }
 
 // flightLane is one core's slice of the recorder: a ring of the last
-// ringCap records.  The mutex orders the single sim-side writer against
-// HTTP-side snapshot readers.
+// ringCap records, guarded by the recorder's mutex.
 type flightLane struct {
-	mu   sync.Mutex
 	ring []FlightRec
 	n    uint64 // total records ever filed on this core
 }
@@ -222,6 +220,8 @@ type flightAgg struct {
 
 // Flight owns the per-core rings, the promotion pipeline (quantile
 // sketches, tail store, exemplars), and the epoch/engine context stamps.
+// One goroutine records; mu orders it against HTTP-side snapshot readers
+// and guards the rings and the pipeline alike.
 type Flight struct {
 	enabled atomic.Bool
 	epoch   atomic.Uint64
@@ -298,10 +298,8 @@ func (f *Flight) SetPendingProbe(fn func() int) {
 // pipeline.
 func (f *Flight) Record(core int, r FlightRec) {
 	ln := f.lane(core)
-	ln.mu.Lock()
-	ln.push(r)
-	ln.mu.Unlock()
 	f.mu.Lock()
+	ln.push(r)
 	f.process(&r)
 	f.mu.Unlock()
 }
@@ -381,12 +379,15 @@ func (f *Flight) promote(r *FlightRec, cls int, thr float64) {
 
 // RecordsTotal is the count of records ever filed across all cores.
 func (f *Flight) RecordsTotal() uint64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.recordsLocked()
+}
+
+func (f *Flight) recordsLocked() uint64 {
 	var n uint64
 	for i := range f.lanes {
-		ln := &f.lanes[i]
-		ln.mu.Lock()
-		n += ln.n
-		ln.mu.Unlock()
+		n += f.lanes[i].n
 	}
 	return n
 }
@@ -440,8 +441,8 @@ func (f *Flight) tailLocked() []TailRec {
 // CoreRecords returns one core's ring contents, oldest first.
 func (f *Flight) CoreRecords(core int) []FlightRec {
 	ln := f.lane(core)
-	ln.mu.Lock()
-	defer ln.mu.Unlock()
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	out := make([]FlightRec, 0, len(ln.ring))
 	if ln.n > uint64(len(ln.ring)) {
 		pos := ln.n % uint64(cap(ln.ring))
@@ -500,10 +501,10 @@ func (f *Flight) Snapshot() FlightSnapshot {
 		Cores:   len(f.lanes),
 		RingCap: f.ringCap,
 		TailCap: f.tailCap,
-		Records: f.RecordsTotal(),
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	s.Records = f.recordsLocked()
 	s.Promoted = f.tailN
 	s.Tail = f.tailLocked()
 	s.Classes = make([]FlightClassStats, flightClasses)

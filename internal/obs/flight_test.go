@@ -2,8 +2,10 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -214,6 +216,65 @@ func TestFlightRecordAllocFree(t *testing.T) {
 		f.Record(0, flightRec(0, i*10, 100+(i%900)))
 	}); got != 0 {
 		t.Fatalf("Record allocates %.1f per op in steady state, want 0", got)
+	}
+}
+
+// TestFlightConcurrentReaders records on one goroutine, as the machine
+// does, while others take snapshots and read rings, as the HTTP handlers
+// do.  Every snapshot must be consistent — its record count equals the
+// sum of its per-class counts — and every ring must read oldest first.
+func TestFlightConcurrentReaders(t *testing.T) {
+	const cores, perCore, readers = 4, 3000, 3
+	f := NewFlight(cores, 64, 16)
+	f.Enable()
+	done := make(chan struct{})
+	errs := make(chan string, readers) // each reader reports at most once
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			last := uint64(0)
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				s := f.Snapshot()
+				sum := uint64(0)
+				for _, c := range s.Classes {
+					sum += c.Records
+				}
+				if s.Records != sum || s.Records < last {
+					errs <- fmt.Sprintf("snapshot records %d, class sum %d, previous %d", s.Records, sum, last)
+					return
+				}
+				last = s.Records
+				recs := f.CoreRecords(g % cores)
+				for i := 1; i < len(recs); i++ {
+					if recs[i].Issue <= recs[i-1].Issue {
+						errs <- fmt.Sprintf("core %d ring out of order at %d", g%cores, i)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	r := &lcg{s: 7}
+	for i := uint64(0); i < perCore; i++ {
+		for c := 0; c < cores; c++ {
+			f.Record(c, flightRec(c, i*100, 50+r.next()%5000))
+		}
+	}
+	close(done)
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	if got := f.RecordsTotal(); got != cores*perCore {
+		t.Fatalf("RecordsTotal = %d, want %d", got, cores*perCore)
 	}
 }
 

@@ -14,7 +14,7 @@ func BenchmarkCacheLookupHit(b *testing.B) {
 	c.Insert(la, Exclusive)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if c.Lookup(la) == nil {
+		if c.Lookup(la) < 0 {
 			b.Fatal("miss on resident line")
 		}
 	}
@@ -36,7 +36,7 @@ func BenchmarkCacheLookupConflict(b *testing.B) {
 		if i&1 == 1 {
 			la = d
 		}
-		if c.Lookup(la) == nil {
+		if c.Lookup(la) < 0 {
 			b.Fatal("miss on resident line")
 		}
 	}
@@ -54,29 +54,29 @@ func TestCacheWayPredictorStaysCoherent(t *testing.T) {
 		c.Insert(line(i), Exclusive)
 	}
 	for i := uint64(0); i < 12; i++ {
-		if c.Lookup(line(i)) == nil {
+		if c.Lookup(line(i)) < 0 {
 			t.Fatalf("line %d missing after fill", i)
 		}
 	}
 	// Invalidate the last-hit line: the stale prediction points at an
 	// invalid way and must fall through to a (failed) scan.
 	c.Invalidate(line(11))
-	if c.Lookup(line(11)) != nil {
+	if c.Lookup(line(11)) >= 0 {
 		t.Fatal("invalidated line still found")
 	}
-	if c.Lookup(line(3)) == nil {
+	if c.Lookup(line(3)) < 0 {
 		t.Fatal("resident line lost after invalidate")
 	}
 	// Evicting insert: the predictor must track the replacement.
 	c.Insert(line(100), Modified)
-	if got := c.Lookup(line(100)); got == nil || got.State != Modified {
+	if got := c.Lookup(line(100)); got < 0 || c.State(got) != Modified {
 		t.Fatal("inserted line not found via predictor")
 	}
 	// Peek must not disturb the predictor (recency untouched either).
-	if c.Peek(line(3)) == nil {
+	if c.Peek(line(3)) < 0 {
 		t.Fatal("peek missed resident line")
 	}
-	if got := c.Lookup(line(100)); got == nil {
+	if got := c.Lookup(line(100)); got < 0 {
 		t.Fatal("line lost after peek")
 	}
 }

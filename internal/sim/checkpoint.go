@@ -332,8 +332,17 @@ func copyObsSlot(dst, src []obsEvent, rm *remapper) []obsEvent {
 }
 
 func copyCoreState(dst, src *Core) {
-	copyCacheState(dst.l1, src.l1)
-	copyCacheState(dst.l2, src.l2)
+	// Only a core that has run has caches: mirror src's, building them on
+	// dst if it lacks them and dropping dst's when src has none.
+	switch {
+	case src.l1 == nil:
+		dst.l1, dst.l2 = nil, nil
+	case dst.l1 == nil:
+		dst.l1, dst.l2 = src.l1.clone(), src.l2.clone()
+	default:
+		copyCacheState(dst.l1, src.l1)
+		copyCacheState(dst.l2, src.l2)
+	}
 	dst.lfb = append(dst.lfb[:0], src.lfb...)
 	dst.sb = append(dst.sb[:0], src.sb...)
 	dst.sbNextFree = src.sbNextFree
@@ -363,11 +372,12 @@ func copyCoreState(dst, src *Core) {
 }
 
 func copyCacheState(dst, src *Cache) {
-	if len(dst.lines) != len(src.lines) || dst.ways != src.ways {
+	if len(dst.ways) != len(src.ways) || dst.assoc != src.assoc || len(dst.presence) != len(src.presence) {
 		panic(fmt.Sprintf("sim: checkpoint cache geometry mismatch (%d/%d lines, %d/%d ways)",
-			len(dst.lines), len(src.lines), dst.ways, src.ways))
+			len(dst.ways), len(src.ways), dst.assoc, src.assoc))
 	}
-	copy(dst.lines, src.lines)
+	copy(dst.ways, src.ways)
+	copy(dst.presence, src.presence)
 	copy(dst.mru, src.mru)
 	dst.stamp = src.stamp
 	dst.Victim = src.Victim
@@ -431,21 +441,21 @@ func copyPortState(dst, src *cxlPort) {
 }
 
 // imageBytes estimates the hot-state size of the frozen image: what a fork
-// copies, excluding shared immutable structures.
+// copies, excluding shared immutable structures.  Only the caches that
+// exist count: a core that never ran carries none.
 func (cp *Checkpoint) imageBytes() int {
 	m := cp.shadow
 	n := 0
-	cacheBytes := func(c *Cache) int {
-		return len(c.lines)*int(unsafe.Sizeof(Line{})) + len(c.mru)
-	}
 	for _, c := range m.cores {
-		n += cacheBytes(c.l1) + cacheBytes(c.l2)
+		if c.l1 != nil {
+			n += c.l1.Bytes() + c.l2.Bytes()
+		}
 		n += len(c.lfb) * int(unsafe.Sizeof(lfbEntry{}))
 		n += len(c.sb) * int(unsafe.Sizeof(sbEntry{}))
 		n += len(c.pfDone) * 8
 	}
 	for _, s := range m.slices {
-		n += cacheBytes(s.llc)
+		n += s.llc.Bytes()
 	}
 	for _, ch := range m.imc {
 		n += (len(ch.rpq.dep) + len(ch.wpq.dep)) * 8
@@ -457,7 +467,7 @@ func (cp *Checkpoint) imageBytes() int {
 		n += (len(p.packReq.dep) + len(p.packData.dep) + len(p.devRPQ.dep) + len(p.devWPQ.dep)) * 8
 	}
 	for _, b := range m.banks {
-		n += len(b.Values()) * 8 // counter words
+		n += b.Catalog().Len() * 8 // counter words
 	}
 	e := m.eng
 	n += (len(e.heap) + e.wheelLen) * int(unsafe.Sizeof(event{}))

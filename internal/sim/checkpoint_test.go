@@ -289,6 +289,64 @@ func TestRestoreIntoRejectsConfigMismatch(t *testing.T) {
 	}
 }
 
+// TestRestoreIntoDropsCachesOfIdleCores: an image carries only the caches
+// of cores that have run.  Restoring an SPR image in which cores 1-31
+// never ran over a machine whose core 5 has run drops core 5's caches, and
+// attaching core 5 afterwards runs exactly as on a fresh machine.  The
+// restore must also stay allocation-free in steady state.
+func TestRestoreIntoDropsCachesOfIdleCores(t *testing.T) {
+	const late = 5
+	var cxl workload.Region
+	build := func() *Machine {
+		as := testSpace(t)
+		local, _ := as.Alloc(2<<20, mem.Fixed(0))
+		r, _ := as.Alloc(4<<20, mem.Fixed(2))
+		cxl = workload.Region{Base: r.Base, Size: r.Size}
+		m := New(SPR(), as)
+		m.Attach(0, workload.NewStream(workload.Region{Base: local.Base, Size: local.Size}, 1, 0.2, 11))
+		return m
+	}
+	lateGen := func() workload.Generator { return workload.NewGUPS(cxl, 1, 0.1, 0.5, 12) }
+
+	fresh := build()
+	fresh.Run(ckptWarm)
+	fresh.Attach(late, lateGen())
+	fresh.Run(ckptSuffix)
+	want := bankValues(fresh)
+
+	src := build()
+	src.Run(ckptWarm)
+	cp, err := src.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cp.shadow.cores {
+		if (c.l1 != nil) != (c.id == 0) {
+			t.Fatalf("image core %d has caches = %v; only core 0 ran", c.id, c.l1 != nil)
+		}
+	}
+
+	m := build()
+	m.Attach(late, workload.NewStream(cxl, 2, 0.5, 99))
+	m.Run(ckptWarm / 2)
+	if err := cp.RestoreInto(m); err != nil {
+		t.Fatal(err)
+	}
+	if m.cores[late].l1 != nil || m.cores[late].l2 != nil {
+		t.Fatal("RestoreInto kept the caches of a core that never ran in the image")
+	}
+	if allocs := testing.AllocsPerRun(3, func() {
+		if err := cp.RestoreInto(m); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("steady-state RestoreInto allocates %.0f times", allocs)
+	}
+	m.Attach(late, lateGen())
+	m.Run(ckptSuffix)
+	diffBanks(t, "late attach after RestoreInto", want, bankValues(m))
+}
+
 // TestCheckpointIdleMachine: the degenerate image (cycle 0, nothing
 // attached) round-trips too.
 func TestCheckpointIdleMachine(t *testing.T) {
@@ -306,32 +364,54 @@ func TestCheckpointIdleMachine(t *testing.T) {
 // FuzzCheckpointRoundTrip checkpoints at a fuzzed cycle mid-run — including
 // inside hit-dominated runs, with a fault plan active, and on both the
 // sweep and the dispatch oracle (a negative lanes argument) — restores,
-// runs both to completion, and requires identical counters.
+// runs both to completion, and requires identical counters.  With
+// lateCore, core 1 never runs before the checkpoint: the fork lands by
+// RestoreInto on a machine whose core 1 has run, and core 1 attaches only
+// after it.
 func FuzzCheckpointRoundTrip(f *testing.F) {
-	f.Add(uint32(1_000), int8(-1), false)
-	f.Add(uint32(500_000), int8(1), true)
-	f.Add(uint32(1_999_999), int8(2), false)
-	f.Add(uint32(137), int8(0), true)
-	f.Fuzz(func(t *testing.T, warmRaw uint32, lanes int8, withFaults bool) {
+	f.Add(uint32(1_000), int8(-1), false, false)
+	f.Add(uint32(500_000), int8(1), true, false)
+	f.Add(uint32(1_999_999), int8(2), false, false)
+	f.Add(uint32(137), int8(0), true, false)
+	f.Add(uint32(800_000), int8(0), false, true)
+	f.Add(uint32(300_000), int8(-1), true, true)
+	f.Fuzz(func(t *testing.T, warmRaw uint32, lanes int8, withFaults, lateCore bool) {
 		warm := Cycles(warmRaw%2_000_000) + 1
 		suffix := Cycles(750_000)
 		laneMode := int(lanes) // SetLanes: negative is the oracle
+		var cxl workload.Region
 		build := func() *Machine {
 			as := testSpace(t)
 			local, _ := as.Alloc(2<<20, mem.Fixed(0))
-			cxl, _ := as.Alloc(4<<20, mem.Fixed(2))
+			r, _ := as.Alloc(4<<20, mem.Fixed(2))
+			cxl = workload.Region{Base: r.Base, Size: r.Size}
 			cfg := smallConfig()
 			m := New(cfg, as)
 			if withFaults {
 				m.SetFaultPlan(0, faultyPlan(0.05))
 			}
 			m.Attach(0, workload.NewStream(workload.Region{Base: local.Base, Size: local.Size}, 1, 0.2, 11))
-			m.Attach(1, workload.NewGUPS(workload.Region{Base: cxl.Base, Size: cxl.Size}, 1, 0.1, 0.5, 12))
+			if !lateCore {
+				m.Attach(1, workload.NewGUPS(cxl, 1, 0.1, 0.5, 12))
+			}
 			return m
 		}
+		attachLate := func(m *Machine) {
+			if lateCore {
+				m.Attach(1, workload.NewGUPS(cxl, 1, 0.1, 0.5, 12))
+			}
+		}
+		// The reference never pauses, so the round-trip is checked against
+		// an uninterrupted run; only a late core must wait for its cycle.
 		scratch := build()
 		scratch.SetLanes(laneMode)
-		scratch.Run(warm + suffix)
+		if lateCore {
+			scratch.Run(warm)
+			attachLate(scratch)
+			scratch.Run(suffix)
+		} else {
+			scratch.Run(warm + suffix)
+		}
 		want := bankValues(scratch)
 
 		src := build()
@@ -341,8 +421,20 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fork := cp.Restore()
+		var fork *Machine
+		if lateCore {
+			// Land the fork on a machine whose core 1 has run.
+			fork = build()
+			fork.Attach(1, workload.NewStream(cxl, 2, 0.5, 99))
+			fork.Run(warm/2 + 1)
+			if err := cp.RestoreInto(fork); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			fork = cp.Restore()
+		}
 		fork.SetLanes(laneMode)
+		attachLate(fork)
 		fork.Run(suffix)
 		got := bankValues(fork)
 		if len(want) != len(got) {

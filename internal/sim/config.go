@@ -186,6 +186,10 @@ func (c *Config) validate() {
 	case c.GHz <= 0:
 		panic("sim: clock must be positive")
 	}
+	// Private caches are built at a core's first Attach, not by New;
+	// check their geometry here so a bad config still fails at New.
+	checkCacheGeometry(c.L1DSize, c.L1DWays)
+	checkCacheGeometry(c.L2Size, c.L2Ways)
 	if err := c.Faults.Validate(); err != nil {
 		panic("sim: " + err.Error())
 	}

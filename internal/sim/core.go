@@ -29,6 +29,7 @@ type Core struct {
 	cluster int
 	bank    *pmu.Bank
 
+	// l1 and l2 are nil until the core first runs (see buildCaches).
 	l1, l2 *Cache
 
 	lfb    []lfbEntry
@@ -87,8 +88,6 @@ func newCore(id, cluster int, cfg *Config, bank *pmu.Bank) *Core {
 		id:      id,
 		cluster: cluster,
 		bank:    bank,
-		l1:      NewCache(cfg.L1DSize, cfg.L1DWays),
-		l2:      NewCache(cfg.L2Size, cfg.L2Ways),
 		l1pf:    newPrefetcher(cfg.L1PFDegree, cfg.L1PFDistance, cfg.PFTrainHits),
 		l2pf:    newPrefetcher(cfg.L2PFDegree, cfg.L2PFDistance, cfg.PFTrainHits),
 
@@ -104,6 +103,15 @@ func newCore(id, cluster int, cfg *Config, bank *pmu.Bank) *Core {
 	c.missL1Busy = pmu.NewBusyTracker(bank, pmu.CyclesL1DMiss)
 	c.missL2Busy = pmu.NewBusyTracker(bank, pmu.CyclesL2Miss)
 	return c
+}
+
+// buildCaches allocates the core's L1D and L2.  Machine.Attach calls it
+// when a core first gets a workload: snoops, back-invalidations and victim
+// writebacks reach a core only through an LLC presence bit, which only a
+// running core sets, so a core that never runs needs no private caches.
+func (c *Core) buildCaches(cfg *Config) {
+	c.l1 = NewCache(cfg.L1DSize, cfg.L1DWays)
+	c.l2 = NewCache(cfg.L2Size, cfg.L2Ways)
 }
 
 // ID returns the core number.

@@ -329,7 +329,8 @@ func (e *Engine) drainNear(cur, end Cycles) {
 				e.applyObs(&b[i])
 			}
 			e.obsLen -= len(b)
-			clear(b) // release target references
+			// No clear: every lane target is a component of this
+			// engine's machine, so stale entries pin nothing.
 			e.obsNear[slot] = b[:0]
 			e.obsNearOcc[wi] &^= 1 << uint(slot&63)
 		}
@@ -346,8 +347,7 @@ func (e *Engine) cascade(k int) {
 		e.obsNear[slot] = append(e.obsNear[slot], src[i])
 		e.obsNearOcc[slot>>6] |= 1 << uint(slot&63)
 	}
-	clear(src) // release target references
-	e.obsCoarse[k] = src[:0]
+	e.obsCoarse[k] = src[:0] // no clear, as in drainNear
 	e.obsCoarseOcc &^= 1 << uint(k)
 }
 

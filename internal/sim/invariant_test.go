@@ -9,12 +9,16 @@ import (
 )
 
 // collectOwners scans every core's private caches for line la and returns
-// the cores holding it in an ownership state (M or E).
+// the cores holding it in an ownership state (M or E).  Cores that never
+// ran have no caches and are skipped.
 func collectOwners(m *Machine, la uint64) []int {
 	var owners []int
 	for _, c := range m.cores {
+		if c.l1 == nil {
+			continue
+		}
 		for _, cache := range []*Cache{c.l1, c.l2} {
-			if ln := cache.Peek(la); ln != nil && (ln.State == Modified || ln.State == Exclusive) {
+			if w := cache.Peek(la); w >= 0 && (cache.State(w) == Modified || cache.State(w) == Exclusive) {
 				owners = append(owners, c.id)
 				break
 			}
@@ -93,7 +97,7 @@ func TestCacheBoundedOccupancy(t *testing.T) {
 			return false
 		}
 		for la := range live {
-			if c.Peek(la) == nil {
+			if c.Peek(la) < 0 {
 				return false
 			}
 		}
@@ -127,13 +131,13 @@ func TestInclusionAfterBackInvalidation(t *testing.T) {
 	checked := 0
 	c := m.cores[0]
 	for a := r.Base; a < r.Base+r.Size; a += mem.LineSize {
-		inPrivate := c.l1.Peek(a) != nil || c.l2.Peek(a) != nil
+		inPrivate := c.l1.Peek(a) >= 0 || c.l2.Peek(a) >= 0
 		if !inPrivate {
 			continue
 		}
 		checked++
 		s := m.slices[mem.SliceOf(a, len(m.slices))]
-		if s.llc.Peek(a) == nil {
+		if s.llc.Peek(a) < 0 {
 			violations++
 		}
 	}

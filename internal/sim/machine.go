@@ -152,9 +152,13 @@ func (m *Machine) Core(i int) *Core { return m.cores[i] }
 func (m *Machine) Cores() int { return len(m.cores) }
 
 // Attach binds a workload generator to core i and starts it.  Attaching to
-// a busy core replaces its generator (thread migration).
+// a busy core replaces its generator (thread migration).  A core's first
+// Attach with a non-nil generator builds its L1D and L2.
 func (m *Machine) Attach(i int, gen workload.Generator) {
 	c := m.cores[i]
+	if gen != nil && c.l1 == nil {
+		c.buildCaches(&m.cfg)
+	}
 	wasRunning := c.running
 	c.gen = gen
 	c.running = gen != nil
@@ -281,7 +285,7 @@ func (m *Machine) load(c *Core, addr uint64, t Cycles, dep bool) Cycles {
 	c.bank.Inc(pmu.MemInstAllLoads)
 
 	// L1D.
-	if c.l1.Lookup(la) != nil {
+	if c.l1.Lookup(la) >= 0 {
 		c.bank.Inc(pmu.MemLoadL1Hit)
 		c.bank.Add(pmu.MemTransLoadLatency, uint64(m.cfg.L1Lat))
 		c.bank.Inc(pmu.MemTransLoadCount)
@@ -415,10 +419,13 @@ func (m *Machine) accessL2Down(c *Core, class ReqClass, la uint64, t Cycles) acc
 	res.times.issue = t
 	res.times.l2Start = t + m.cfg.L1TagLat
 
-	ln := c.l2.Lookup(la)
-	ownershipMiss := ln != nil && class.IsRFOLike() &&
-		(ln.State == Shared || ln.State == Forward)
-	if ln != nil && !ownershipMiss {
+	w := c.l2.Lookup(la)
+	st := Invalid
+	if w >= 0 {
+		st = c.l2.State(w)
+	}
+	ownershipMiss := class.IsRFOLike() && (st == Shared || st == Forward)
+	if w >= 0 && !ownershipMiss {
 		m.countL2(c, class, true)
 		res.done = res.times.l2Start + m.cfg.L2Lat
 		res.loc = SrvL2
@@ -427,7 +434,7 @@ func (m *Machine) accessL2Down(c *Core, class ReqClass, la uint64, t Cycles) acc
 			rec.SealMem() // trainL2PF below may visit memory devices
 		}
 		if fillsL1(class) {
-			m.fillL1(c, la, ln.State, res.done)
+			m.fillL1(c, la, st, res.done)
 		}
 		if class == ClassDRd || class == ClassRFO {
 			m.trainL2PF(c, class, la, res.times.l2Start)
@@ -563,14 +570,14 @@ func (m *Machine) accessLLCDown(c *Core, class ReqClass, la uint64, t Cycles, rt
 	}
 	c.bank.Inc(pmu.LongestLatCacheRef)
 
-	if ln := s.llc.Lookup(la); ln != nil {
+	if w := s.llc.Lookup(la); w >= 0 {
 		loc := SrvLLC
 		lat := m.cfg.LLCLat
 		if s.cluster != c.cluster {
 			lat += m.cfg.SNCExtra
 			loc = SrvSNCLLC
 		}
-		peers := ln.Presence &^ (1 << uint(c.id))
+		peers := s.llc.Presence(w) &^ (1 << uint(c.id))
 		sharedAfter := false
 		if peers != 0 {
 			if m.peerHoldsDirty(peers, la) {
@@ -589,21 +596,21 @@ func (m *Machine) accessLLCDown(c *Core, class ReqClass, la uint64, t Cycles, rt
 			}
 			if class.IsRFOLike() {
 				m.invalidatePeers(s, peers, la)
-				ln.Presence = 0
+				s.llc.SetPresence(w, 0)
 			} else {
 				// A read snoop downgrades peer ownership: an M copy is
 				// absorbed dirty into the LLC, an E copy becomes S —
 				// otherwise the old owner could keep writing silently
 				// while the requester holds a stale shared copy.
 				if m.downgradePeers(peers, la) {
-					ln.State = Modified
+					s.llc.SetState(w, Modified)
 				}
 				sharedAfter = true
 			}
 		}
-		ln.Presence |= 1 << uint(c.id)
+		s.llc.SetPresence(w, s.llc.Presence(w)|1<<uint(c.id))
 		if class.IsRFOLike() {
-			ln.State = Modified
+			s.llc.SetState(w, Modified)
 		}
 		done := arrive + lat
 		if rec := m.demandRec(class); rec != nil {
@@ -660,8 +667,7 @@ func (m *Machine) accessLLCDown(c *Core, class ReqClass, la uint64, t Cycles, rt
 	if class.IsRFOLike() {
 		st = Modified
 	}
-	nl := s.llc.Insert(la, st)
-	nl.Presence = 1 << uint(c.id)
+	s.llc.SetPresence(s.llc.Insert(la, st), 1<<uint(c.id))
 	if s.llc.HasVictim {
 		// A dirty victim must be accepted by the target write queue before
 		// the fill can complete: full WPQs / packing buffers backpressure
@@ -687,10 +693,10 @@ func (m *Machine) peerHoldsDirty(peers uint64, la uint64) bool {
 			continue
 		}
 		p := m.cores[id]
-		if ln := p.l1.Peek(la); ln != nil && ln.State == Modified {
+		if w := p.l1.Peek(la); w >= 0 && p.l1.State(w) == Modified {
 			return true
 		}
-		if ln := p.l2.Peek(la); ln != nil && ln.State == Modified {
+		if w := p.l2.Peek(la); w >= 0 && p.l2.State(w) == Modified {
 			return true
 		}
 	}
@@ -710,12 +716,13 @@ func (m *Machine) downgradePeers(peers uint64, la uint64) bool {
 		}
 		p := m.cores[id]
 		for _, cache := range []*Cache{p.l1, p.l2} {
-			if ln := cache.Peek(la); ln != nil {
-				if ln.State == Modified {
+			if w := cache.Peek(la); w >= 0 {
+				switch cache.State(w) {
+				case Modified:
 					dirty = true
-				}
-				if ln.State == Modified || ln.State == Exclusive {
-					ln.State = Shared
+					fallthrough
+				case Exclusive:
+					cache.SetState(w, Shared)
 				}
 			}
 		}
@@ -880,17 +887,16 @@ func (m *Machine) l2VictimWriteback(c *Core, la uint64, t Cycles) {
 	// dropping it would let a later reader acquire Exclusive alongside
 	// the old owner's Modified copy.
 	holds := uint64(0)
-	if c.l1.Peek(la) != nil {
+	if c.l1.Peek(la) >= 0 {
 		holds = 1 << uint(c.id)
 	}
-	if ln := s.llc.Peek(la); ln != nil {
-		ln.State = Modified
-		ln.Presence |= holds
+	if w := s.llc.Peek(la); w >= 0 {
+		s.llc.SetState(w, Modified)
+		s.llc.SetPresence(w, s.llc.Presence(w)|holds)
 		return
 	}
 	// Not in the LLC (inclusion drifted): install, possibly evicting.
-	nl := s.llc.Insert(la, Modified)
-	nl.Presence = holds
+	s.llc.SetPresence(s.llc.Insert(la, Modified), holds)
 	if s.llc.HasVictim {
 		m.evictLLCVictim(s, s.llc.Victim, t)
 	}
@@ -995,9 +1001,9 @@ func (m *Machine) store(c *Core, addr uint64, t Cycles) Cycles {
 // RFO's stage times (zero for the M/E fast path, which never leaves the
 // core).
 func (m *Machine) drainStore(c *Core, la uint64, t Cycles) (Cycles, ServeLoc, reqTimes) {
-	if ln := c.l1.Lookup(la); ln != nil {
-		if ln.State == Modified || ln.State == Exclusive {
-			ln.State = Modified
+	if w := c.l1.Lookup(la); w >= 0 {
+		if st := c.l1.State(w); st == Modified || st == Exclusive {
+			c.l1.SetState(w, Modified)
 			if rec := m.cur; rec != nil && rec.Loc == "" {
 				rec.Loc = SrvL1.String()
 				rec.SealMem()
@@ -1010,8 +1016,8 @@ func (m *Machine) drainStore(c *Core, la uint64, t Cycles) (Cycles, ServeLoc, re
 	if rec := m.cur; rec != nil && rec.Loc == "" {
 		rec.Loc = res.loc.String()
 	}
-	if ln := c.l1.Peek(la); ln != nil {
-		ln.State = Modified
+	if w := c.l1.Peek(la); w >= 0 {
+		c.l1.SetState(w, Modified)
 	}
 	if res.loc == SrvL2 {
 		c.bank.Inc(pmu.MemStoreL2Hit)
@@ -1035,7 +1041,7 @@ func (m *Machine) trainL1PF(c *Core, la uint64, t Cycles) {
 		if len(c.lfb)+2 > m.cfg.LFBEntries {
 			return // keep headroom for demand misses
 		}
-		if c.l1.Peek(cand) != nil || c.findLFB(cand, t) != nil {
+		if c.l1.Peek(cand) >= 0 || c.findLFB(cand, t) != nil {
 			continue
 		}
 		res := m.missPath(c, ClassL1PF, cand, t)
@@ -1058,7 +1064,7 @@ func (m *Machine) trainL2PF(c *Core, trigger ReqClass, la uint64, t Cycles) {
 		if c.pfLive(t) >= m.cfg.PFMaxInFlight {
 			break
 		}
-		if c.l2.Peek(cand) != nil {
+		if c.l2.Peek(cand) >= 0 {
 			c.bank.Inc(pmu.L2HWPFHit)
 			continue
 		}
@@ -1084,7 +1090,7 @@ func (m *Machine) trainL2PF(c *Core, trigger ReqClass, la uint64, t Cycles) {
 func (m *Machine) swPrefetch(c *Core, addr uint64, t Cycles) {
 	la := mem.LineAddr(addr)
 	c.bank.Inc(pmu.SWPrefetchT0)
-	if c.l1.Peek(la) != nil || c.findLFB(la, t) != nil {
+	if c.l1.Peek(la) >= 0 || c.findLFB(la, t) != nil {
 		return
 	}
 	if len(c.lfb) >= m.cfg.LFBEntries || c.pfLive(t) >= m.cfg.PFMaxInFlight {

@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"pathfinder/internal/mem"
 	"pathfinder/internal/pmu"
@@ -114,12 +117,12 @@ func TestEnginePastPanics(t *testing.T) {
 
 func TestCacheHitMiss(t *testing.T) {
 	c := NewCache(4096, 4) // 16 sets
-	if c.Lookup(0) != nil {
+	if c.Lookup(0) >= 0 {
 		t.Fatal("hit in empty cache")
 	}
 	c.Insert(0, Exclusive)
-	ln := c.Lookup(0)
-	if ln == nil || ln.State != Exclusive {
+	w := c.Lookup(0)
+	if w < 0 || c.State(w) != Exclusive {
 		t.Fatal("inserted line not found")
 	}
 	if c.HasVictim {
@@ -136,7 +139,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	if !c.HasVictim || c.Victim.Tag != 0x040 {
 		t.Fatalf("victim = %+v (HasVictim=%v)", c.Victim, c.HasVictim)
 	}
-	if c.Lookup(0x000) == nil || c.Lookup(0x080) == nil || c.Peek(0x040) != nil {
+	if c.Lookup(0x000) < 0 || c.Lookup(0x080) < 0 || c.Peek(0x040) >= 0 {
 		t.Fatal("wrong resident set after eviction")
 	}
 }
@@ -151,7 +154,7 @@ func TestCacheInsertInPlace(t *testing.T) {
 	if c.Occupied() != 1 {
 		t.Fatalf("occupied = %d", c.Occupied())
 	}
-	if c.Peek(0x100).State != Modified {
+	if c.State(c.Peek(0x100)) != Modified {
 		t.Fatal("state not updated")
 	}
 }
@@ -175,6 +178,110 @@ func TestCacheSetsPowerOfTwo(t *testing.T) {
 	}
 	if c.Ways() != 12 {
 		t.Fatalf("Ways = %d", c.Ways())
+	}
+}
+
+// TestCacheStatePacking: a way keeps its state in the line address's free
+// low bits, so every MESIF state must survive a round trip at both ends of
+// the address space, and a misaligned address must not be stored at all.
+func TestCacheStatePacking(t *testing.T) {
+	top := ^uint64(0) &^ (mem.LineSize - 1)
+	for _, la := range []uint64{0, top} {
+		for _, st := range []State{Invalid, Shared, Exclusive, Modified, Forward} {
+			c := NewCache(mem.LineSize, 1) // 1 set, 1 way
+			w := c.Insert(la, Shared)
+			c.SetState(w, st)
+			if got := c.State(w); got != st {
+				t.Fatalf("%#x: SetState(%v) reads back %v", la, st, got)
+			}
+			if got := c.Peek(la); (got >= 0) != (st != Invalid) {
+				t.Fatalf("%#x in state %v: Peek = %d", la, st, got)
+			}
+			// Evicting the line unpacks tag and state into the victim.
+			other := la ^ mem.LineSize
+			c.Insert(other, Exclusive)
+			if st == Invalid {
+				if c.HasVictim {
+					t.Fatalf("%#x: an invalid way was reported as victim %+v", la, c.Victim)
+				}
+				continue
+			}
+			if !c.HasVictim || c.Victim != (Line{Tag: la, State: st}) {
+				t.Fatalf("%#x in state %v: victim %+v (HasVictim=%v)", la, st, c.Victim, c.HasVictim)
+			}
+			if w := c.Lookup(other); w < 0 || c.State(w) != Exclusive {
+				t.Fatalf("%#x: replacement line lost", other)
+			}
+		}
+	}
+	if got := unsafe.Sizeof(way{}); got != 16 {
+		t.Fatalf("a way is %d bytes, want 16", got)
+	}
+
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("Insert of a misaligned address did not panic")
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, "0x1001") {
+			t.Fatalf("panic %q does not name the address", msg)
+		}
+	}()
+	NewCache(4096, 4).Insert(0x1001, Exclusive)
+}
+
+// machineCacheBytes sums the state arrays of every cache the machine holds.
+func machineCacheBytes(m *Machine) int {
+	n := 0
+	for _, c := range m.cores {
+		if c.l1 != nil {
+			n += c.l1.Bytes() + c.l2.Bytes()
+		}
+	}
+	for _, s := range m.slices {
+		n += s.llc.Bytes()
+	}
+	return n
+}
+
+// TestPrivateCachesBuiltAtFirstAttach: a core's L1D and L2 exist only once
+// a workload runs on it, so a fresh SPR machine holds just its LLC.
+func TestPrivateCachesBuiltAtFirstAttach(t *testing.T) {
+	cfg := SPR()
+	m := New(cfg, testSpace(t))
+	for _, c := range m.cores {
+		if c.l1 != nil || c.l2 != nil {
+			t.Fatalf("New built core %d's private caches", c.id)
+		}
+	}
+	// 32 slices of 2,048 sets x 12 ways: 786,432 lines of a 16-byte way
+	// and an 8-byte presence bitmap, plus one predictor byte per set.  A
+	// machine with 32-byte lines and every private cache built held
+	// about 57 MiB.
+	const llcLines, llcSets = 786_432, 65_536
+	if got, want := machineCacheBytes(m), llcLines*24+llcSets; got != want {
+		t.Fatalf("fresh SPR machine holds %d cache bytes, want %d (%.1f MiB)",
+			got, want, float64(want)/(1<<20))
+	}
+
+	m.Attach(7, nil)
+	if m.cores[7].l1 != nil {
+		t.Fatal("Attach with a nil generator built caches")
+	}
+	m.Attach(5, &loopGen{ops: seqLoads(0, 4, mem.LineSize, false)})
+	for _, c := range m.cores {
+		if built := c.l1 != nil && c.l2 != nil; built != (c.id == 5) {
+			t.Fatalf("after Attach(5): core %d has caches = %v", c.id, built)
+		}
+	}
+	l1, l2 := m.cores[5].l1, m.cores[5].l2
+	if l1.Sets()*l1.Ways()*mem.LineSize != cfg.L1DSize || l2.Sets()*l2.Ways()*mem.LineSize != cfg.L2Size {
+		t.Fatalf("core 5 caches hold %d / %d lines", l1.Sets()*l1.Ways(), l2.Sets()*l2.Ways())
+	}
+	// A second Attach (migration) reuses the caches it built.
+	m.Attach(5, &loopGen{ops: seqLoads(0, 4, mem.LineSize, false)})
+	if m.cores[5].l1 != l1 || m.cores[5].l2 != l2 {
+		t.Fatal("re-Attach rebuilt core 5's caches")
 	}
 }
 
@@ -553,6 +660,10 @@ func TestConfigValidatePanics(t *testing.T) {
 		func(c *Config) { c.LFBEntries = 0 },
 		func(c *Config) { c.DRAMChannels = 0 },
 		func(c *Config) { c.GHz = 0 },
+		// Private caches are built at first Attach; New still checks them.
+		func(c *Config) { c.L1DWays = 0 },
+		func(c *Config) { c.L1DSize = 0 },
+		func(c *Config) { c.L2Ways = 300 },
 	}
 	for i, mut := range cases {
 		func() {

@@ -179,7 +179,7 @@ func newCHASlice(id, cluster int, llcBytes, ways int, bank *pmu.Bank) *chaSlice 
 	s := &chaSlice{
 		id:      id,
 		cluster: cluster,
-		llc:     NewCache(llcBytes, ways),
+		llc:     newLLC(llcBytes, ways),
 		bank:    bank,
 	}
 	s.ia = newTorFamily(bank, pmu.TORInsertsIA, pmu.TOROccupancyIA, pmu.TORCyclesNEIA)
