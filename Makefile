@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fuzz-short bench-json bench-regress bench-sweep bench-allocs perfbench-smoke obs-smoke soak soak-smoke all
+.PHONY: build test race vet fuzz-short bench-json bench-regress bench-sweep bench-allocs inline-check perfbench-smoke obs-smoke soak soak-smoke all
 
 all: build vet test
 
@@ -123,6 +123,29 @@ bench-allocs:
 		-watch '' \
 		-max 'BenchmarkSimLocalStream:allocs/op:0,BenchmarkSimCXLStream:allocs/op:0,BenchmarkSimMultiCoreStream:allocs/op:0,BenchmarkSimLocalStream:B/op:64,BenchmarkSimCXLStream:B/op:64,BenchmarkSimMultiCoreStream:B/op:64' \
 		"$$tmp"
+
+# Inlining guard: the simulator's per-op PMU bookkeeping (about 25 counter
+# adds and 4 observer-lane entries per simulated request) is cheap only while
+# these helpers inline into their callers.  Bank.Add sits just under the
+# compiler's budget of 80 (cost 71 on go1.24.0), so one more line silently
+# turns every counter add back into a call; this fails instead.  The list is
+# matched against `go build -gcflags=-m`'s "can inline" report.
+INLINE_HOT := '(*Bank).Add' '(*Bank).Inc' '(*OccTracker).Update' '(*OccTracker).Release' \
+	'(*BusyTracker).Release' holds '(*Core).pruneLFB' '(*Core).findLFB' '(*Core).pfLive' \
+	growObs '(*Engine).advance'
+
+inline-check:
+	@out=$$($(GO) build -gcflags=-m ./internal/pmu ./internal/sim 2>&1) || { echo "$$out" >&2; exit 1; }; \
+	names=$$(printf '%s\n' "$$out" | sed -n 's/^.*: can inline //p'); \
+	missing=0; \
+	for f in $(INLINE_HOT); do \
+		if printf '%s\n' "$$names" | grep -qxF "$$f"; then \
+			echo "inline-check: $$f inlines"; \
+		else \
+			echo "inline-check: $$f is no longer inlinable" >&2; missing=1; \
+		fi; \
+	done; \
+	exit $$missing
 
 # The end-to-end benchmark (perfbench/README.md) is a Go module of its own,
 # so the root build, vet and test never compile it and a change to the sim

@@ -19,8 +19,10 @@ import (
 // The recorder is strictly an observer: it never touches engine, cache, or
 // PMU state, so simulated timing is byte-identical with it attached (the
 // golden digest suites prove this on the sweep and the dispatch oracle).
-// The hot path is allocation-free: records are packed value structs, rings
-// are sized up front, and the quantile sketch is five fixed markers.
+// The hot path is allocation-free after a core's first record: records are
+// packed value structs, a core's ring is allocated at full capacity when
+// it files its first record (a recorder sized for 32 cores with four busy
+// holds four rings), and the quantile sketch is five fixed markers.
 
 // Flight workload classes: demand loads and demand stores track separate
 // latency populations (a CXL store commit and a CXL load miss live on
@@ -188,19 +190,39 @@ func (s *p2) estimate() float64 {
 }
 
 // flightLane is one core's slice of the recorder: a ring of the last
-// ringCap records, guarded by the recorder's mutex.
+// ringCap records, guarded by the recorder's mutex.  ring stays nil until
+// the core's first record.
 type flightLane struct {
 	ring []FlightRec
 	n    uint64 // total records ever filed on this core
 }
 
-func (ln *flightLane) push(r FlightRec) {
+func (ln *flightLane) push(r FlightRec, ringCap int) {
+	if ln.ring == nil {
+		ln.ring = make([]FlightRec, 0, ringCap)
+	}
 	if len(ln.ring) < cap(ln.ring) {
 		ln.ring = append(ln.ring, r)
 	} else {
 		ln.ring[ln.n%uint64(cap(ln.ring))] = r
 	}
 	ln.n++
+}
+
+// flightHist is one class's latency histogram over flightBounds: bucket
+// counts (the last is the overflow bucket) and the running sum, plain
+// fields under the recorder's mutex, plus the exemplar of each bucket.
+type flightHist struct {
+	counts []uint64 // len(flightBounds)+1
+	sum    float64
+	ex     *ExemplarSet
+}
+
+// observe files one latency: bucket i holds the values in
+// (bounds[i-1], bounds[i]], the last bucket everything above the top bound.
+func (h *flightHist) observe(v float64) {
+	h.counts[sort.SearchFloat64s(flightBounds, v)]++
+	h.sum += v
 }
 
 // flightAgg is the per-class aggregate stage residency over every record
@@ -234,15 +256,16 @@ type Flight struct {
 	seq       uint32
 	sketch    [flightClasses]p2
 	agg       [flightClasses]flightAgg
-	hist      [flightClasses]*Histogram
+	hist      [flightClasses]flightHist
 	tail      []TailRec
 	tailN     uint64
 	pendingFn func() int // engine-depth probe, called from the sim goroutine
 }
 
 // NewFlight sizes the recorder at attach time: cores per-core rings of
-// ringCap records each, and a tail store bounded at tailCap promotions
-// (older promotions are overwritten).
+// ringCap records each, each allocated at its core's first record, and a
+// tail store bounded at tailCap promotions (older promotions are
+// overwritten).
 func NewFlight(cores, ringCap, tailCap int) *Flight {
 	if cores < 1 || ringCap < 1 || tailCap < 1 {
 		panic(fmt.Sprintf("obs: NewFlight(%d, %d, %d): all sizes must be positive",
@@ -254,13 +277,12 @@ func NewFlight(cores, ringCap, tailCap int) *Flight {
 		tailCap: tailCap,
 		tail:    make([]TailRec, 0, tailCap),
 	}
-	for i := range f.lanes {
-		f.lanes[i].ring = make([]FlightRec, 0, ringCap)
-	}
 	for c := range f.sketch {
 		f.sketch[c] = newP2(0.99)
-		f.hist[c] = NewHistogram(flightBounds)
-		f.hist[c].AttachExemplars(NewExemplarSet(flightBounds))
+		f.hist[c] = flightHist{
+			counts: make([]uint64, len(flightBounds)+1),
+			ex:     NewExemplarSet(flightBounds),
+		}
 	}
 	return f
 }
@@ -299,7 +321,7 @@ func (f *Flight) SetPendingProbe(fn func() int) {
 func (f *Flight) Record(core int, r FlightRec) {
 	ln := f.lane(core)
 	f.mu.Lock()
-	ln.push(r)
+	ln.push(r, f.ringCap)
 	f.process(&r)
 	f.mu.Unlock()
 }
@@ -346,7 +368,7 @@ func (f *Flight) process(r *FlightRec) {
 	}
 	a.byLoc[r.Loc&15]++
 
-	f.hist[cls].Observe(float64(lat))
+	f.hist[cls].observe(float64(lat))
 
 	sk := &f.sketch[cls]
 	warm := sk.cnt >= flightWarmup
@@ -374,7 +396,7 @@ func (f *Flight) promote(r *FlightRec, cls int, thr float64) {
 	}
 	f.tailN++
 	f.agg[cls].promoted++
-	f.hist[cls].MarkExemplar(float64(r.Latency()), r.Seq, r.Done)
+	f.hist[cls].ex.Mark(float64(r.Latency()), r.Seq, r.Done)
 }
 
 // RecordsTotal is the count of records ever filed across all cores.
@@ -524,14 +546,12 @@ func (f *Flight) Snapshot() FlightSnapshot {
 		cs.DevCycles = a.devCycles
 		cs.ByLoc = append([]uint64(nil), a.byLoc[:]...)
 		cs.DevByLoc = append([]uint64(nil), a.devByLoc[:]...)
-		h := f.hist[c]
+		h := &f.hist[c]
 		cs.Hist = FlightHist{
-			Bounds: append([]float64(nil), flightBounds...),
-			Counts: h.BucketCounts(),
-			Sum:    h.Sum(),
-		}
-		if es := h.Exemplars(); es != nil {
-			cs.Hist.Exemplars = es.Snapshot()
+			Bounds:    append([]float64(nil), flightBounds...),
+			Counts:    append([]uint64(nil), h.counts...),
+			Sum:       h.sum,
+			Exemplars: h.ex.Snapshot(),
 		}
 	}
 	return s

@@ -219,6 +219,90 @@ func TestFlightRecordAllocFree(t *testing.T) {
 	}
 }
 
+// TestFlightRingsBuiltAtFirstRecord: a recorder sized for a 32-core rig
+// whose workload runs on core 0 holds one ring, not 32; idle cores read
+// back empty.
+func TestFlightRingsBuiltAtFirstRecord(t *testing.T) {
+	f := NewFlight(32, 64, 8)
+	f.Enable()
+	for i := uint64(0); i < 100; i++ {
+		f.Record(0, flightRec(0, i*10, 200))
+	}
+	idle := 0
+	for i := range f.lanes {
+		if f.lanes[i].ring == nil {
+			idle++
+		}
+	}
+	if idle != 31 {
+		t.Fatalf("%d rings unallocated, want 31 (only core 0 recorded)", idle)
+	}
+	if got := cap(f.lanes[0].ring); got != 64 {
+		t.Fatalf("core 0 ring capacity %d, want 64", got)
+	}
+	if recs := f.CoreRecords(5); len(recs) != 0 {
+		t.Fatalf("idle core 5 returned %d records", len(recs))
+	}
+	if recs := f.CoreRecords(0); len(recs) != 64 {
+		t.Fatalf("core 0 returned %d records, want its 64-record ring", len(recs))
+	}
+	if f.Snapshot().Records != 100 {
+		t.Fatalf("snapshot records = %d, want 100", f.Snapshot().Records)
+	}
+}
+
+// TestFlightSnapshotHistMatchesReference checks the per-class histogram
+// against counts and sums computed straight from the records: a latency
+// equal to a bound lands in that bound's bucket, anything above the top
+// bound in the overflow bucket, and the sum adds latencies in record order.
+func TestFlightSnapshotHistMatchesReference(t *testing.T) {
+	f := NewFlight(2, 16, 8)
+	f.Enable()
+	var counts [flightClasses][]uint64
+	var sums [flightClasses]float64
+	for c := range counts {
+		counts[c] = make([]uint64, len(flightBounds)+1)
+	}
+	r := &lcg{s: 11}
+	lats := []uint64{1, 8, 9, 16, 1024, 1025, 16384, 16385, 40000}
+	for i := 0; i < 2000; i++ {
+		lat := lats[i%len(lats)]
+		if i >= len(lats) {
+			lat = 1 + r.next()%20000
+		}
+		rec := flightRec(i%2, uint64(i)*50, lat)
+		rec.Class = uint8(i/3) & 1
+		f.Record(i%2, rec)
+
+		cls := int(rec.Class)
+		b := 0
+		for b < len(flightBounds) && float64(lat) > flightBounds[b] {
+			b++
+		}
+		counts[cls][b]++
+		sums[cls] += float64(lat)
+	}
+	snap := f.Snapshot()
+	for c := 0; c < flightClasses; c++ {
+		h := snap.Classes[c].Hist
+		if len(h.Counts) != len(counts[c]) {
+			t.Fatalf("class %d: %d buckets, want %d", c, len(h.Counts), len(counts[c]))
+		}
+		for b := range counts[c] {
+			if h.Counts[b] != counts[c][b] {
+				t.Fatalf("class %d bucket %d: count %d, want %d (all %v, want %v)",
+					c, b, h.Counts[b], counts[c][b], h.Counts, counts[c])
+			}
+		}
+		if h.Sum != sums[c] {
+			t.Fatalf("class %d: sum %v, want %v", c, h.Sum, sums[c])
+		}
+		if len(h.Bounds) != len(flightBounds) {
+			t.Fatalf("class %d: %d bounds, want %d", c, len(h.Bounds), len(flightBounds))
+		}
+	}
+}
+
 // TestFlightConcurrentReaders records on one goroutine, as the machine
 // does, while others take snapshots and read rings, as the HTTP handlers
 // do.  Every snapshot must be consistent — its record count equals the

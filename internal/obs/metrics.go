@@ -58,16 +58,6 @@ type Histogram struct {
 	counts []atomic.Uint64 // len(bounds)+1
 	sum    atomic.Uint64   // float64 bits, CAS-accumulated
 	count  atomic.Uint64
-	ex     atomic.Pointer[ExemplarSet] // optional; nil unless attached
-}
-
-// NewHistogram builds a standalone histogram with the given upper bucket
-// bounds (ascending) — for subsystems like the flight recorder that own
-// their histograms instead of registering them by name.
-func NewHistogram(bounds []float64) *Histogram {
-	b := append([]float64(nil), bounds...)
-	sort.Float64s(b)
-	return &Histogram{bounds: b, counts: make([]atomic.Uint64, len(b)+1)}
 }
 
 // Observe records one sample.
@@ -98,24 +88,6 @@ func (h *Histogram) BucketCounts() []uint64 {
 		out[i] = h.counts[i].Load()
 	}
 	return out
-}
-
-// AttachExemplars hangs an exemplar set off the histogram; MarkExemplar
-// becomes a no-op again when called with nil.  The set should share the
-// histogram's bucket bounds so exemplars land in the buckets they
-// annotate.
-func (h *Histogram) AttachExemplars(es *ExemplarSet) { h.ex.Store(es) }
-
-// Exemplars returns the attached exemplar set, or nil.
-func (h *Histogram) Exemplars() *ExemplarSet { return h.ex.Load() }
-
-// MarkExemplar pins (seq, cycle) as the exemplar of the bucket v falls
-// into, without recording an observation — callers Observe every sample
-// and Mark only the promoted ones.
-func (h *Histogram) MarkExemplar(v float64, seq uint32, cycle uint64) {
-	if es := h.ex.Load(); es != nil {
-		es.Mark(v, seq, cycle)
-	}
 }
 
 // metric is one registered series with its rendering behavior.

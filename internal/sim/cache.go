@@ -232,25 +232,29 @@ func (c *Cache) Insert(la uint64, st State) int {
 	si := c.setIdx(la)
 	base := int(si) * c.assoc
 	set := c.ways[base : base+c.assoc]
+	// One pass finds a hit, the first invalid way and the least recently
+	// used valid way; a miss evicts the first invalid way, else the LRU.
+	inv, lru := -1, -1
 	for i := range set {
-		if holds(set[i].tag, la) {
+		t := set[i].tag
+		if holds(t, la) {
 			set[i].tag = la | uint64(st)
 			c.stamp++
 			set[i].stamp = c.stamp
 			c.mru[si] = uint8(i)
 			return base + i
 		}
+		if t&stateMask == 0 {
+			if inv < 0 {
+				inv = i
+			}
+		} else if lru < 0 || set[i].stamp < set[lru].stamp {
+			lru = i
+		}
 	}
-	// Miss: evict the first invalid way, else the least recently used.
-	vi := -1
-	for i := range set {
-		if set[i].tag&stateMask == 0 {
-			vi = i
-			break
-		}
-		if vi < 0 || set[i].stamp < set[vi].stamp {
-			vi = i
-		}
+	vi := inv
+	if vi < 0 {
+		vi = lru
 	}
 	w := base + vi
 	if v := set[vi].tag; v&stateMask != 0 {

@@ -229,8 +229,12 @@ func copyMachineState(dst, src *Machine, srcIdx map[any]int32) {
 	rm := remapper{srcIdx: srcIdx, dst: dst.componentTable()}
 	copyEngineState(dst.eng, src.eng, &rm)
 
+	dst.attached = dst.attached[:0]
 	for i, c := range src.cores {
 		copyCoreState(dst.cores[i], c)
+		if c.l1 != nil {
+			dst.attached = append(dst.attached, dst.cores[i])
+		}
 	}
 	for i, s := range src.slices {
 		copyCHAState(dst.slices[i], s)

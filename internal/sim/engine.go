@@ -41,19 +41,15 @@ const (
 	evOccPulse                // target *pmu.OccTracker: Update(now, +1) + Release(arg)
 	evLFBDemand               // target *Core: lfbOcc + missL1Busy pulses, release at arg
 	evORODemand               // target *Core: oroData + oroDemand pulses, release at arg
-	evBusyBegin               // target *pmu.BusyTracker
-	evBusyEnd
-	evBusyPulse // target *pmu.BusyTracker: Begin(now) + Release(arg)
-	evBankInc   // target *pmu.Bank: Inc(Event(aux))
-	evBankAdd   // target *pmu.Bank: Add(Event(aux), arg)
-	evServe     // target *Core: retired-load/OCR serve counters, aux=class|loc
-	evTOREnter
-	evTORLeave // target *chaSlice: TOR insert/occupancy edges, aux=class|loc
-	evTORPulse // target *chaSlice: TOR enter at now, leave queued at arg
-	evWBInsert // target *chaSlice: writeback TOR inserts, aux=transition
+	evBusyPulse               // target *pmu.BusyTracker: Begin(now) + Release(arg)
+	evBankInc                 // target *pmu.Bank: Inc(Event(aux))
+	evBankAdd                 // target *pmu.Bank: Add(Event(aux), arg)
+	evServe                   // target *Core: retired-load/OCR serve counters, aux=class|loc
+	evTORPulse                // target *chaSlice: TOR enter at now, leave queued at arg, aux=class|loc
+	evWBInsert                // target *chaSlice: writeback TOR inserts, aux=transition
 	evIMCReadAdmit
 	evIMCWriteAdmit // target *imcChannel: RPQ/WPQ insert + CAS counters
-	evCXLArrive     // target *cxlPort: M2PCIe ingress insert
+	evCXLArrive     // target *cxlPort: M2PCIe ingress insert, leave queued at arg
 	evCXLReadDev
 	evCXLReadRPQ
 	evCXLReadData
@@ -161,10 +157,13 @@ type Engine struct {
 	// busy edges) scheduled for a future cycle but carrying no simulation
 	// side effects.  These entries never enter the event wheel or heap,
 	// so they neither wake the engine nor interrupt the sweep; they are
-	// applied in exact (when, schedule-order) order by drainObs
-	// at every observation point (RunUntil exit, Step exit, Sync, DevLoad,
-	// before any evFunc closure, and at every clock advance).  obsLast is
-	// the drain cursor: every entry with when <= obsLast has been applied.
+	// applied in exact (when, schedule-order) order by drainObs at every
+	// observation point (the exits of Run, RunUntil and Step, Sync,
+	// DevLoad, before any dispatched payload), at every clock advance of the
+	// dispatch oracle, and whenever the sweep's clock leaves the cursor's
+	// block (advance).  obsLast is the drain cursor: every entry with
+	// when <= obsLast has been applied; it may trail the clock, but only
+	// within the clock's block.
 	//
 	// Entries within obsHorizon of the cursor live on a two-level wheel.
 	// obsNear holds the cursor's own block of obsNearSlots cycles, one
@@ -244,37 +243,78 @@ func (e *Engine) at(when Cycles, kind evKind, target any, aux int32, arg uint64)
 // or after `when`.  Entries at or behind the drain cursor apply
 // immediately — they are the newest bookkeeping for that cycle, so
 // in-order application is preserved.
+//
+// A wheel entry is assigned field by field into its grown slot (growObs):
+// building the 40-byte entry on the stack to copy it in was most of
+// obsAt's time.
 func (e *Engine) obsAt(when Cycles, kind evKind, target any, aux int32, arg uint64) {
 	e.checkPast(when)
-	ev := obsEvent{target: target, when: when, arg: arg, aux: aux, kind: kind}
 	if when <= e.obsLast {
+		ev := obsEvent{target: target, when: when, arg: arg, aux: aux, kind: kind}
 		e.applyObs(&ev)
 		return
 	}
 	if when-e.obsLast < obsHorizon {
+		var ev *obsEvent
 		if when^e.obsLast < obsNearSlots { // the cursor's block
 			slot := int(when) & obsNearMask
-			e.obsNear[slot] = append(e.obsNear[slot], ev)
+			ev = growObs(&e.obsNear[slot])
 			e.obsNearOcc[slot>>6] |= 1 << uint(slot&63)
 		} else {
 			b := int(when>>obsNearBits) & obsCoarseMask
-			e.obsCoarse[b] = append(e.obsCoarse[b], ev)
+			ev = growObs(&e.obsCoarse[b])
 			e.obsCoarseOcc |= 1 << uint(b)
 		}
+		ev.target = target
+		ev.when = when
+		ev.arg = arg
+		ev.aux = aux
+		ev.kind = kind
 		e.obsLen++
 		return
 	}
 	e.obsSeq++
-	e.obsFar = append(e.obsFar, obsFarEvent{ev: ev, seq: e.obsSeq})
+	e.obsFar = append(e.obsFar, obsFarEvent{
+		ev:  obsEvent{target: target, when: when, arg: arg, aux: aux, kind: kind},
+		seq: e.obsSeq,
+	})
 	e.obsSiftUp(len(e.obsFar) - 1)
+}
+
+// growObs extends a lane slot by one entry and returns the new entry for
+// the caller to fill.  Reused capacity holds stale entries (drained slots
+// are truncated, not cleared), so the caller must assign every field.
+func growObs(s *[]obsEvent) *obsEvent {
+	b := *s
+	if n := len(b); n < cap(b) {
+		b = b[:n+1]
+	} else {
+		b = append(b, obsEvent{})
+	}
+	*s = b
+	return &b[len(b)-1]
+}
+
+// advance moves the clock forward to when, draining the observer lane
+// only when the clock leaves the drain cursor's block.  Entries stamped
+// between the cursor and the clock wait in the near slots and apply, in
+// the same (when, schedule order), at the next drain: nothing reads a
+// tracker or a bank between observation points (Sync, DevLoad, the exits
+// of Run, RunUntil and Step, and the drain before any dispatched payload),
+// so a drain per op would only pay for order the lane keeps anyway.  when
+// must not lie behind the cursor.
+func (e *Engine) advance(when Cycles) {
+	e.now = when
+	if when^e.obsLast >= obsNearSlots {
+		e.drainObs(when)
+	}
 }
 
 // drainObs applies every buffered observer entry with when <= ts, in
 // nondecreasing when order (same-cycle entries in schedule order), and
-// advances the drain cursor to ts.  Because the cursor rides the clock, a
-// typical inline step scans one word of the near bitmap; a drain that
-// leaves the cursor's block jumps straight to the next block holding
-// coarse entries.
+// advances the drain cursor to ts.  The sweep drains once per block it
+// leaves, scanning that block's near bitmap once; a drain that leaves the
+// cursor's block jumps straight to the next block holding coarse entries.
 func (e *Engine) drainObs(ts Cycles) {
 	if ts <= e.obsLast {
 		return
@@ -653,7 +693,10 @@ func (e *Engine) dispatch(ev *event, now Cycles) {
 		e.mach.coreStep(ev.target.(*Core), now)
 	default:
 		// Observer kinds scheduled as real events (tests, cold paths)
-		// share the deferred-application payload code.
+		// share the deferred-application payload code, after the lane
+		// entries due by now: the sweep may reach here with the drain
+		// cursor behind the clock.
+		e.drainObs(now)
 		e.applyObs(&obsEvent{when: now, arg: ev.arg, target: ev.target, aux: ev.aux, kind: ev.kind})
 	}
 }
@@ -687,10 +730,6 @@ func (e *Engine) applyObs(ev *obsEvent) {
 		tr := ev.target.(*pmu.BusyTracker)
 		tr.Begin(now)
 		tr.Release(ev.arg)
-	case evBusyBegin:
-		ev.target.(*pmu.BusyTracker).Begin(now)
-	case evBusyEnd:
-		ev.target.(*pmu.BusyTracker).End(now)
 	case evBankInc:
 		ev.target.(*pmu.Bank).Inc(pmu.Event(ev.aux))
 	case evBankAdd:
@@ -698,12 +737,6 @@ func (e *Engine) applyObs(ev *obsEvent) {
 	case evServe:
 		class, loc := unpackClassLoc(ev.aux)
 		ev.target.(*Core).serveRetired(class, loc)
-	case evTOREnter:
-		class, loc := unpackClassLoc(ev.aux)
-		ev.target.(*chaSlice).torEnter(now, class, loc)
-	case evTORLeave:
-		class, loc := unpackClassLoc(ev.aux)
-		ev.target.(*chaSlice).torLeave(now, class, loc)
 	case evTORPulse:
 		class, loc := unpackClassLoc(ev.aux)
 		ev.target.(*chaSlice).torPulse(now, Cycles(ev.arg), class, loc)
@@ -729,6 +762,7 @@ func (e *Engine) applyObs(ev *obsEvent) {
 		p := ev.target.(*cxlPort)
 		p.m2pBank.Inc(pmu.M2PRxInserts)
 		p.ingress.Update(now, +1)
+		p.ingress.Release(ev.arg)
 	case evCXLReadDev:
 		p := ev.target.(*cxlPort)
 		p.devBank.Inc(pmu.CXLRxPackBufInsertsReq)

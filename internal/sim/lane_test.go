@@ -17,7 +17,7 @@ func (l *obsLog) record(ev obsEvent) { *l = append(*l, ev) }
 
 // laneRig drives one engine's observer lane against an oracle: every
 // recorder entry carries its schedule index in arg, and entries due by the
-// clock must have been applied in (when, schedule index) order.
+// drain cursor must have been applied in (when, schedule index) order.
 type laneRig struct {
 	e       *Engine
 	bank    *pmu.Bank // target of the payload events Step lands on
@@ -25,6 +25,13 @@ type laneRig struct {
 	pending []obsEvent // scheduled, not yet matched; in schedule order
 	checked int        // log prefix already matched against the oracle
 	nextID  uint64
+
+	// cursor is where the oracle expects the lane's drain cursor: the
+	// clock after RunUntil, Step or a dispatched payload, and after an
+	// advance the old cursor unless the clock left its block.  lagged
+	// counts checks that found the cursor behind the clock.
+	cursor Cycles
+	lagged int
 
 	// levels records which lane levels each cycle's entries went to, so the
 	// test can prove it split same-cycle entries across all of them.
@@ -70,15 +77,58 @@ func (r *laneRig) obs(when Cycles) {
 	r.e.obsAt(when, evRecord, &r.log, 0, id)
 }
 
+// runUntil runs the engine to t; the lane drains to the clock.
+func (r *laneRig) runUntil(t Cycles) {
+	r.e.RunUntil(t)
+	r.cursor = r.e.Now()
+}
+
+// step dispatches one event with Step; the lane drains to the clock.
+func (r *laneRig) step() {
+	r.e.Step()
+	r.cursor = r.e.Now()
+}
+
+// advance moves the clock to t the way the sweep does: the lane drains
+// only when the clock leaves the cursor's block, so entries between the
+// cursor and the clock stay pending.
+func (r *laneRig) advance(t Cycles) {
+	r.e.advance(t)
+	if t^r.cursor >= obsNearSlots {
+		r.cursor = t
+	}
+}
+
+// dispatchNext lands on the next event the way the sweep's event path
+// does: advance to its cycle, then run it, which drains the lane up to
+// that cycle before the payload applies.
+func (r *laneRig) dispatchNext() {
+	when, ok := r.e.nextWhen()
+	if !ok {
+		return
+	}
+	r.advance(when)
+	r.e.runAt(when)
+	r.cursor = when
+}
+
 // check matches the entries applied since the last check against the
-// oracle: exactly the entries due by the clock, in (when, schedule order).
+// oracle: exactly the entries due by the expected drain cursor, in (when,
+// schedule order).
 func (r *laneRig) check(t *testing.T, label string, op int) {
 	t.Helper()
 	now := r.e.Now()
+	if r.e.obsLast != r.cursor {
+		t.Fatalf("%s op %d (now %d): drain cursor at %d, oracle expects %d",
+			label, op, now, r.e.obsLast, r.cursor)
+	}
+	if r.cursor < now {
+		r.lagged++
+	}
 	var due []obsEvent
 	rest := r.pending[:0]
 	for _, ev := range r.pending {
-		if ev.when <= now {
+		if ev.when <= r.cursor {
 			due = append(due, ev)
 		} else {
 			rest = append(rest, ev)
@@ -107,6 +157,7 @@ func (r *laneRig) fork(dst *laneRig) {
 	dst.pending = slices.Clone(r.pending)
 	dst.checked = r.checked
 	dst.nextID = r.nextID
+	dst.cursor = r.cursor
 	rm := remapper{
 		srcIdx: map[any]int32{&r.log: 0, r.bank: 1},
 		dst:    []any{&dst.log, dst.bank},
@@ -175,18 +226,32 @@ func (r *laneRig) approach(x uint64) {
 		w |= obsNearMask
 	}
 	r.obs(w)
-	r.e.RunUntil(w - obsHorizon + 1)
+	r.runUntil(w - obsHorizon + 1)
 	r.obs(w)
-	r.e.RunUntil(w - obsNearSlots - Cycles(x>>16%obsNearSlots))
+	r.runUntil(w - obsNearSlots - Cycles(x>>16%obsNearSlots))
 	r.obs(w)
 	if w&obsNearMask != 0 {
-		r.e.RunUntil(w &^ obsNearMask)
+		r.runUntil(w &^ obsNearMask)
 	} else {
-		r.e.RunUntil(w - 1) // the previous block's end: w is one cycle ahead, in the next block
+		r.runUntil(w - 1) // the previous block's end: w is one cycle ahead, in the next block
 	}
 	r.obs(w)
-	r.e.RunUntil(w)
+	r.runUntil(w)
 	r.obs(w)
+}
+
+// clockTarget resolves a clock-move class to an absolute cycle: no move,
+// a few cycles, the block's last cycle, the next block's first, a few
+// blocks on, or a jump over many empty blocks.
+func clockTarget(now Cycles, class int, x uint64) Cycles {
+	return [...]Cycles{
+		now,
+		now + 1 + Cycles(x%50),
+		now | obsNearMask,
+		(now | obsNearMask) + 1,
+		now + 1000 + Cycles(x%8000),
+		now + 100_000 + Cycles(x%200_000),
+	}[class]
 }
 
 // laneScript generates a seeded sequence of lane operations.  Ops resolve
@@ -210,24 +275,21 @@ func laneScript(rng *rand.Rand, n int) []func(r *laneRig) {
 			})
 		case p < 57: // approach one cycle level by level
 			ops = append(ops, func(r *laneRig) { r.approach(x) })
-		case p < 85: // RunUntil, from no advance to a jump over many empty blocks
+		case p < 72: // RunUntil, from no advance to a jump over many empty blocks
 			class := rng.Intn(6)
-			ops = append(ops, func(r *laneRig) {
-				now := r.e.Now()
-				t := [...]Cycles{
-					now,
-					now + 1 + Cycles(x%50),
-					now | obsNearMask,
-					(now | obsNearMask) + 1,
-					now + 1000 + Cycles(x%8000),
-					now + 100_000 + Cycles(x%200_000),
-				}[class]
-				r.e.RunUntil(t)
-			})
-		default: // land on a payload event with Step
+			ops = append(ops, func(r *laneRig) { r.runUntil(clockTarget(r.e.Now(), class, x)) })
+		case p < 88: // advance the clock as the sweep does, over the same targets
+			class := rng.Intn(6)
+			ops = append(ops, func(r *laneRig) { r.advance(clockTarget(r.e.Now(), class, x)) })
+		case p < 94: // land on a payload event with Step
 			ops = append(ops, func(r *laneRig) {
 				r.e.at(r.e.Now()+Cycles(x%3000), evBankInc, r.bank, int32(pmu.MemLoadL1Hit), 0)
-				r.e.Step()
+				r.step()
+			})
+		default: // land on a payload event the way the sweep's event path does
+			ops = append(ops, func(r *laneRig) {
+				r.e.at(r.e.Now()+Cycles(x%3000), evBankInc, r.bank, int32(pmu.MemLoadL1Hit), 0)
+				r.dispatchNext()
 			})
 		}
 	}
@@ -237,8 +299,9 @@ func laneScript(rng *rand.Rand, n int) []func(r *laneRig) {
 // TestObserverLaneDifferential runs seeded random schedules through the
 // observer lane — entries at the cursor, in its block, on block edges, in
 // coarse buckets, at the horizon edge and beyond it, interleaved with
-// RunUntil and Step — and checks every applied entry against a
-// (when, schedule order) oracle.  Midway each run forks the engine with
+// RunUntil, Step, the sweep's clock advance (which drains only when the
+// clock leaves the cursor's block) and the sweep's event dispatch — and
+// checks every applied entry against a (when, schedule order) oracle.  Midway each run forks the engine with
 // entries on all three levels, once into a fresh engine and once over a
 // used one (the RestoreInto case), and both forks must apply exactly the
 // original's sequence.
@@ -281,7 +344,7 @@ func TestObserverLaneDifferential(t *testing.T) {
 			t.Fatalf("seed %d: the lane never held entries on all three levels", seed)
 		}
 		for _, r := range rigs {
-			r.e.RunUntil(r.e.Now() + 2*hotPeriod)
+			r.runUntil(r.e.Now() + 2*hotPeriod)
 			r.check(t, "final drain", len(ops))
 			if len(r.pending) != 0 || r.e.obsLen != 0 || len(r.e.obsFar) != 0 {
 				t.Fatalf("seed %d: lane not empty after the final drain", seed)
@@ -301,6 +364,9 @@ func TestObserverLaneDifferential(t *testing.T) {
 		}
 		if split == 0 {
 			t.Fatalf("seed %d: no cycle had entries on the far, coarse and near levels", seed)
+		}
+		if orig.lagged == 0 {
+			t.Fatalf("seed %d: the drain cursor never trailed the clock", seed)
 		}
 	}
 }

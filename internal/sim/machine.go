@@ -21,10 +21,15 @@ type Machine struct {
 	eng *Engine
 	as  *mem.AddressSpace
 
-	cores  []*Core
-	slices []*chaSlice
-	imc    []*imcChannel
-	ports  []*cxlPort
+	cores []*Core
+	// attached lists the cores that have run: the cores whose caches
+	// exist and the only ones that can hold a pending step.  The first
+	// Attach of a core adds it and copyMachineState rebuilds the list, so
+	// the sweep scans these instead of every core of a 32-core rig.
+	attached []*Core
+	slices   []*chaSlice
+	imc      []*imcChannel
+	ports    []*cxlPort
 
 	// Cross-socket memory: the remote socket's IMC channels, reached over
 	// the UPI link (remoteBus models the link bandwidth).
@@ -158,6 +163,7 @@ func (m *Machine) Attach(i int, gen workload.Generator) {
 	c := m.cores[i]
 	if gen != nil && c.l1 == nil {
 		c.buildCaches(&m.cfg)
+		m.attached = append(m.attached, c)
 	}
 	wasRunning := c.running
 	c.gen = gen
@@ -1153,7 +1159,7 @@ func (m *Machine) PendingEvents() int { return m.eng.Pending() + m.pendingSteps(
 // pendingSteps counts core steps armed in the sweep's mirror.
 func (m *Machine) pendingSteps() int {
 	n := 0
-	for _, c := range m.cores {
+	for _, c := range m.attached {
 		if c.stepPending {
 			n++
 		}

@@ -62,10 +62,11 @@ func (m *Machine) armStep(c *Core, at Cycles) {
 }
 
 // minPendingCore returns the pending core step with the smallest
-// (stepAt, stepSeq), or nil.
+// (stepAt, stepSeq), or nil.  Only a core that has run can hold a step, and
+// every stepSeq is distinct, so scanning m.attached in any order finds it.
 func (m *Machine) minPendingCore() *Core {
 	var best *Core
-	for _, c := range m.cores {
+	for _, c := range m.attached {
 		if !c.stepPending {
 			continue
 		}
@@ -84,8 +85,7 @@ func (m *Machine) stepOnce(c *Core) {
 	when := c.stepAt
 	c.stepPending = false
 	if when > eng.now {
-		eng.now = when
-		eng.drainObs(when)
+		eng.advance(when)
 	}
 	next, ok := m.stepOne(c, when)
 	if !ok {
@@ -110,8 +110,8 @@ func (m *Machine) runSweep(t Cycles) {
 				// event at a time so seq order is honored exactly.
 				eng.Step()
 			} else {
-				eng.now = eWhen
-				eng.drainObs(eWhen)
+				// dispatch drains the lane before each payload it runs.
+				eng.advance(eWhen)
 				eng.runAt(eWhen)
 			}
 			continue
@@ -177,8 +177,8 @@ func (m *Machine) absorbCoreEvents() {
 // flushStepMirror schedules every mirrored core step back into the engine
 // (sweep → oracle transition), preserving the mirror's relative order.
 func (m *Machine) flushStepMirror() {
-	pend := make([]*Core, 0, len(m.cores))
-	for _, c := range m.cores {
+	pend := make([]*Core, 0, len(m.attached))
+	for _, c := range m.attached {
 		if c.stepPending {
 			pend = append(pend, c)
 		}

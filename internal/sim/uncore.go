@@ -191,28 +191,11 @@ func newCHASlice(id, cluster int, llcBytes, ways int, bank *pmu.Bank) *chaSlice 
 	return s
 }
 
-// torEnter is the evTOREnter payload: the insert counters and occupancy
-// rising edges of one TOR residency.  The class/location scenario lists are
-// re-derived from the static tables, so the event carries no closure state.
-func (s *chaSlice) torEnter(now Cycles, class ReqClass, loc ServeLoc) {
-	fam := s.torClassFamily(class)
-	scns := drdScnTable[loc]
-	if class.IsRFOLike() {
-		scns = rfoScnTable[loc]
-	}
-	for _, scn := range scns {
-		s.bank.Inc(fam.inserts[scn])
-		fam.occ[scn].Update(now, +1)
-	}
-	for _, scn := range iaScnTable[loc] {
-		s.bank.Inc(s.ia.inserts[scn])
-		s.ia.occ[scn].Update(now, +1)
-	}
-}
-
 // torPulse is the evTORPulse payload: one whole TOR residency — the
 // insert counters and rising edges at now, with the falling edges queued
-// inside each tracker for cycle leave.
+// inside each tracker for cycle leave.  The class/location scenario lists
+// are re-derived from the static tables, so the entry carries no closure
+// state.
 func (s *chaSlice) torPulse(now, leave Cycles, class ReqClass, loc ServeLoc) {
 	fam := s.torClassFamily(class)
 	scns := drdScnTable[loc]
@@ -228,21 +211,6 @@ func (s *chaSlice) torPulse(now, leave Cycles, class ReqClass, loc ServeLoc) {
 		s.bank.Inc(s.ia.inserts[scn])
 		s.ia.occ[scn].Update(uint64(now), +1)
 		s.ia.occ[scn].Release(uint64(leave))
-	}
-}
-
-// torLeave is the evTORLeave payload: the falling occupancy edges.
-func (s *chaSlice) torLeave(now Cycles, class ReqClass, loc ServeLoc) {
-	fam := s.torClassFamily(class)
-	scns := drdScnTable[loc]
-	if class.IsRFOLike() {
-		scns = rfoScnTable[loc]
-	}
-	for _, scn := range scns {
-		fam.occ[scn].Update(now, -1)
-	}
-	for _, scn := range iaScnTable[loc] {
-		s.ia.occ[scn].Update(now, -1)
 	}
 }
 
@@ -525,8 +493,7 @@ func (p *cxlPort) noteRemoval(eng *Engine, t Cycles) {
 // touching the link or the (dark) device bank.
 func (p *cxlPort) fastFail(eng *Engine, arrival Cycles) Cycles {
 	done := arrival + p.cfg.M2PLat + removedFastFailLat
-	eng.obsAt(arrival, evCXLArrive, p, 0, 0)
-	eng.obsAt(done, evOcc, p.ingress, -1, 0)
+	eng.obsAt(arrival, evCXLArrive, p, 0, uint64(done))
 	eng.obsAt(done, evBankInc, p.m2pBank, int32(pmu.M2PFastFails), 0)
 	eng.obsAt(done, evBankInc, p.m2pBank, int32(pmu.M2PErrCompletions), 0)
 	p.noteRemoval(eng, done)
@@ -564,8 +531,7 @@ func (p *cxlPort) readRemoved(eng *Engine, arrival, txStart, devArrive Cycles) C
 	p.packReq.commit(devArrive) // the packing-buffer entry dies with the device
 	discover := devArrive + Cycles(p.plan.RemovalPenalty())
 	done := discover + p.cfg.M2PLat
-	eng.obsAt(arrival, evCXLArrive, p, 0, 0)
-	eng.obsAt(txStart, evOcc, p.ingress, -1, 0)
+	eng.obsAt(arrival, evCXLArrive, p, 0, uint64(txStart))
 	eng.obsAt(done, evBankInc, p.m2pBank, int32(pmu.M2PErrCompletions), 0)
 	p.noteRemoval(eng, discover)
 	return done
@@ -626,8 +592,7 @@ func (p *cxlPort) read(eng *Engine, arrival Cycles, la uint64) Cycles {
 		rec.Span(obs.StageCXLRet, data, done)
 	}
 
-	eng.obsAt(arrival, evCXLArrive, p, 0, 0)
-	eng.obsAt(txStart, evOcc, p.ingress, -1, 0)
+	eng.obsAt(arrival, evCXLArrive, p, 0, uint64(txStart))
 	eng.obsAt(devArrive, evCXLReadDev, p, 0, 0)
 	eng.obsAt(rpqAdmit, evCXLReadRPQ, p, 0, 0)
 	eng.obsAt(data, evCXLReadData, p, 0, 0)
@@ -652,8 +617,7 @@ func (p *cxlPort) write(eng *Engine, arrival Cycles) (admitted, drained Cycles) 
 		p.packData.commit(devArrive)
 		discover := devArrive + Cycles(p.plan.RemovalPenalty())
 		done := discover + p.cfg.M2PLat
-		eng.obsAt(arrival, evCXLArrive, p, 0, 0)
-		eng.obsAt(txStart, evOcc, p.ingress, -1, 0)
+		eng.obsAt(arrival, evCXLArrive, p, 0, uint64(txStart))
 		eng.obsAt(done, evBankInc, p.m2pBank, int32(pmu.M2PErrCompletions), 0)
 		p.noteRemoval(eng, discover)
 		return ready, done
@@ -670,8 +634,7 @@ func (p *cxlPort) write(eng *Engine, arrival Cycles) (admitted, drained Cycles) 
 	rxStart := p.linkXfer(eng, &p.linkRx, cxl.DirS2M, mediaStart, cxl.BytesPerMessage(cxl.Cmp)) // NDR
 	ackArrive := rxStart + p.cfg.FlexBusLat
 
-	eng.obsAt(arrival, evCXLArrive, p, 0, 0)
-	eng.obsAt(txStart, evOcc, p.ingress, -1, 0)
+	eng.obsAt(arrival, evCXLArrive, p, 0, uint64(txStart))
 	eng.obsAt(devArrive, evCXLWriteDev, p, 0, 0)
 	eng.obsAt(wpqAdmit, evCXLWriteWPQ, p, 0, 0)
 	eng.obsAt(done, evCXLWriteDone, p, 0, 0)
