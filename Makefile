@@ -179,9 +179,11 @@ soak:
 soak-smoke:
 	$(GO) run -race ./cmd/pfbench -soak 12 -soak-cycles 250000 -soak-seed 1
 
-# Short fuzzing pass over the flit decoders and the fault-plan parser:
-# each target runs for 10 seconds and must only ever return structured
-# errors, never panic.
+# Short fuzzing pass over the flit decoders, the fault-plan parser and the
+# checkpoint round trip: each target runs for 10 seconds.  The decoders
+# must only ever return structured errors, never panic; a checkpoint taken
+# at any cycle, on either stepping path, must fork into a machine that
+# ends with the same counters as an uninterrupted run.
 fuzz-short:
 	$(GO) test ./internal/cxl/ -run '^$$' -fuzz FuzzFlitDecode -fuzztime 10s
 	$(GO) test ./internal/cxl/ -run '^$$' -fuzz FuzzFlit256Feed -fuzztime 10s

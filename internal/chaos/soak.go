@@ -77,9 +77,8 @@ func writeFinding(w io.Writer, f *Finding) {
 // fork of the frozen image — re-simulating only half the case instead of
 // all of it.  Diverging suffix digests trip the replay-divergence
 // invariant (nondeterminism or a restore-equivalence break).  When the
-// case cannot be checkpointed (too short, a pending closure, a
-// non-forkable generator), it falls back to the full same-seed second run
-// compared end to end.
+// case cannot be checkpointed (too short, a non-forkable generator), it
+// falls back to the full same-seed second run compared end to end.
 func runChecked(c Case, extra []Invariant, charge func(uint64) error) (*Result, error) {
 	fp := &forkProbe{}
 	res, err := runCase(c, extra, charge, fp)
@@ -128,7 +127,6 @@ func Soak(opt Options) (*Report, error) {
 
 	taskRep := experiments.Supervise(experiments.SuperviseOptions{
 		Label:       "chaos-soak",
-		Seed:        opt.BaseSeed,
 		CycleBudget: opt.CycleBudget,
 	}, opt.Cases, func(i int, tc *experiments.TaskCtx) error {
 		c, err := GenCase(opt.BaseSeed+uint64(i), opt.Cycles)

@@ -14,8 +14,8 @@ import (
 // Sweep equivalence: the sequential sweep executes every op inline,
 // advancing the engine clock without event-engine round-trips.  It must be
 // invisible to every observable: these tests run identical fixed-seed
-// scenarios on the sweep and on the dispatch oracle (one evCoreStep per
-// op, SetLanes(-1)), and require the captured snapshot digests — every PMU
+// scenarios on the sweep and on the dispatch oracle (one queued core step
+// per op, SetLanes(-1)), and require the captured snapshot digests — every PMU
 // counter of every bank, serialized — to be byte-identical per epoch.
 
 // fastpathScenario configures a freshly built rig (workloads, fault

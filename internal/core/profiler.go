@@ -136,7 +136,7 @@ func newProfMetrics(reg *obs.Registry) *profMetrics {
 		watchdog:    reg.Counter("pf_profiler_watchdog_expiries_total", "watchdog budget expiries"),
 		idle:        reg.Counter("pf_profiler_epochs_idle_total", "epochs ended early with every workload idle"),
 		epochCycles: reg.Gauge("pf_profiler_epoch_cycles", "cycles simulated in the latest epoch"),
-		heapDepth:   reg.Gauge("pf_engine_events_pending", "event-engine depth (timing wheel + heap)"),
+		heapDepth:   reg.Gauge("pf_engine_events_pending", "pending core steps: the oracle's queue plus the sweep's mirror"),
 		inlineSteps: reg.Counter("pf_engine_inline_steps", "workload ops executed inline by the sequential sweep"),
 		dispatched:  reg.Counter("pf_engine_dispatched_events", "events dispatched through the engine"),
 		poolHits:    reg.Counter("pf_snapshot_pool_hits_total", "captures served from the snapshot pool"),

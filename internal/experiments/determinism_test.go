@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pathfinder/internal/sim"
@@ -21,8 +23,7 @@ func bankValues(m *sim.Machine) map[string][]uint64 {
 
 // runFixture builds a rig with a mixed local+CXL workload on several
 // cores and runs it for a fixed horizon — enough traffic to exercise
-// the engine's timing wheel, overflow heap, and every payload-dispatch
-// site.
+// every level of the observer lane and every payload it applies.
 func runFixture(t *testing.T) map[string][]uint64 {
 	t.Helper()
 	rig := NewRig(RigOptions{Scale: 4})
@@ -95,19 +96,44 @@ func TestRunIndexedOrdering(t *testing.T) {
 	}
 }
 
-// TestRunIndexedPanic: a panic inside a worker must surface on the
-// caller, not kill the process from a bare goroutine.
+// TestRunIndexedPanic: runIndexed fails fast, serially and on four
+// workers alike — every index that does not panic still runs, then the
+// caller gets the lowest panicking index's panic with the stack it was
+// raised on, not a process killed from a bare goroutine.
 func TestRunIndexedPanic(t *testing.T) {
-	prev := SetParallelism(4)
-	defer SetParallelism(prev)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("panic in worker was swallowed")
-		}
-	}()
-	runIndexed("test", 8, func(i int) {
-		if i == 5 {
-			panic("boom")
-		}
-	})
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			prev := SetParallelism(workers)
+			defer SetParallelism(prev)
+			const n = 8
+			ran := make([]bool, n)
+			var msg string
+			func() {
+				defer func() { msg = fmt.Sprint(recover()) }()
+				runIndexed("test", n, func(i int) {
+					if i == 2 || i == 5 {
+						explode(i)
+					}
+					ran[i] = true
+				})
+			}()
+			for i, ok := range ran {
+				if !ok && i != 2 && i != 5 {
+					t.Errorf("index %d never ran", i)
+				}
+			}
+			if !strings.Contains(msg, "run 2 of 8 panicked: boom 2") {
+				t.Errorf("re-raised panic does not name index 2 first: %q", msg)
+			}
+			if !strings.Contains(msg, "experiments.explode(") {
+				t.Errorf("re-raised panic lacks the panicking stack: %q", msg)
+			}
+		})
+	}
 }
+
+// explode panics from a frame of its own, which the re-raised stack must
+// carry.
+//
+//go:noinline
+func explode(i int) { panic(fmt.Sprintf("boom %d", i)) }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"runtime/pprof"
 	"strconv"
 	"sync"
@@ -23,7 +24,7 @@ import (
 // guarantees.  Serial and parallel runs therefore produce byte-identical
 // counters (enforced by TestSerialParallelIdentical).
 
-// parallelism is the worker-pool width used by runIndexed.  Zero or
+// parallelism is the worker-pool width used by runPool.  Zero or
 // negative means "one worker per available CPU".
 var parallelism atomic.Int64
 
@@ -61,79 +62,83 @@ func workerMetrics(w int) (tasks, busy *obs.Counter) {
 	return tasks, busy
 }
 
-// runIndexed invokes fn(0..n-1), possibly concurrently, and returns
-// once every call has completed.  Each index runs exactly once; callers
-// store results into pre-sized slices at their own index, which keeps
-// result ordering identical to a serial loop regardless of scheduling.
-// A panic in any fn is re-raised on the calling goroutine (first one
-// wins, by index) so experiment bugs surface the same way they would
-// serially.
+// panicError carries a recovered panic value and the stack it was raised
+// on.
+type panicError struct {
+	val   any
+	stack []byte
+}
+
+func (e *panicError) Error() string { return fmt.Sprintf("panic: %v", e.val) }
+
+// runPool is the worker pool: it invokes fn(0..n-1) on up to Parallelism()
+// goroutines (the caller's own when one worker suffices) and returns once
+// every call has completed.  Each index runs exactly once.  A call that
+// panics is recovered into its own slot of the returned slice, nil for
+// calls that returned, so one failure neither stops the other calls nor
+// kills the process from a bare goroutine.  runIndexed and Supervise are
+// the policies on top: fail fast, or contain.
 //
 // label names the experiment in CPU-profile label sets: pprof labels do
 // not cross goroutine spawns, so each worker applies its own
 // {experiment, worker} labels — `pfbench -cpuprofile` samples then
 // attribute to experiment names.
-func runIndexed(label string, n int, fn func(i int)) {
+func runPool(label string, n int, fn func(i int)) []*panicError {
 	if n <= 0 {
-		return
+		return nil
 	}
-	workers := Parallelism()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		tasks, busy := workerMetrics(0)
-		pprof.Do(context.Background(), pprof.Labels("experiment", label, "worker", "0"),
+	panics := make([]*panicError, n)
+	var next atomic.Int64
+	worker := func(w int) {
+		tasks, busy := workerMetrics(w)
+		pprof.Do(context.Background(), pprof.Labels("experiment", label, "worker", strconv.Itoa(w)),
 			func(context.Context) {
-				for i := 0; i < n; i++ {
+				for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
 					t0 := time.Now()
-					fn(i)
+					panics[i] = runTask(fn, i)
 					busy.Add(uint64(time.Since(t0)))
 					tasks.Inc()
 				}
 			})
-		return
 	}
-
-	panics := make([]any, n)
-	var panicked atomic.Bool
-	var next atomic.Int64
+	workers := min(Parallelism(), n)
+	if workers <= 1 {
+		worker(0)
+		return panics
+	}
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer wg.Done()
-			tasks, busy := workerMetrics(w)
-			pprof.Do(context.Background(),
-				pprof.Labels("experiment", label, "worker", strconv.Itoa(w)),
-				func(context.Context) {
-					for {
-						i := int(next.Add(1)) - 1
-						if i >= n {
-							return
-						}
-						func() {
-							defer func() {
-								if r := recover(); r != nil {
-									panics[i] = r
-									panicked.Store(true)
-								}
-							}()
-							t0 := time.Now()
-							fn(i)
-							busy.Add(uint64(time.Since(t0)))
-							tasks.Inc()
-						}()
-					}
-				})
+			worker(w)
 		}(w)
 	}
 	wg.Wait()
-	if panicked.Load() {
-		for i, p := range panics {
-			if p != nil {
-				panic(fmt.Sprintf("experiments: run %d of %d panicked: %v", i, n, p))
-			}
+	return panics
+}
+
+// runTask runs fn(i), recovering a panic with the stack it was raised on.
+func runTask(fn func(i int), i int) (pe *panicError) {
+	defer func() {
+		if r := recover(); r != nil {
+			pe = &panicError{val: r, stack: debug.Stack()}
+		}
+	}()
+	fn(i)
+	return nil
+}
+
+// runIndexed invokes fn(0..n-1) on the pool and fails the whole run on
+// any panic: every index still runs, then the panic is re-raised on the
+// calling goroutine — the lowest index's, with the stack it was raised on
+// — so experiment bugs surface the same way at any width.  Callers store results into
+// pre-sized slices at their own index, which keeps result ordering
+// identical to a serial loop regardless of scheduling.
+func runIndexed(label string, n int, fn func(i int)) {
+	for i, p := range runPool(label, n, fn) {
+		if p != nil {
+			panic(fmt.Sprintf("experiments: run %d of %d panicked: %v\n\n%s", i, n, p.val, p.stack))
 		}
 	}
 }

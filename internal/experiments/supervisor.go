@@ -1,25 +1,17 @@
 package experiments
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"runtime/debug"
-	"runtime/pprof"
-	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
 )
 
-// The supervised runner wraps the worker pool with failure containment:
-// a panicking task becomes a classified TaskOutcome instead of killing
-// the pool, transient failures retry with exponential backoff and
-// deterministic jitter, and tasks get a cooperative simulated-cycle
-// budget.  runIndexed keeps its fail-fast contract for the experiment
-// suite; Supervise is the self-healing entry point for long soaks and
-// services that must report partial results rather than die.
+// The supervised runner is the worker pool with failure containment: a
+// panicking task becomes a classified TaskOutcome instead of killing the
+// pool, and tasks get a cooperative simulated-cycle budget.  runIndexed
+// keeps its fail-fast contract for the experiment suite; Supervise is the
+// entry point for long soaks that must report partial results rather than
+// die.
 
 // FailureClass classifies why a supervised task ended.
 type FailureClass uint8
@@ -27,10 +19,9 @@ type FailureClass uint8
 // Task failure classes.
 const (
 	FailNone      FailureClass = iota // task succeeded
-	FailPanic                         // task panicked; recovered by the supervisor
+	FailPanic                         // task panicked; recovered by the pool
 	FailDeadline                      // task exceeded its cycle budget
-	FailTransient                     // retryable failure persisted through every attempt
-	FailPermanent                     // non-retryable failure
+	FailPermanent                     // task returned any other error
 )
 
 // String returns the class mnemonic used in summaries.
@@ -42,8 +33,6 @@ func (c FailureClass) String() string {
 		return "panic"
 	case FailDeadline:
 		return "deadline"
-	case FailTransient:
-		return "transient"
 	case FailPermanent:
 		return "permanent"
 	}
@@ -54,37 +43,11 @@ func (c FailureClass) String() string {
 // simulated-cycle budget; the supervisor classifies it FailDeadline.
 var ErrBudget = errors.New("experiments: task exceeded its cycle budget")
 
-// transientError marks a failure as retryable.
-type transientError struct{ err error }
-
-func (e *transientError) Error() string { return e.err.Error() }
-func (e *transientError) Unwrap() error { return e.err }
-
-// Transient wraps err so the supervisor retries the task (with backoff)
-// instead of failing it permanently.  A nil err stays nil.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err: err}
-}
-
-// panicError carries a recovered panic value and its stack as an error.
-type panicError struct {
-	val   any
-	stack []byte
-}
-
-func (e *panicError) Error() string { return fmt.Sprintf("panic: %v", e.val) }
-
-// TaskCtx is the per-attempt context handed to a supervised task: the
-// attempt number (1-based) and a cooperative simulated-cycle budget.
-// Tasks running a Machine call Charge between Run chunks so a runaway
-// scenario is cut off deterministically — at the same simulated cycle on
-// every host — rather than by wall clock.
+// TaskCtx is the context handed to a supervised task: a cooperative
+// simulated-cycle budget.  Tasks running a Machine call Charge between Run
+// chunks so a runaway scenario is cut off deterministically — at the same
+// simulated cycle on every host — rather than by wall clock.
 type TaskCtx struct {
-	Attempt int
-
 	budget uint64
 	used   uint64
 }
@@ -108,23 +71,18 @@ func (tc *TaskCtx) Remaining() uint64 {
 	return tc.budget - tc.used
 }
 
-// SuperviseOptions tunes the supervised runner.  The zero value means: one
-// attempt per task, no cycle budget, 1ms base backoff capped at 100ms.
+// SuperviseOptions tunes the supervised runner.  The zero value means no
+// cycle budget.
 type SuperviseOptions struct {
-	Label       string        // experiment label for pprof/metrics
-	MaxAttempts int           // attempts per task for transient failures (<=0 means 1)
-	Backoff     time.Duration // base retry delay (<=0 means 1ms)
-	MaxBackoff  time.Duration // delay cap (<=0 means 100ms)
-	Seed        uint64        // jitter seed; same seed -> same retry schedule
-	CycleBudget uint64        // per-attempt simulated-cycle budget (0 = unlimited)
+	Label       string // experiment label for pprof/metrics
+	CycleBudget uint64 // per-task simulated-cycle budget (0 = unlimited)
 }
 
 // TaskOutcome is one task's final disposition.
 type TaskOutcome struct {
-	Index    int
-	Class    FailureClass
-	Err      error // nil when Class is FailNone
-	Attempts int
+	Index int
+	Class FailureClass
+	Err   error // nil when Class is FailNone
 }
 
 // OK reports whether the task succeeded.
@@ -162,151 +120,38 @@ func (r *RunReport) Summary() string {
 	fmt.Fprintf(&b, "%s: %d/%d tasks ok", r.Label, ok, len(r.Outcomes))
 	for _, o := range r.Outcomes {
 		if !o.OK() {
-			fmt.Fprintf(&b, "; task %d failed [%s] after %d attempt(s): %v",
-				o.Index, o.Class, o.Attempts, o.Err)
+			fmt.Fprintf(&b, "; task %d failed [%s]: %v", o.Index, o.Class, o.Err)
 		}
 	}
 	return b.String()
 }
 
-// mix64 is the splitmix64 finalizer, used for deterministic retry jitter.
-func mix64(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// backoffDelay computes the pre-retry sleep for (task, attempt):
-// exponential in the attempt number, capped, plus up to 50% deterministic
-// jitter so retrying tasks do not stampede in lockstep.
-func backoffDelay(opt SuperviseOptions, task, attempt int) time.Duration {
-	base := opt.Backoff
-	if base <= 0 {
-		base = time.Millisecond
-	}
-	cap := opt.MaxBackoff
-	if cap <= 0 {
-		cap = 100 * time.Millisecond
-	}
-	delay := base
-	for a := 1; a < attempt && delay < cap; a++ {
-		delay *= 2
-	}
-	if delay > cap {
-		delay = cap
-	}
-	h := mix64(opt.Seed ^ mix64(uint64(task)<<20|uint64(attempt)))
-	frac := float64(h>>11) / (1 << 53)
-	return delay + time.Duration(float64(delay)/2*frac)
-}
-
-// classify maps an attempt error to its failure class.
-func classify(err error) FailureClass {
-	var pe *panicError
-	var te *transientError
-	switch {
-	case err == nil:
-		return FailNone
-	case errors.As(err, &pe):
-		return FailPanic
-	case errors.Is(err, ErrBudget):
-		return FailDeadline
-	case errors.As(err, &te):
-		return FailTransient
-	}
-	return FailPermanent
-}
-
-// runAttempt executes one attempt of fn, converting a panic into a
-// *panicError so the worker survives.
-func runAttempt(i int, tc *TaskCtx, fn func(i int, tc *TaskCtx) error) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &panicError{val: r, stack: debug.Stack()}
-		}
-	}()
-	return fn(i, tc)
-}
-
-// superviseTask drives one task to its final outcome: attempts, backoff,
-// classification.
-func superviseTask(i int, opt SuperviseOptions, fn func(i int, tc *TaskCtx) error) TaskOutcome {
-	maxAttempts := opt.MaxAttempts
-	if maxAttempts < 1 {
-		maxAttempts = 1
-	}
-	out := TaskOutcome{Index: i}
-	for attempt := 1; ; attempt++ {
-		out.Attempts = attempt
-		tc := &TaskCtx{Attempt: attempt, budget: opt.CycleBudget}
-		err := runAttempt(i, tc, fn)
-		out.Err = err
-		out.Class = classify(err)
-		if out.Class != FailTransient || attempt >= maxAttempts {
-			return out
-		}
-		time.Sleep(backoffDelay(opt, i, attempt))
-	}
-}
-
-// Supervise invokes fn(0..n-1) across the worker pool with failure
+// Supervise invokes fn(0..n-1) on the worker pool with failure
 // containment: a panic, budget expiry, or error in one task is recorded
 // as that task's outcome while every other task runs to completion.
-// Transient failures (errors wrapped with Transient) retry up to
-// opt.MaxAttempts times with exponential backoff and deterministic
-// jitter.  Outcomes are indexed by task, so aggregation order matches a
-// serial loop regardless of scheduling.
+// Outcomes are indexed by task, so aggregation order matches a serial
+// loop regardless of scheduling.
 func Supervise(opt SuperviseOptions, n int, fn func(i int, tc *TaskCtx) error) *RunReport {
 	label := opt.Label
 	if label == "" {
 		label = "supervised"
 	}
 	rep := &RunReport{Label: label, Outcomes: make([]TaskOutcome, n)}
-	if n <= 0 {
-		return rep
+	panics := runPool(label, n, func(i int) {
+		err := fn(i, &TaskCtx{budget: opt.CycleBudget})
+		class := FailPermanent
+		switch {
+		case err == nil:
+			class = FailNone
+		case errors.Is(err, ErrBudget):
+			class = FailDeadline
+		}
+		rep.Outcomes[i] = TaskOutcome{Index: i, Class: class, Err: err}
+	})
+	for i, p := range panics {
+		if p != nil {
+			rep.Outcomes[i] = TaskOutcome{Index: i, Class: FailPanic, Err: p}
+		}
 	}
-	workers := Parallelism()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		tasks, busy := workerMetrics(0)
-		pprof.Do(context.Background(), pprof.Labels("experiment", label, "worker", "0"),
-			func(context.Context) {
-				for i := 0; i < n; i++ {
-					t0 := time.Now()
-					rep.Outcomes[i] = superviseTask(i, opt, fn)
-					busy.Add(uint64(time.Since(t0)))
-					tasks.Inc()
-				}
-			})
-		return rep
-	}
-
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			tasks, busy := workerMetrics(w)
-			pprof.Do(context.Background(),
-				pprof.Labels("experiment", label, "worker", strconv.Itoa(w)),
-				func(context.Context) {
-					for {
-						i := int(next.Add(1)) - 1
-						if i >= n {
-							return
-						}
-						t0 := time.Now()
-						rep.Outcomes[i] = superviseTask(i, opt, fn)
-						busy.Add(uint64(time.Since(t0)))
-						tasks.Inc()
-					}
-				})
-		}(w)
-	}
-	wg.Wait()
 	return rep
 }

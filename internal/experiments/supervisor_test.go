@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // TestSupervisePanicIsolation is the acceptance scenario: one task
@@ -70,51 +69,20 @@ func TestSupervisePanicIsolationSerial(t *testing.T) {
 	}
 }
 
-func TestSuperviseTransientRetry(t *testing.T) {
-	prev := SetParallelism(2)
-	defer SetParallelism(prev)
-
-	var tries atomic.Int64
-	rep := Supervise(SuperviseOptions{
-		Label:       "retry",
-		MaxAttempts: 5,
-		Backoff:     time.Microsecond,
-		MaxBackoff:  10 * time.Microsecond,
-		Seed:        7,
-	}, 1, func(i int, tc *TaskCtx) error {
-		if tries.Add(1) < 3 {
-			return Transient(errors.New("flaky backend"))
-		}
-		return nil
-	})
-	o := rep.Outcomes[0]
-	if !o.OK() || o.Attempts != 3 {
-		t.Fatalf("outcome %+v, want success on attempt 3", o)
-	}
-
-	// A transient failure that never clears exhausts its attempts and is
-	// classified FailTransient.
-	rep = Supervise(SuperviseOptions{
-		Label: "retry", MaxAttempts: 3, Backoff: time.Microsecond,
-	}, 1, func(i int, tc *TaskCtx) error {
-		return Transient(errors.New("still down"))
-	})
-	o = rep.Outcomes[0]
-	if o.Class != FailTransient || o.Attempts != 3 {
-		t.Fatalf("outcome %+v, want FailTransient after 3 attempts", o)
-	}
-}
-
+// TestSupervisePermanentNoRetry: an error return is recorded as the
+// task's FailPermanent outcome after its one run.
 func TestSupervisePermanentNoRetry(t *testing.T) {
 	var tries atomic.Int64
-	rep := Supervise(SuperviseOptions{Label: "perm", MaxAttempts: 5, Backoff: time.Microsecond},
-		1, func(i int, tc *TaskCtx) error {
-			tries.Add(1)
-			return errors.New("bad config")
-		})
+	rep := Supervise(SuperviseOptions{Label: "perm"}, 1, func(i int, tc *TaskCtx) error {
+		tries.Add(1)
+		return errors.New("bad config")
+	})
 	o := rep.Outcomes[0]
-	if o.Class != FailPermanent || tries.Load() != 1 {
-		t.Fatalf("outcome %+v after %d tries, want FailPermanent with no retry", o, tries.Load())
+	if o.Class != FailPermanent || o.Err == nil || tries.Load() != 1 {
+		t.Fatalf("outcome %+v after %d tries, want FailPermanent after one run", o, tries.Load())
+	}
+	if sum := rep.Summary(); !strings.Contains(sum, "task 0 failed [permanent]: bad config") {
+		t.Fatalf("summary missing failure detail: %q", sum)
 	}
 }
 
@@ -141,26 +109,5 @@ func TestSuperviseCycleBudget(t *testing.T) {
 	}
 	if tc.Remaining() != 0 {
 		t.Fatalf("unbudgeted Remaining = %d", tc.Remaining())
-	}
-}
-
-// TestBackoffDeterministic pins the jitter schedule to the seed.
-func TestBackoffDeterministic(t *testing.T) {
-	opt := SuperviseOptions{Backoff: time.Millisecond, MaxBackoff: 32 * time.Millisecond, Seed: 9}
-	for task := 0; task < 3; task++ {
-		for attempt := 1; attempt <= 6; attempt++ {
-			a := backoffDelay(opt, task, attempt)
-			b := backoffDelay(opt, task, attempt)
-			if a != b {
-				t.Fatalf("jitter not deterministic for task %d attempt %d", task, attempt)
-			}
-			if a < time.Millisecond || a > 48*time.Millisecond {
-				t.Fatalf("delay %v outside [base, 1.5*cap]", a)
-			}
-		}
-	}
-	// Exponential growth up to the cap: attempt 6 >= attempt 1.
-	if backoffDelay(opt, 0, 6) < backoffDelay(opt, 0, 1) {
-		t.Fatal("backoff did not grow with attempts")
 	}
 }

@@ -121,8 +121,8 @@ func ResetCheckpointCache() {
 
 // warmCheckpoint returns the warmed image for spec, from cache when keyed
 // and present, else by building, warming, and checkpointing a machine.  A
-// nil return means the machine cannot be checkpointed (pending closures or
-// a non-forkable generator) and the sweep must run from scratch.
+// nil return means the machine cannot be checkpointed (a non-forkable
+// generator) and the sweep must run from scratch.
 func warmCheckpoint(spec *SweepSpec) *sim.Checkpoint {
 	hits, misses, _, bytes := checkpointMetrics()
 	if spec.Key != "" {
@@ -167,9 +167,9 @@ func warmCheckpoint(spec *SweepSpec) *sim.Checkpoint {
 // Results are deterministic and identical to warming each point from
 // scratch: restore-equivalence is proven by digest in the golden suites,
 // and result ordering follows runIndexed's index-keyed contract.  If the
-// warmed machine cannot be checkpointed — a pending Schedule closure or a
-// generator without workload.Forkable — Sweep transparently degrades to
-// per-point scratch warming and still produces identical results.
+// warmed machine cannot be checkpointed — a generator without
+// workload.Forkable — Sweep transparently degrades to per-point scratch
+// warming and still produces identical results.
 func Sweep(spec SweepSpec) {
 	if spec.Points <= 0 {
 		return

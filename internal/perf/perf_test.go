@@ -336,3 +336,61 @@ func TestRotationHelpers(t *testing.T) {
 		t.Fatalf("sort order: %+v", es)
 	}
 }
+
+// TestSamplingSweepMatchesOracle: a sample's Cycle is the cycle the
+// overflowing increment describes, not the clock at which the observer lane
+// happened to apply it.  Counters fed through the lane (the CXL device's
+// RPQ inserts, TOR inserts on every CHA, M2PCIe ingress inserts) are
+// applied once per 1,024-cycle block on the sweep but at every step on the
+// dispatch oracle, so only the increment's own cycle makes the two record
+// the same samples.  l1_miss, counted directly by the core, rides along.
+func TestSamplingSweepMatchesOracle(t *testing.T) {
+	specs := []string{
+		"cxl0/unc_cxldimm_rpq_inserts/",
+		"cha*/unc_cha_tor_inserts.ia.all/",
+		"m2pcie0/unc_m2p_rxc_inserts.all/",
+		"core0/mem_load_retired.l1_miss/",
+	}
+	record := func(lanes int) [][]Sample {
+		m, r := testMachine(t, 1)
+		m.SetLanes(lanes)
+		sessions := make([]*SampleSession, len(specs))
+		for i, spec := range specs {
+			ss, err := OpenSampling(m, spec, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sessions[i] = ss
+		}
+		m.Attach(0, workload.NewStream(workload.Region{Base: r.Base, Size: r.Size}, 0, 0, 1))
+		m.Run(2_000_000)
+		out := make([][]Sample, len(specs))
+		for i, ss := range sessions {
+			out[i] = ss.Samples()
+		}
+		return out
+	}
+	sweep, oracle := record(0), record(-1)
+	for i, spec := range specs {
+		s, o := sweep[i], oracle[i]
+		if len(s) < 1000 {
+			t.Fatalf("%s: only %d samples", spec, len(s))
+		}
+		if len(s) != len(o) {
+			t.Fatalf("%s: sweep recorded %d samples, oracle %d", spec, len(s), len(o))
+		}
+		diff, first := 0, -1
+		for j := range s {
+			if s[j] != o[j] {
+				if first < 0 {
+					first = j
+				}
+				diff++
+			}
+		}
+		if diff > 0 {
+			t.Errorf("%s: %d of %d samples differ; first #%d: sweep %+v, oracle %+v",
+				spec, diff, len(s), first, s[first], o[first])
+		}
+	}
+}

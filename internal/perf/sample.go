@@ -8,7 +8,8 @@ import (
 )
 
 // Sample is one overflow record from a sampling counter: which bank fired,
-// the counter total at overflow, and the machine cycle.
+// the counter total at overflow, and the cycle the overflowing increment
+// describes.
 type Sample struct {
 	Bank  string
 	Total uint64
@@ -52,7 +53,7 @@ func OpenSampling(m *sim.Machine, rawSpec string, period uint64) (*SampleSession
 			ss.samples = append(ss.samples, Sample{
 				Bank:  bank.Name(),
 				Total: total,
-				Cycle: m.Now(),
+				Cycle: m.CounterCycle(),
 			})
 		}))
 		ss.banks = append(ss.banks, b)

@@ -10,8 +10,8 @@ import (
 )
 
 // Checkpoint is a frozen image of a machine's mutable run state: per-core
-// core/cache/LFB/SB state, the engine heap + timing wheel + sequence
-// counters, the observer lane, PMU banks, device queues, LRSM/RAS state,
+// core/cache/LFB/SB state, the queued core steps and sequence counters of
+// the engine, the observer lane, PMU banks, device queues, LRSM/RAS state,
 // and the workload generators' RNG streams.  The image is held in the same
 // flat arrays a live machine uses (a shadow machine that never runs), so a
 // fork is a set of memcpys into a freshly-built or reused machine — never a
@@ -37,18 +37,14 @@ type Checkpoint struct {
 }
 
 // Checkpoint captures the machine's complete mutable state at the current
-// cycle.  The machine must be quiescent — between Run slices, with no
-// pending closure events (Schedule/After callbacks cannot be serialized;
-// run past them first).  The machine itself is left untouched and can keep
-// running; the checkpoint is an independent frozen copy.
+// cycle.  The machine must be quiescent — between Run slices.  The machine
+// itself is left untouched and can keep running; the checkpoint is an
+// independent frozen copy.
 //
 // Every attached workload generator must implement workload.Forkable so its
 // position (RNG streams, cursors, pending ops) can continue independently
 // on each forked machine.
 func (m *Machine) Checkpoint() (*Checkpoint, error) {
-	if err := m.checkpointable(); err != nil {
-		return nil, err
-	}
 	shadow := New(m.cfg, m.as.Clone())
 	srcIdx := indexComponents(m)
 	copyMachineState(shadow, m, srcIdx)
@@ -73,8 +69,9 @@ func (m *Machine) Checkpoint() (*Checkpoint, error) {
 func (cp *Checkpoint) Cycle() Cycles { return cp.shadow.eng.now }
 
 // Bytes returns the approximate size of the image's hot state — the bytes
-// a fork actually copies (cache arrays, queue rings, event wheels, PMU
-// counters, page table).  Shared immutable structures are not counted.
+// a fork actually copies (cache arrays, queue rings, queued steps and the
+// observer lane, PMU counters, page table).  Shared immutable structures
+// are not counted.
 func (cp *Checkpoint) Bytes() int { return cp.bytes }
 
 // Restore builds a new machine positioned exactly at the checkpoint:
@@ -120,29 +117,6 @@ func (cp *Checkpoint) restoreInto(m *Machine) error {
 			return fmt.Errorf("sim: restore core %d: %w", i, err)
 		}
 		dc.gen = g
-	}
-	return nil
-}
-
-// checkpointable verifies no pending event carries a closure: evFunc events
-// bind arbitrary Go state the checkpoint cannot carry into another machine.
-func (m *Machine) checkpointable() error {
-	for _, ev := range m.eng.heap {
-		if ev.kind == evFunc {
-			return fmt.Errorf("sim: Checkpoint with a pending Schedule/After closure at cycle %d; run past it first", ev.when)
-		}
-	}
-	for w := 0; w < wheelWords; w++ {
-		occ := m.eng.occupied[w]
-		for occ != 0 {
-			slot := w<<6 + bits.TrailingZeros64(occ)
-			occ &= occ - 1
-			for _, ev := range m.eng.wheel[slot] {
-				if ev.kind == evFunc {
-					return fmt.Errorf("sim: Checkpoint with a pending Schedule/After closure at cycle %d; run past it first", ev.when)
-				}
-			}
-		}
 	}
 	return nil
 }
@@ -268,37 +242,16 @@ func copyEngineState(dst, src *Engine, rm *remapper) {
 	dst.inlineSteps = src.inlineSteps
 	dst.dispatched = src.dispatched
 
-	// Far heap: a verbatim copy is a valid heap (same ordering invariant).
+	// Step queue: a verbatim copy is a valid heap (same ordering invariant).
 	dst.heap = dst.heap[:0]
 	for _, ev := range src.heap {
-		ev.target = rm.target(ev.target)
+		ev.core = rm.target(ev.core).(*Core)
 		dst.heap = append(dst.heap, ev)
 	}
 
-	// Timing wheel: visit the union of occupied slots — src's to copy, dst's
-	// to clear stale residue — so the cost scales with live entries, not
-	// wheel size.  Between Run slices every non-empty bucket carries its
-	// occupancy bit (runAt drops the bit as it empties the bucket), so the
-	// union covers every slot that needs touching.
-	for w := 0; w < wheelWords; w++ {
-		union := src.occupied[w] | dst.occupied[w]
-		for union != 0 {
-			slot := w<<6 + bits.TrailingZeros64(union)
-			union &= union - 1
-			b := dst.wheel[slot]
-			clear(b) // release stale target/fn references
-			b = b[:0]
-			for _, ev := range src.wheel[slot] {
-				ev.target = rm.target(ev.target)
-				b = append(b, ev)
-			}
-			dst.wheel[slot] = b
-		}
-	}
-	dst.occupied = src.occupied
-	dst.wheelLen = src.wheelLen
-
-	// Observer lane: the same union walk over both wheel levels.
+	// Observer lane: visit the union of occupied slots on both wheel levels
+	// — src's to copy, dst's to clear stale residue — so the cost scales
+	// with live entries, not wheel size.
 	for w := 0; w < obsNearWords; w++ {
 		union := src.obsNearOcc[w] | dst.obsNearOcc[w]
 		for union != 0 {
@@ -474,7 +427,7 @@ func (cp *Checkpoint) imageBytes() int {
 		n += b.Catalog().Len() * 8 // counter words
 	}
 	e := m.eng
-	n += (len(e.heap) + e.wheelLen) * int(unsafe.Sizeof(event{}))
+	n += len(e.heap) * int(unsafe.Sizeof(event{}))
 	n += (e.obsLen + len(e.obsFar)) * int(unsafe.Sizeof(obsEvent{}))
 	n += m.as.PageCount()
 	return n

@@ -243,22 +243,6 @@ func TestCheckpointRestoreThenAttachFlight(t *testing.T) {
 	}
 }
 
-// TestCheckpointRejectsPendingClosure: Schedule/After closures cannot cross
-// a checkpoint.
-func TestCheckpointRejectsPendingClosure(t *testing.T) {
-	m := ckptRig(t)
-	m.Run(100_000)
-	m.eng.Schedule(m.Now()+50_000, func(Cycles) {})
-	if _, err := m.Checkpoint(); err == nil {
-		t.Fatal("Checkpoint succeeded with a pending Schedule closure")
-	}
-	// Running past the closure makes the machine checkpointable again.
-	m.Run(100_000)
-	if _, err := m.Checkpoint(); err != nil {
-		t.Fatalf("Checkpoint after draining the closure: %v", err)
-	}
-}
-
 // TestCheckpointRejectsNonForkableGenerator: attached generators must
 // implement workload.Forkable.
 func TestCheckpointRejectsNonForkableGenerator(t *testing.T) {

@@ -75,9 +75,9 @@ type Core struct {
 	op workload.Op
 
 	// The sweep's core-step mirror (see sweep.go): instead of
-	// round-tripping an evCoreStep through the engine, each core's next
-	// step is held here as (cycle, engine-seq), directly comparable against
-	// engine events for exact dispatch ordering.
+	// round-tripping through the engine's step queue, each core's next
+	// step is held here as (cycle, engine-seq), ordered exactly as the
+	// queue would order it.
 	stepPending bool
 	stepAt      Cycles
 	stepSeq     uint64

@@ -28,16 +28,12 @@ import (
 // Cycles is a point in simulated time, in core clock cycles.
 type Cycles = uint64
 
-// evKind selects the pre-bound payload an event dispatches to.  The hot
-// schedule sites (core stepping, queue-occupancy edges, IMC and CXL
-// completions) use dedicated kinds so scheduling allocates nothing; evFunc
-// is the general closure fallback for cold paths and tests.
+// evKind selects the pre-bound PMU payload an observer-lane entry applies.
+// Dedicated kinds keep scheduling allocation-free.
 type evKind uint8
 
 const (
-	evFunc      evKind = iota // fn(now)
-	evCoreStep                // target *Core: execute the next workload op
-	evOcc                     // target *pmu.OccTracker: Update(now, aux)
+	evOcc       evKind = iota // target *pmu.OccTracker: Update(now, aux)
 	evOccPulse                // target *pmu.OccTracker: Update(now, +1) + Release(arg)
 	evLFBDemand               // target *Core: lfbOcc + missL1Busy pulses, release at arg
 	evORODemand               // target *Core: oroData + oroDemand pulses, release at arg
@@ -66,17 +62,12 @@ const (
 // interface call and move every obsAt's entry to the heap.
 type obsRecorder interface{ record(ev obsEvent) }
 
-// event is a scheduled action: either a pre-bound payload (kind != evFunc)
-// or a callback.  target always holds a pointer, so boxing it in the
-// interface never allocates.
+// event is one queued core step of the dispatch oracle: core runs its next
+// op at cycle when.  seq breaks same-cycle ties in schedule order.
 type event struct {
-	when   Cycles
-	seq    uint64 // tie-breaker for deterministic ordering
-	arg    uint64
-	target any
-	fn     func(now Cycles)
-	aux    int32
-	kind   evKind
+	when Cycles
+	seq  uint64
+	core *Core
 }
 
 // obsEvent is one deferred observer action: a pre-bound PMU payload (a
@@ -100,22 +91,10 @@ type obsFarEvent struct {
 	seq uint64
 }
 
-// The near-horizon timing wheel: one slot per cycle for the next wheelSlots
-// cycles.  The dominant event delays (cache latencies, queue residencies,
-// DRAM/CXL media trips) are well under this horizon, so most events take
-// the O(1) wheel path; only far-future events pay the O(log n) heap.
-const (
-	wheelBits  = 12
-	wheelSlots = 1 << wheelBits
-	wheelMask  = wheelSlots - 1
-	wheelWords = wheelSlots / 64
-)
-
-// The observer lane keeps a 65,536-cycle horizon, far wider than the event
-// wheel's: event delays are bounded by device latencies, but observer
-// completion entries ride the *backlogged* service times of saturated
-// CXL/IMC queues, which run tens of thousands of cycles ahead of the clock
-// under backpressure.  A one-cycle slot per horizon cycle would put every
+// The observer lane keeps a 65,536-cycle horizon: observer completion
+// entries ride the *backlogged* service times of saturated CXL/IMC queues,
+// which run tens of thousands of cycles ahead of the clock under
+// backpressure.  A one-cycle slot per horizon cycle would put every
 // insert and every drain on a cold cache line, so the horizon is split in
 // two levels (DESIGN.md §11.2): obsNearSlots one-cycle slots hold the block
 // of cycles the drain cursor is in, and obsCoarseSlots buckets of one block
@@ -131,39 +110,33 @@ const (
 	obsHorizon     = obsNearSlots * obsCoarseSlots
 )
 
-// Engine is the discrete-event core: a timing wheel for near events and a
-// flat binary min-heap (ordered by when, then seq) for far ones.
+// Engine is the discrete-event core: the clock, the dispatch oracle's queue
+// of core steps and the observer lane.  The queue is a flat binary min-heap
+// ordered by (when, seq) that holds at most one step per core; on the
+// sweep it stays empty, since each core mirrors its own next step (§12).
 type Engine struct {
 	now  Cycles
 	seq  uint64
-	mach *Machine // payload dispatch context (nil for bare engines)
+	mach *Machine // runs the queued core steps (nil for bare engines)
 
-	heap []event // far-horizon events, (when, seq)-ordered binary heap
+	heap []event // queued core steps, (when, seq)-ordered binary heap
 
-	// wheel buckets hold one `when` each, in seq order: the clock never
-	// passes a pending event, so a slot cannot collect entries of two
-	// wheel rotations.
-	wheel    [][]event
-	occupied [wheelWords]uint64
-	wheelLen int
-
-	// Stepping observability: ops the sweep executed inline versus events
-	// dispatched through the engine (the pf_engine_inline_steps /
-	// pf_engine_dispatched_events counter pair).
+	// Stepping observability: ops the sweep executed inline versus core
+	// steps the oracle dispatched from the queue (the
+	// pf_engine_inline_steps / pf_engine_dispatched_events counter pair).
 	inlineSteps uint64
 	dispatched  uint64
 
 	// The observer lane: PMU bookkeeping (bank increments, occupancy and
 	// busy edges) scheduled for a future cycle but carrying no simulation
-	// side effects.  These entries never enter the event wheel or heap,
-	// so they neither wake the engine nor interrupt the sweep; they are
-	// applied in exact (when, schedule-order) order by drainObs at every
-	// observation point (the exits of Run, RunUntil and Step, Sync,
-	// DevLoad, before any dispatched payload), at every clock advance of the
-	// dispatch oracle, and whenever the sweep's clock leaves the cursor's
-	// block (advance).  obsLast is the drain cursor: every entry with
-	// when <= obsLast has been applied; it may trail the clock, but only
-	// within the clock's block.
+	// side effects.  These entries never enter the step queue, so they
+	// never interrupt the sweep; they are applied in exact (when,
+	// schedule-order) order by drainObs at every observation point (the
+	// exits of Run and RunUntil, Sync, DevLoad), at every clock advance of
+	// the dispatch oracle, and whenever the sweep's clock leaves the
+	// cursor's block (advance).  obsLast is the drain cursor: every entry
+	// with when <= obsLast has been applied; it may trail the clock, but
+	// only within the clock's block.
 	//
 	// Entries within obsHorizon of the cursor live on a two-level wheel.
 	// obsNear holds the cursor's own block of obsNearSlots cycles, one
@@ -188,12 +161,16 @@ type Engine struct {
 	obsFar       []obsFarEvent
 	obsSeq       uint64
 	obsLast      Cycles
+
+	// While drainObs applies buffered entries, applying is set and
+	// obsStamp is the cycle of the entries being applied
+	// (Machine.CounterCycle).
+	applying bool
+	obsStamp Cycles
 }
 
 // NewEngine returns an engine at cycle zero.
-func NewEngine() *Engine {
-	return &Engine{wheel: make([][]event, wheelSlots)}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current simulated cycle.
 func (e *Engine) Now() Cycles { return e.now }
@@ -214,33 +191,20 @@ func (e *Engine) trace() *obs.ReqRec {
 	return r
 }
 
-// Pending reports the number of scheduled events.
-func (e *Engine) Pending() int { return len(e.heap) + e.wheelLen }
+// Pending reports the number of queued core steps.
+func (e *Engine) Pending() int { return len(e.heap) }
 
-// Schedule runs fn at cycle when.  Scheduling in the past is a simulator
-// bug and panics.
-func (e *Engine) Schedule(when Cycles, fn func(now Cycles)) {
+// at queues core c's next step for cycle when.  Scheduling in the past is a
+// simulator bug and panics.
+func (e *Engine) at(when Cycles, c *Core) {
 	e.checkPast(when)
 	e.seq++
-	e.push(event{when: when, seq: e.seq, kind: evFunc, fn: fn})
-}
-
-// After runs fn d cycles from now.
-func (e *Engine) After(d Cycles, fn func(now Cycles)) {
-	e.Schedule(e.now+d, fn)
-}
-
-// at schedules a pre-bound payload event; the hot-path twin of Schedule.
-func (e *Engine) at(when Cycles, kind evKind, target any, aux int32, arg uint64) {
-	e.checkPast(when)
-	e.seq++
-	e.push(event{when: when, seq: e.seq, kind: kind, target: target, aux: aux, arg: arg})
+	e.push(event{when: when, seq: e.seq, core: c})
 }
 
 // obsAt schedules a deferred observer action for cycle `when`.  Unlike at,
-// the entry bypasses the event engine entirely: it is buffered on the
-// observer wheel and applied by drainObs at the next observation point at
-// or after `when`.  Entries at or behind the drain cursor apply
+// the entry never enters the step queue: it is buffered on the lane and
+// applied by drainObs at the next observation point at or after `when`.  Entries at or behind the drain cursor apply
 // immediately — they are the newest bookkeeping for that cycle, so
 // in-order application is preserved.
 //
@@ -278,7 +242,7 @@ func (e *Engine) obsAt(when Cycles, kind evKind, target any, aux int32, arg uint
 		ev:  obsEvent{target: target, when: when, arg: arg, aux: aux, kind: kind},
 		seq: e.obsSeq,
 	})
-	e.obsSiftUp(len(e.obsFar) - 1)
+	heapUp(e.obsFar, len(e.obsFar)-1, obsLess)
 }
 
 // growObs extends a lane slot by one entry and returns the new entry for
@@ -300,9 +264,8 @@ func growObs(s *[]obsEvent) *obsEvent {
 // between the cursor and the clock wait in the near slots and apply, in
 // the same (when, schedule order), at the next drain: nothing reads a
 // tracker or a bank between observation points (Sync, DevLoad, the exits
-// of Run, RunUntil and Step, and the drain before any dispatched payload),
-// so a drain per op would only pay for order the lane keeps anyway.  when
-// must not lie behind the cursor.
+// of Run and RunUntil), so a drain per op would only pay for order the
+// lane keeps anyway.  when must not lie behind the cursor.
 func (e *Engine) advance(when Cycles) {
 	e.now = when
 	if when^e.obsLast >= obsNearSlots {
@@ -319,6 +282,7 @@ func (e *Engine) drainObs(ts Cycles) {
 	if ts <= e.obsLast {
 		return
 	}
+	e.applying = true
 	cur, end := e.obsLast, e.obsLast|obsNearMask // end: last cycle of cur's block
 	for e.obsLen > 0 {
 		if ts <= end {
@@ -342,6 +306,7 @@ func (e *Engine) drainObs(ts Cycles) {
 	if len(e.obsFar) > 0 {
 		e.drainFarUpTo(ts)
 	}
+	e.applying = false
 	e.obsLast = ts
 }
 
@@ -365,6 +330,7 @@ func (e *Engine) drainNear(cur, end Cycles) {
 			if len(e.obsFar) > 0 {
 				e.drainFarUpTo(b[0].when)
 			}
+			e.obsStamp = b[0].when
 			for i := range b {
 				e.applyObs(&b[i])
 			}
@@ -395,6 +361,7 @@ func (e *Engine) cascade(k int) {
 func (e *Engine) drainFarUpTo(w Cycles) {
 	for len(e.obsFar) > 0 && e.obsFar[0].ev.when <= w {
 		ev := e.obsFarPop()
+		e.obsStamp = ev.ev.when
 		e.applyObs(&ev.ev)
 	}
 }
@@ -406,18 +373,6 @@ func obsLess(a, b *obsFarEvent) bool {
 	return a.seq < b.seq
 }
 
-func (e *Engine) obsSiftUp(i int) {
-	h := e.obsFar
-	for i > 0 {
-		p := (i - 1) / 2
-		if !obsLess(&h[i], &h[p]) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-}
-
 func (e *Engine) obsFarPop() obsFarEvent {
 	h := e.obsFar
 	ev := h[0]
@@ -425,25 +380,7 @@ func (e *Engine) obsFarPop() obsFarEvent {
 	h[0] = h[n]
 	h[n] = obsFarEvent{} // release target reference
 	e.obsFar = h[:n]
-	if n > 1 {
-		h = e.obsFar
-		i := 0
-		for {
-			l := 2*i + 1
-			if l >= n {
-				break
-			}
-			m := l
-			if r := l + 1; r < n && obsLess(&h[r], &h[l]) {
-				m = r
-			}
-			if !obsLess(&h[m], &h[i]) {
-				break
-			}
-			h[i], h[m] = h[m], h[i]
-			i = m
-		}
-	}
+	heapDown(e.obsFar, 0, obsLess)
 	return ev
 }
 
@@ -455,17 +392,10 @@ func (e *Engine) checkPast(when Cycles) {
 	}
 }
 
-// push routes an event to the wheel (near horizon) or the heap (far).
+// push adds a step to the queue.
 func (e *Engine) push(ev event) {
-	if ev.when-e.now < wheelSlots {
-		slot := int(ev.when) & wheelMask
-		e.wheel[slot] = append(e.wheel[slot], ev)
-		e.occupied[slot>>6] |= 1 << uint(slot&63)
-		e.wheelLen++
-		return
-	}
 	e.heap = append(e.heap, ev)
-	e.siftUp(len(e.heap) - 1)
+	heapUp(e.heap, len(e.heap)-1, evLess)
 }
 
 func evLess(a, b *event) bool {
@@ -475,20 +405,32 @@ func evLess(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-func (e *Engine) siftUp(i int) {
+// pop removes and returns the earliest step by (when, seq).
+func (e *Engine) pop() event {
 	h := e.heap
+	ev := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	e.heap = h[:n]
+	heapDown(e.heap, 0, evLess)
+	return ev
+}
+
+// heapUp restores binary min-heap order after h[i] was appended; heapDown
+// after h[i] was replaced.  The engine keeps two such heaps, both ordered
+// by (when, seq): the step queue and the lane's far entries.
+func heapUp[T any](h []T, i int, less func(a, b *T) bool) {
 	for i > 0 {
 		p := (i - 1) / 2
-		if !evLess(&h[i], &h[p]) {
-			break
+		if !less(&h[i], &h[p]) {
+			return
 		}
 		h[i], h[p] = h[p], h[i]
 		i = p
 	}
 }
 
-func (e *Engine) siftDown(i int) {
-	h := e.heap
+func heapDown[T any](h []T, i int, less func(a, b *T) bool) {
 	n := len(h)
 	for {
 		l := 2*i + 1
@@ -496,10 +438,10 @@ func (e *Engine) siftDown(i int) {
 			return
 		}
 		m := l
-		if r := l + 1; r < n && evLess(&h[r], &h[l]) {
+		if r := l + 1; r < n && less(&h[r], &h[l]) {
 			m = r
 		}
-		if !evLess(&h[m], &h[i]) {
+		if !less(&h[m], &h[i]) {
 			return
 		}
 		h[i], h[m] = h[m], h[i]
@@ -507,164 +449,24 @@ func (e *Engine) siftDown(i int) {
 	}
 }
 
-func (e *Engine) heapPop() event {
-	h := e.heap
-	ev := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = event{} // release target/fn references
-	e.heap = h[:n]
-	if n > 1 {
-		e.siftDown(0)
-	}
-	return ev
-}
-
-// wheelNext returns the earliest wheel-resident event, scanning the
-// occupancy bitmap forward from now (wrapping once around the horizon).
-// Bucket entries are when-nondecreasing and same-cycle entries append in
-// seq order, so the head of the first occupied bucket is the wheel minimum.
-func (e *Engine) wheelNext() (*event, bool) {
-	if e.wheelLen == 0 {
-		return nil, false
-	}
-	start := int(e.now) & wheelMask
-	wi := start >> 6
-	mask := ^uint64(0) << uint(start&63)
-	for i := 0; i <= wheelWords; i++ {
-		if w := e.occupied[wi] & mask; w != 0 {
-			slot := wi<<6 + bits.TrailingZeros64(w)
-			return &e.wheel[slot][0], true
-		}
-		mask = ^uint64(0)
-		wi++
-		if wi == wheelWords {
-			wi = 0
-		}
-	}
-	return nil, false
-}
-
-// wheelNextWhen returns the earliest wheel-resident cycle.
-func (e *Engine) wheelNextWhen() (Cycles, bool) {
-	if ev, ok := e.wheelNext(); ok {
-		return ev.when, true
-	}
-	return 0, false
-}
-
-// nextWhen returns the earliest scheduled cycle across wheel and heap.
-func (e *Engine) nextWhen() (Cycles, bool) {
-	when := ^Cycles(0)
-	ok := false
-	if len(e.heap) > 0 {
-		when, ok = e.heap[0].when, true
-	}
-	if w, wok := e.wheelNextWhen(); wok && w < when {
-		when, ok = w, true
-	}
-	return when, ok
-}
-
-// peekNext returns the (when, seq) of the earliest scheduled event across
-// wheel and heap without removing it.  The sweep compares it against
-// pending core steps to reproduce the engine's exact dispatch order,
-// including same-cycle seq interleavings.
-func (e *Engine) peekNext() (when Cycles, seq uint64, ok bool) {
-	if len(e.heap) > 0 {
-		when, seq, ok = e.heap[0].when, e.heap[0].seq, true
-	}
-	if ev, wok := e.wheelNext(); wok && (!ok || ev.when < when || (ev.when == when && ev.seq < seq)) {
-		when, seq, ok = ev.when, ev.seq, true
-	}
-	return when, seq, ok
-}
-
-// runAt executes every event scheduled for exactly cycle `when`, merging
-// the wheel bucket and same-cycle heap entries in seq order so determinism
-// matches a single global priority queue.  Events scheduled for `when`
-// during execution (same-cycle cascades) are appended to the bucket and
-// drained in the same pass.
-func (e *Engine) runAt(when Cycles) {
-	slot := int(when) & wheelMask
-	i := 0
-	for {
-		b := e.wheel[slot]
-		haveW := i < len(b)
-		haveH := len(e.heap) > 0 && e.heap[0].when == when
-		if haveW && (!haveH || b[i].seq < e.heap[0].seq) {
-			ev := b[i]
-			i++
-			e.dispatch(&ev, when)
-		} else if haveH {
-			ev := e.heapPop()
-			e.dispatch(&ev, when)
-		} else {
-			break
-		}
-	}
-	if i > 0 {
-		b := e.wheel[slot]
-		clear(b) // release target/fn references
-		e.wheel[slot] = b[:0]
-		e.occupied[slot>>6] &^= 1 << uint(slot&63)
-		e.wheelLen -= i
-	}
-}
-
-// Step executes the earliest event, returning false when none remain.
-func (e *Engine) Step() bool {
-	when, ok := e.nextWhen()
-	if !ok {
-		return false
-	}
-	e.now = when
-	// Settle observer work due by the new cycle before dispatching: the
-	// cursor rides the clock, so observer entries are never stamped behind
-	// a cycle the engine has already passed.
-	e.drainObs(when)
-	slot := int(when) & wheelMask
-	haveW := len(e.wheel[slot]) > 0 && e.wheel[slot][0].when == when
-	haveH := len(e.heap) > 0 && e.heap[0].when == when
-	var ev event
-	if haveW && (!haveH || e.wheel[slot][0].seq < e.heap[0].seq) {
-		b := e.wheel[slot]
-		ev = b[0]
-		n := copy(b, b[1:])
-		b[n] = event{}
-		e.wheel[slot] = b[:n]
-		if n == 0 {
-			e.occupied[slot>>6] &^= 1 << uint(slot&63)
-		}
-		e.wheelLen--
-	} else {
-		ev = e.heapPop()
-	}
-	e.dispatch(&ev, when)
-	// Settle deferred observer work so state between single steps matches
-	// the engine that ran every observer as an event.
-	e.drainObs(e.now)
-	return true
-}
-
-// RunUntil executes events up to and including cycle t, then advances the
-// clock to t.  Events scheduled during execution are honored if they fall
-// at or before t.
+// RunUntil runs the queued core steps due up to and including cycle t in
+// (when, seq) order, then advances the clock to t.  A step queues its
+// core's continuation as it runs, and the continuation runs too if it
+// falls at or before t.
 func (e *Engine) RunUntil(t Cycles) {
-	for {
-		when, ok := e.nextWhen()
-		if !ok || when > t {
-			break
-		}
-		e.now = when
-		e.drainObs(when)
-		e.runAt(when)
+	for len(e.heap) > 0 && e.heap[0].when <= t {
+		ev := e.pop()
+		e.now = ev.when
+		// Settle observer work due by the new cycle before the step: the
+		// cursor rides the clock, so the step finds every bank and tracker
+		// as of its own cycle.
+		e.drainObs(ev.when)
+		e.dispatched++
+		e.mach.coreStep(ev.core, ev.when)
 	}
 	if t > e.now {
 		e.now = t
 	}
-	// Apply all deferred observer bookkeeping the run produced, so callers
-	// observe counters exactly as the event-per-observer engine left them.
 	e.drainObs(e.now)
 }
 
@@ -675,30 +477,6 @@ func packClassLoc(class ReqClass, loc ServeLoc) int32 {
 
 func unpackClassLoc(aux int32) (ReqClass, ServeLoc) {
 	return ReqClass(aux >> 8), ServeLoc(aux & 0xff)
-}
-
-// dispatch runs one event.  The payload kinds inline the bodies that were
-// per-event closures before the allocation-free rewrite; evFunc remains
-// the general path.
-func (e *Engine) dispatch(ev *event, now Cycles) {
-	e.dispatched++
-	switch ev.kind {
-	case evFunc:
-		// Closures observe simulator state (counters, DevLoad, fault
-		// plans), so buffered observer work up to now must be visible —
-		// exactly as it was when every observer ran as an engine event.
-		e.drainObs(now)
-		ev.fn(now)
-	case evCoreStep:
-		e.mach.coreStep(ev.target.(*Core), now)
-	default:
-		// Observer kinds scheduled as real events (tests, cold paths)
-		// share the deferred-application payload code, after the lane
-		// entries due by now: the sweep may reach here with the drain
-		// cursor behind the clock.
-		e.drainObs(now)
-		e.applyObs(&obsEvent{when: now, arg: ev.arg, target: ev.target, aux: ev.aux, kind: ev.kind})
-	}
 }
 
 // applyObs performs one observer action at its stamped cycle.  Payloads

@@ -4,70 +4,114 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"pathfinder/internal/workload"
 )
 
-// TestEngineWheelHeapMerge: events at the same cycle must fire in
-// schedule (seq) order even when some were routed to the timing wheel
-// (scheduled near the horizon) and others to the overflow heap
-// (scheduled from far away) — the merge in runAt preserves the single
-// global (when, seq) total order the old boxed heap provided.
+// nop is an op kind stepOne runs as pure compute: no memory access, and
+// the core's next step comes Think+1 cycles after this one.
+const nop = workload.Prefetch + 1
+
+// genFunc adapts a function to workload.Generator.
+type genFunc func(op *workload.Op) bool
+
+func (f genFunc) Next(op *workload.Op) bool { return f(op) }
+
+// probe attaches to core i a workload that logs "i@cycle" at each of its
+// steps and issues a nop with the next of its think times, ending after
+// the last one.  The attach arms its first step at the current cycle.
+func probe(m *Machine, log *[]string, i int, thinks ...uint16) {
+	m.Attach(i, genFunc(func(op *workload.Op) bool {
+		if len(thinks) == 0 {
+			return false
+		}
+		*log = append(*log, fmt.Sprintf("%d@%d", i, m.Now()))
+		*op = workload.Op{Kind: nop, Think: thinks[0]}
+		thinks = thinks[1:]
+		return true
+	}))
+}
+
+// oracleRig returns a machine on the dispatch oracle, whose engine queues
+// one step per op, and an empty step log for its probes.
+func oracleRig(t *testing.T) (*Machine, *[]string) {
+	t.Helper()
+	m := New(smallConfig(), testSpace(t))
+	m.SetLanes(-1)
+	return m, new([]string)
+}
+
+// TestEngineWheelHeapMerge: steps queued for one cycle from different
+// clocks — from far ahead, from halfway, from just before it and from the
+// cycle before — run in schedule (seq) order once the clock reaches it.
 func TestEngineWheelHeapMerge(t *testing.T) {
-	e := NewEngine()
-	target := Cycles(2 * wheelSlots)
-	var got []int
-
-	// Scheduled while target is beyond the wheel horizon: heap path.
-	e.Schedule(target, func(Cycles) { got = append(got, 0) })
-	e.Schedule(target, func(Cycles) { got = append(got, 1) })
-	// Advance to within the horizon, then schedule at the same cycle:
-	// wheel path, with larger seq than the heap events.
-	e.RunUntil(target - 10)
-	e.Schedule(target, func(Cycles) { got = append(got, 2) })
-	// And one more far event that lands back in the heap.
-	e.Schedule(target, func(Cycles) { got = append(got, 3) })
-
-	e.RunUntil(target + 1)
-	want := []int{0, 1, 2, 3}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("same-cycle order = %v, want %v", got, want)
+	const target = 10_000
+	m, log := oracleRig(t)
+	probe(m, log, 0, target-1, 999)               // queued at 0 for target
+	probe(m, log, 1, target/2-1, target/2-1, 999) // re-queued at target/2
+	m.eng.RunUntil(target - 10)
+	probe(m, log, 2, 9, 999) // queued at target-10
+	m.eng.RunUntil(target - 1)
+	probe(m, log, 3, 0, 999) // queued at target-1
+	m.eng.RunUntil(target)
+	want := "[0@0 1@0 1@5000 2@9990 3@9999 0@10000 1@10000 2@10000 3@10000]"
+	if got := fmt.Sprint(*log); got != want {
+		t.Fatalf("step order = %v, want %v", got, want)
 	}
 }
 
-// TestEngineWheelWrap exercises the wheel across several full rotations
-// with nested same-cycle cascades.
-func TestEngineWheelWrap(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	var chain func(now Cycles)
-	chain = func(now Cycles) {
-		fired++
-		if fired < 10 {
-			// Hop a fraction of the wheel each time so slots wrap.
-			e.Schedule(now+wheelSlots/3+7, chain)
-			// Same-cycle cascade: scheduled during the drain of `now`.
-			e.Schedule(now, func(Cycles) { fired++ })
+// TestEngineStepRunUntilEquivalence runs one schedule of tying core steps
+// (every 2, 3 and 6 cycles) three ways: one RunUntil on the oracle,
+// one-cycle slices that switch between the sweep and the oracle before
+// every slice (so each switch moves queued steps, ties included, between
+// the queue and the mirror), and one Run on the sweep.  All three must run
+// the same steps in the same order and stop at the same clock.
+func TestEngineStepRunUntilEquivalence(t *testing.T) {
+	const end = 200
+	run := func(slice Cycles, lanes func(k int) int) (string, Cycles) {
+		m := New(smallConfig(), testSpace(t))
+		log := new([]string)
+		for i, think := range []uint16{1, 2, 5} {
+			thinks := make([]uint16, end)
+			for j := range thinks {
+				thinks[j] = think
+			}
+			probe(m, log, i, thinks...)
+		}
+		for k := 0; m.Now() < end; k++ {
+			m.SetLanes(lanes(k))
+			m.Run(slice)
+		}
+		return fmt.Sprint(*log), m.Now()
+	}
+	want, wantNow := run(end, func(int) int { return -1 })
+	for _, tc := range []struct {
+		name  string
+		slice Cycles
+		lanes func(k int) int
+	}{
+		{"one-cycle slices switching modes", 1, func(k int) int { return -(k % 2) }},
+		{"sweep", end, func(int) int { return 0 }},
+	} {
+		got, now := run(tc.slice, tc.lanes)
+		if got != want {
+			t.Fatalf("%s: steps %v, oracle RunUntil ran %v", tc.name, got, want)
+		}
+		if now != wantNow {
+			t.Fatalf("%s: clock %d, oracle RunUntil stopped at %d", tc.name, now, wantNow)
 		}
 	}
-	e.Schedule(5, chain)
-	e.RunUntil(20 * wheelSlots)
-	// Each hop fires the chain plus its same-cycle cascade (fired += 2),
-	// so the chain observes fired = 1,3,5,7,9 before stopping at 11.
-	if fired != 11 {
-		t.Fatalf("fired %d events, want 11", fired)
-	}
-	if e.Pending() != 0 {
-		t.Fatalf("%d events still pending", e.Pending())
+	if n := strings.Count(want, "@"); n < end {
+		t.Fatalf("only %d steps ran", n)
 	}
 }
 
 // TestEnginePastPanicMessage: the past-scheduling panic must carry
 // enough context to debug the misbehaving schedule site.
 func TestEnginePastPanicMessage(t *testing.T) {
-	e := NewEngine()
-	e.Schedule(50, func(Cycles) {})
-	e.Schedule(60, func(Cycles) {})
-	e.RunUntil(100)
-	e.Schedule(200, func(Cycles) {})
+	m, log := oracleRig(t)
+	probe(m, log, 0, 49, 9, 139) // steps at 0, 50 and 60, then one queued at 200
+	m.eng.RunUntil(100)
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -80,7 +124,7 @@ func TestEnginePastPanicMessage(t *testing.T) {
 			}
 		}
 	}()
-	e.Schedule(40, func(Cycles) {})
+	m.eng.at(40, m.cores[1])
 }
 
 // TestMachineBankUnknownPanics: a misnamed bank must fail loudly with

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-
-	"pathfinder/internal/pmu"
 )
 
 // obsLog is a recording observer target: the entries the lane applied, in
@@ -20,15 +18,14 @@ func (l *obsLog) record(ev obsEvent) { *l = append(*l, ev) }
 // drain cursor must have been applied in (when, schedule index) order.
 type laneRig struct {
 	e       *Engine
-	bank    *pmu.Bank // target of the payload events Step lands on
 	log     obsLog
 	pending []obsEvent // scheduled, not yet matched; in schedule order
 	checked int        // log prefix already matched against the oracle
 	nextID  uint64
 
 	// cursor is where the oracle expects the lane's drain cursor: the
-	// clock after RunUntil, Step or a dispatched payload, and after an
-	// advance the old cursor unless the clock left its block.  lagged
+	// clock after RunUntil, and after an advance the old cursor unless the
+	// clock left its block.  lagged
 	// counts checks that found the cursor behind the clock.
 	cursor Cycles
 	lagged int
@@ -49,7 +46,6 @@ const (
 func newLaneRig() *laneRig {
 	return &laneRig{
 		e:      NewEngine(),
-		bank:   pmu.NewBank(pmu.Default, "core0"),
 		levels: map[Cycles]uint8{},
 	}
 }
@@ -83,12 +79,6 @@ func (r *laneRig) runUntil(t Cycles) {
 	r.cursor = r.e.Now()
 }
 
-// step dispatches one event with Step; the lane drains to the clock.
-func (r *laneRig) step() {
-	r.e.Step()
-	r.cursor = r.e.Now()
-}
-
 // advance moves the clock to t the way the sweep does: the lane drains
 // only when the clock leaves the cursor's block, so entries between the
 // cursor and the clock stay pending.
@@ -97,19 +87,6 @@ func (r *laneRig) advance(t Cycles) {
 	if t^r.cursor >= obsNearSlots {
 		r.cursor = t
 	}
-}
-
-// dispatchNext lands on the next event the way the sweep's event path
-// does: advance to its cycle, then run it, which drains the lane up to
-// that cycle before the payload applies.
-func (r *laneRig) dispatchNext() {
-	when, ok := r.e.nextWhen()
-	if !ok {
-		return
-	}
-	r.advance(when)
-	r.e.runAt(when)
-	r.cursor = when
 }
 
 // check matches the entries applied since the last check against the
@@ -151,7 +128,7 @@ func (r *laneRig) check(t *testing.T, label string, op int) {
 }
 
 // fork copies the rig's engine into dst the way a checkpoint fork does,
-// remapping the recorder and bank targets onto the fork's own.
+// remapping the recorder target onto the fork's own.
 func (r *laneRig) fork(dst *laneRig) {
 	dst.log = slices.Clone(r.log)
 	dst.pending = slices.Clone(r.pending)
@@ -159,8 +136,8 @@ func (r *laneRig) fork(dst *laneRig) {
 	dst.nextID = r.nextID
 	dst.cursor = r.cursor
 	rm := remapper{
-		srcIdx: map[any]int32{&r.log: 0, r.bank: 1},
-		dst:    []any{&dst.log, dst.bank},
+		srcIdx: map[any]int32{&r.log: 0},
+		dst:    []any{&dst.log},
 	}
 	copyEngineState(dst.e, r.e, &rm)
 }
@@ -261,7 +238,7 @@ func laneScript(rng *rand.Rand, n int) []func(r *laneRig) {
 	ops := make([]func(r *laneRig), 0, n)
 	for len(ops) < n {
 		x := rng.Uint64()
-		switch p := rng.Intn(100); {
+		switch p := rng.Intn(88); {
 		case p < 45: // one entry
 			class := rng.Intn(10)
 			ops = append(ops, func(r *laneRig) { r.obs(r.target(class, x)) })
@@ -278,19 +255,9 @@ func laneScript(rng *rand.Rand, n int) []func(r *laneRig) {
 		case p < 72: // RunUntil, from no advance to a jump over many empty blocks
 			class := rng.Intn(6)
 			ops = append(ops, func(r *laneRig) { r.runUntil(clockTarget(r.e.Now(), class, x)) })
-		case p < 88: // advance the clock as the sweep does, over the same targets
+		default: // advance the clock as the sweep does, over the same targets
 			class := rng.Intn(6)
 			ops = append(ops, func(r *laneRig) { r.advance(clockTarget(r.e.Now(), class, x)) })
-		case p < 94: // land on a payload event with Step
-			ops = append(ops, func(r *laneRig) {
-				r.e.at(r.e.Now()+Cycles(x%3000), evBankInc, r.bank, int32(pmu.MemLoadL1Hit), 0)
-				r.step()
-			})
-		default: // land on a payload event the way the sweep's event path does
-			ops = append(ops, func(r *laneRig) {
-				r.e.at(r.e.Now()+Cycles(x%3000), evBankInc, r.bank, int32(pmu.MemLoadL1Hit), 0)
-				r.dispatchNext()
-			})
 		}
 	}
 	return ops
@@ -299,9 +266,9 @@ func laneScript(rng *rand.Rand, n int) []func(r *laneRig) {
 // TestObserverLaneDifferential runs seeded random schedules through the
 // observer lane — entries at the cursor, in its block, on block edges, in
 // coarse buckets, at the horizon edge and beyond it, interleaved with
-// RunUntil, Step, the sweep's clock advance (which drains only when the
-// clock leaves the cursor's block) and the sweep's event dispatch — and
-// checks every applied entry against a (when, schedule order) oracle.  Midway each run forks the engine with
+// RunUntil and the sweep's clock advance (which drains only when the clock
+// leaves the cursor's block) — and checks every applied entry against a
+// (when, schedule order) oracle.  Midway each run forks the engine with
 // entries on all three levels, once into a fresh engine and once over a
 // used one (the RestoreInto case), and both forks must apply exactly the
 // original's sequence.

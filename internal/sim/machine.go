@@ -57,7 +57,7 @@ type Machine struct {
 	fl *obs.Flight
 
 	// dispatch selects the dispatch oracle (see sweep.go): every core step
-	// round-trips through the event engine as one evCoreStep per op.  The
+	// round-trips through the engine's step queue, one step per op.  The
 	// default, false, is the sequential sweep.
 	dispatch bool
 
@@ -128,6 +128,20 @@ func (m *Machine) AddressSpace() *mem.AddressSpace { return m.as }
 // Now returns the current simulated cycle.
 func (m *Machine) Now() Cycles { return m.eng.Now() }
 
+// CounterCycle returns the cycle the PMU increment being made right now
+// describes, for overflow samplers: the cycle of the observer-lane entry
+// being applied while the lane drains, which on the sweep lags the clock
+// by up to a block, and the clock otherwise.  A lane entry applied the
+// moment it is scheduled is at the clock: it cannot lie behind the clock,
+// nor ahead of the drain cursor, which never passes the clock.
+func (m *Machine) CounterCycle() Cycles {
+	e := m.eng
+	if e.applying {
+		return e.obsStamp
+	}
+	return e.now
+}
+
 // Banks returns every PMU bank of the machine.
 func (m *Machine) Banks() []*pmu.Bank { return m.banks }
 
@@ -170,7 +184,7 @@ func (m *Machine) Attach(i int, gen workload.Generator) {
 	c.running = gen != nil
 	if c.running && !wasRunning {
 		if m.dispatch {
-			m.eng.at(m.eng.Now(), evCoreStep, c, 0, 0)
+			m.eng.at(m.eng.Now(), c)
 		} else {
 			m.armStep(c, m.eng.Now())
 		}
@@ -228,11 +242,11 @@ func (m *Machine) Sync() {
 // Core instruction stepping.
 // ---------------------------------------------------------------------------
 
-// coreStep is the dispatch oracle's evCoreStep payload: it executes one
-// workload op on core c and schedules the continuation as a fresh event.
+// coreStep runs one of the dispatch oracle's queued steps: it executes one
+// workload op on core c and queues the continuation as a fresh step.
 func (m *Machine) coreStep(c *Core, now Cycles) {
 	if next, ok := m.stepOne(c, now); ok {
-		m.eng.at(next, evCoreStep, c, 0, 0)
+		m.eng.at(next, c)
 	}
 }
 
@@ -1144,15 +1158,12 @@ func (m *Machine) DeviceIsolated(dev int) bool {
 }
 
 // Idle reports whether the machine has no scheduled work left: every
-// attached workload has run dry and all in-flight events drained.  The
-// profiler watchdog uses it to distinguish a finished workload from a
-// stalled epoch.
-func (m *Machine) Idle() bool {
-	return m.eng.Pending() == 0 && m.pendingSteps() == 0
-}
+// attached workload has run dry.  The profiler watchdog uses it to
+// distinguish a finished workload from a stalled epoch.
+func (m *Machine) Idle() bool { return m.PendingEvents() == 0 }
 
-// PendingEvents reports the current scheduled-work depth (engine wheel +
-// heap, plus the sweep's mirrored core steps) — the
+// PendingEvents reports the current scheduled-work depth (the oracle's
+// queued core steps plus the sweep's mirrored ones) — the
 // pf_engine_events_pending gauge.
 func (m *Machine) PendingEvents() int { return m.eng.Pending() + m.pendingSteps() }
 
@@ -1171,9 +1182,9 @@ func (m *Machine) pendingSteps() int {
 // without an event-engine round-trip — the pf_engine_inline_steps counter.
 func (m *Machine) InlineSteps() uint64 { return m.eng.inlineSteps }
 
-// DispatchedEvents reports how many events the engine has dispatched —
-// the pf_engine_dispatched_events counter.  The sweep dispatches only
-// device and closure events; the dispatch oracle adds one per op.
+// DispatchedEvents reports how many queued core steps the engine has
+// dispatched — the pf_engine_dispatched_events counter.  The sweep
+// dispatches none; the dispatch oracle dispatches one per op.
 func (m *Machine) DispatchedEvents() uint64 { return m.eng.dispatched }
 
 // SetTracer attaches a request-path tracer (nil detaches).  With no tracer

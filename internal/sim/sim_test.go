@@ -68,49 +68,52 @@ func smallConfig() Config {
 
 // --- Engine ---------------------------------------------------------------
 
+// TestEngineOrdering: queued core steps run in (when, seq) order — by
+// cycle, and same-cycle steps in the order they were queued — and RunUntil
+// leaves the clock at its bound.
 func TestEngineOrdering(t *testing.T) {
-	e := NewEngine()
-	var got []int
-	e.Schedule(30, func(Cycles) { got = append(got, 3) })
-	e.Schedule(10, func(Cycles) { got = append(got, 1) })
-	e.Schedule(20, func(Cycles) { got = append(got, 2) })
-	e.Schedule(10, func(Cycles) { got = append(got, 11) }) // same time: FIFO by seq
-	e.RunUntil(25)
-	if len(got) != 3 || got[0] != 1 || got[1] != 11 || got[2] != 2 {
-		t.Fatalf("order = %v", got)
+	m, log := oracleRig(t)
+	probe(m, log, 0, 29, 999) // steps at 0 and 30
+	probe(m, log, 1, 9, 999)  // 0 and 10
+	probe(m, log, 2, 19, 999) // 0 and 20
+	probe(m, log, 3, 9, 999)  // 0 and 10, queued after core 1's
+	m.eng.RunUntil(25)
+	if got, want := fmt.Sprint(*log), "[0@0 1@0 2@0 3@0 1@10 3@10 2@20]"; got != want {
+		t.Fatalf("order = %v, want %v", got, want)
 	}
-	if e.Now() != 25 {
-		t.Fatalf("Now = %d", e.Now())
+	if m.Now() != 25 {
+		t.Fatalf("Now = %d", m.Now())
 	}
-	e.RunUntil(100)
-	if len(got) != 4 || got[3] != 3 {
-		t.Fatalf("after second run: %v", got)
+	m.eng.RunUntil(100)
+	if got, want := fmt.Sprint(*log), "[0@0 1@0 2@0 3@0 1@10 3@10 2@20 0@30]"; got != want {
+		t.Fatalf("after second run: %v, want %v", got, want)
 	}
 }
 
+// TestEngineNestedScheduling: a step queues its core's continuation as it
+// runs, and RunUntil runs the continuation too when it falls within the
+// bound.
 func TestEngineNestedScheduling(t *testing.T) {
-	e := NewEngine()
-	var fired []Cycles
-	e.Schedule(5, func(now Cycles) {
-		fired = append(fired, now)
-		e.Schedule(now+5, func(n2 Cycles) { fired = append(fired, n2) })
-	})
-	e.RunUntil(20)
-	if len(fired) != 2 || fired[0] != 5 || fired[1] != 10 {
-		t.Fatalf("fired = %v", fired)
+	m, log := oracleRig(t)
+	probe(m, log, 0, 4, 4, 99)
+	m.eng.RunUntil(20)
+	if got, want := fmt.Sprint(*log), "[0@0 0@5 0@10]"; got != want {
+		t.Fatalf("fired = %v, want %v", got, want)
+	}
+	if m.eng.Pending() != 1 {
+		t.Fatalf("%d steps queued, want the one at cycle 110", m.eng.Pending())
 	}
 }
 
 func TestEnginePastPanics(t *testing.T) {
+	m, _ := oracleRig(t)
+	m.eng.RunUntil(10)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling into the past did not panic")
 		}
 	}()
-	e := NewEngine()
-	e.Schedule(10, func(Cycles) {})
-	e.RunUntil(10)
-	e.Schedule(5, func(Cycles) {})
+	m.eng.at(5, m.cores[0])
 }
 
 // --- Cache ----------------------------------------------------------------

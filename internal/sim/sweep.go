@@ -1,22 +1,20 @@
 package sim
 
-import "sort"
-
 // The sequential sweep (DESIGN.md §12).
 //
 // Core steps never enter the event engine in production.  Each core's next
 // step is mirrored on the core as (stepAt, stepSeq), with the seq taken
-// from the engine's own counter, so a pending step compares exactly against
-// engine events.  The run loop repeatedly executes the globally earliest
-// item by (when, seq): an engine event dispatches as usual, a core step runs
-// one op inline.  That reproduces the dispatch order of an engine that
-// schedules one evCoreStep per op without paying a wheel push, a bitmap
-// scan and a dispatch per op.
+// from the engine's own counter, so the mirror orders steps exactly as the
+// engine's queue would.  The run loop repeatedly executes the earliest
+// mirrored step by (when, seq), one op inline.  That reproduces the
+// dispatch order of an engine that queues one core step per op without
+// paying a queue push, pop and lane drain per op.
 //
 // The dispatch oracle (SetLanes(-1)) is that engine: every op round-trips
-// through evCoreStep.  The golden suites run both and require byte-identical
-// digests; absorbCoreEvents and flushStepMirror move pending steps between
-// the two at any point of a run.
+// through the step queue.  The golden suites run both and require
+// byte-identical digests; absorbCoreEvents and flushStepMirror move pending
+// steps between the two at any point of a run, so on the sweep the queue
+// is always empty.
 
 // WindowStats is what the removed parallel window scheduler reported.
 //
@@ -52,8 +50,8 @@ func (m *Machine) SetLanes(n int) {
 }
 
 // armStep mirrors core c's next step at cycle `at`, allocating its tie-break
-// seq from the engine counter — exactly the seq an evCoreStep scheduled at
-// this moment would have carried.
+// seq from the engine counter — exactly the seq the oracle would have
+// queued the step with.
 func (m *Machine) armStep(c *Core, at Cycles) {
 	m.eng.seq++
 	c.stepPending = true
@@ -95,102 +93,44 @@ func (m *Machine) stepOnce(c *Core) {
 	m.armStep(c, next)
 }
 
-// runSweep runs the machine up to and including cycle t: a merge of the
-// mirrored core steps and the engine's event queue in exact (when, seq)
-// order.
+// runSweep runs the machine up to and including cycle t: the mirrored core
+// steps in exact (when, seq) order.
 func (m *Machine) runSweep(t Cycles) {
-	eng := m.eng
 	for {
 		c := m.minPendingCore()
-		eWhen, eSeq, eOk := eng.peekNext()
-		if eOk && eWhen <= t && (c == nil || eWhen < c.stepAt ||
-			(eWhen == c.stepAt && eSeq < c.stepSeq)) {
-			if c != nil && eWhen == c.stepAt {
-				// Same-cycle interleaving with a core step: dispatch one
-				// event at a time so seq order is honored exactly.
-				eng.Step()
-			} else {
-				// dispatch drains the lane before each payload it runs.
-				eng.advance(eWhen)
-				eng.runAt(eWhen)
-			}
-			continue
-		}
 		if c == nil || c.stepAt > t {
 			break
 		}
 		m.stepOnce(c)
 	}
+	eng := m.eng
 	if t > eng.now {
 		eng.now = t
 	}
 	eng.drainObs(eng.now)
 }
 
-// absorbCoreEvents pulls every evCoreStep out of the engine's wheel and
-// heap into the core-step mirror (oracle → sweep transition).
+// absorbCoreEvents moves every queued core step into the core-step mirror
+// (oracle → sweep transition), keeping its cycle and seq.
 func (m *Machine) absorbCoreEvents() {
 	eng := m.eng
-	absorb := func(ev *event) bool {
-		if ev.kind != evCoreStep {
-			return false
-		}
-		c := ev.target.(*Core)
+	for _, ev := range eng.heap {
+		c := ev.core
 		c.stepPending = true
 		c.stepAt = ev.when
 		c.stepSeq = ev.seq
-		return true
 	}
-	for slot := 0; slot < wheelSlots; slot++ {
-		b := eng.wheel[slot]
-		if len(b) == 0 {
-			continue
-		}
-		out := b[:0]
-		for i := range b {
-			if absorb(&b[i]) {
-				eng.wheelLen--
-				continue
-			}
-			out = append(out, b[i])
-		}
-		clear(b[len(out):])
-		eng.wheel[slot] = out
-		if len(out) == 0 {
-			eng.occupied[slot>>6] &^= 1 << uint(slot&63)
-		}
-	}
-	out := eng.heap[:0]
-	for i := range eng.heap {
-		if !absorb(&eng.heap[i]) {
-			out = append(out, eng.heap[i])
-		}
-	}
-	clear(eng.heap[len(out):])
-	eng.heap = out
-	// Re-establish the heap invariant after filtering.
-	for i := len(eng.heap)/2 - 1; i >= 0; i-- {
-		eng.siftDown(i)
-	}
+	eng.heap = eng.heap[:0]
 }
 
-// flushStepMirror schedules every mirrored core step back into the engine
-// (sweep → oracle transition), preserving the mirror's relative order.
+// flushStepMirror queues every mirrored core step in the engine (sweep →
+// oracle transition), keeping its cycle and seq, so the queue runs the
+// steps in the mirror's order.
 func (m *Machine) flushStepMirror() {
-	pend := make([]*Core, 0, len(m.attached))
 	for _, c := range m.attached {
 		if c.stepPending {
-			pend = append(pend, c)
+			c.stepPending = false
+			m.eng.push(event{when: c.stepAt, seq: c.stepSeq, core: c})
 		}
-	}
-	sort.Slice(pend, func(i, j int) bool {
-		if pend[i].stepAt != pend[j].stepAt {
-			return pend[i].stepAt < pend[j].stepAt
-		}
-		return pend[i].stepSeq < pend[j].stepSeq
-	})
-	for _, c := range pend {
-		c.stepPending = false
-		m.eng.at(c.stepAt, evCoreStep, c, 0, 0)
 	}
 }

@@ -5,14 +5,13 @@ import (
 	"testing"
 
 	"pathfinder/internal/mem"
-	"pathfinder/internal/pmu"
 	"pathfinder/internal/workload"
 )
 
-// White-box tests for the sequential sweep (DESIGN.md §12): same-cycle
-// ties between core steps and live engine events, mid-run transitions
-// between the sweep and the dispatch oracle, and a sweep that starts no
-// goroutines.
+// White-box tests for the sequential sweep (DESIGN.md §12): mid-run
+// transitions between the sweep and the dispatch oracle, and a sweep that
+// starts no goroutines.  The step-order tests in engine_test.go compare
+// the two at same-cycle ties.
 
 // windowRig builds a 4-core machine with one local and one CXL region.
 func windowRig(t *testing.T) (*Machine, workload.Region, workload.Region) {
@@ -51,50 +50,6 @@ func sameSums(t *testing.T, tag string, a, b []uint64) {
 			t.Fatalf("%s: counter %d differs: %d vs %d", tag, i, a[i], b[i])
 		}
 	}
-}
-
-// TestWindowExactHBoundary pins the sweep's merge of core steps with live
-// engine events: engine callbacks are scheduled on top of the stepping
-// cadence of a multi-core run, so core steps constantly tie with an event
-// on the same cycle.  Each callback records its cycle and the instructions
-// retired so far, which tells whether a tying step ran before it.  Those
-// records and every PMU counter must match the dispatch oracle.
-func TestWindowExactHBoundary(t *testing.T) {
-	run := func(lanes int) ([][2]uint64, []uint64) {
-		m, local, cxlr := windowRig(t)
-		m.SetLanes(lanes)
-		m.Attach(0, workload.NewStream(local, 2, 0.2, 1))
-		m.Attach(1, workload.NewStream(cxlr, 2, 0.3, 2))
-		m.Attach(2, workload.NewStream(local, 1, 0, 3))
-		m.Attach(3, workload.NewStream(cxlr, 3, 0.1, 4))
-		var fired [][2]uint64
-		record := func(now Cycles) {
-			var retired uint64
-			for _, c := range m.cores {
-				retired += c.bank.Read(pmu.InstRetiredAny)
-			}
-			fired = append(fired, [2]uint64{now, retired})
-		}
-		// A dense comb of engine events: primes stress same-cycle ties with
-		// core steps, the +1 cadence lands exactly on step continuations.
-		for c := Cycles(1); c < 50_000; c += 97 {
-			m.eng.Schedule(c, record)
-			m.eng.Schedule(c+1, record)
-		}
-		m.Run(60_000)
-		return fired, bankSums(m)
-	}
-	baseFired, baseSums := run(-1)
-	fired, sums := run(0)
-	if len(fired) != len(baseFired) {
-		t.Fatalf("sweep fired %d engine events, oracle %d", len(fired), len(baseFired))
-	}
-	for i := range fired {
-		if fired[i] != baseFired[i] {
-			t.Fatalf("event %d: sweep saw (cycle, retired) %v, oracle %v", i, fired[i], baseFired[i])
-		}
-	}
-	sameSums(t, "sweep", sums, baseSums)
 }
 
 // TestWindowLaneTransitions switches between the sweep and the dispatch

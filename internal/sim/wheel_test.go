@@ -5,73 +5,8 @@ import (
 	"testing"
 
 	"pathfinder/internal/pmu"
+	"pathfinder/internal/workload"
 )
-
-// TestEngineWheelBoundary pins the wheel/heap routing boundary: an event
-// exactly wheelSlots-1 ahead is the farthest wheel-resident cycle, one
-// past it must take the heap, and both fire in schedule order once the
-// clock reaches them.
-func TestEngineWheelBoundary(t *testing.T) {
-	e := NewEngine()
-	e.RunUntil(10) // non-zero base so slot arithmetic wraps mid-wheel
-	var got []int
-	edge := e.Now() + wheelSlots - 1
-	e.Schedule(edge, func(Cycles) { got = append(got, 0) })
-	if e.wheelLen != 1 || len(e.heap) != 0 {
-		t.Fatalf("event at now+wheelSlots-1 routed to heap (wheel=%d heap=%d)",
-			e.wheelLen, len(e.heap))
-	}
-	e.Schedule(edge+1, func(Cycles) { got = append(got, 1) })
-	if len(e.heap) != 1 {
-		t.Fatalf("event at now+wheelSlots routed to wheel (wheel=%d heap=%d)",
-			e.wheelLen, len(e.heap))
-	}
-	// A same-cycle pair split across wheel and heap: the heap-resident
-	// event was scheduled first and must fire first.
-	e.Schedule(edge+1, func(Cycles) { got = append(got, 2) })
-	e.RunUntil(edge + 2)
-	if fmt.Sprint(got) != "[0 1 2]" {
-		t.Fatalf("firing order = %v, want [0 1 2]", got)
-	}
-	if e.Pending() != 0 {
-		t.Fatalf("%d events still pending", e.Pending())
-	}
-}
-
-// TestEngineStepRunUntilEquivalence runs an identical mixed wheel+heap
-// schedule (with same-cycle cascades) through Step-by-Step execution and
-// through one RunUntil, requiring the same firing sequence and clock.
-func TestEngineStepRunUntilEquivalence(t *testing.T) {
-	build := func(e *Engine, log *[]string) {
-		rec := func(tag string) func(Cycles) {
-			return func(now Cycles) { *log = append(*log, fmt.Sprintf("%s@%d", tag, now)) }
-		}
-		e.Schedule(50, rec("a"))
-		e.Schedule(50, func(now Cycles) {
-			*log = append(*log, fmt.Sprintf("b@%d", now))
-			e.Schedule(now, rec("cascade"))            // same-cycle cascade
-			e.Schedule(now+wheelSlots+100, rec("far")) // heap path
-		})
-		e.Schedule(wheelSlots+200, rec("c"))
-		e.Schedule(3, rec("first"))
-	}
-
-	var stepLog, runLog []string
-	se := NewEngine()
-	build(se, &stepLog)
-	for se.Step() {
-	}
-	re := NewEngine()
-	build(re, &runLog)
-	re.RunUntil(2 * wheelSlots)
-
-	if fmt.Sprint(stepLog) != fmt.Sprint(runLog) {
-		t.Fatalf("Step order %v != RunUntil order %v", stepLog, runLog)
-	}
-	if se.Now() != wheelSlots+200 {
-		t.Fatalf("Step clock = %d, want %d (last event)", se.Now(), wheelSlots+200)
-	}
-}
 
 // TestObserverLaneIntegrals schedules occupancy edges through the deferred
 // observer lane — near slots, coarse buckets on a block edge, and the far
@@ -144,19 +79,26 @@ func TestObserverImmediateApply(t *testing.T) {
 	}
 }
 
-// TestObserverDrainOnStep: single-stepping must settle observer work due
-// by each event's cycle, so closures observe counters exactly as the
-// event-per-observer engine left them.
+// TestObserverDrainOnStep: the oracle settles the lane entries due by a
+// queued step's cycle before running the step, so the step finds every
+// bank as of its own cycle.
 func TestObserverDrainOnStep(t *testing.T) {
-	e := NewEngine()
+	m, _ := oracleRig(t)
 	b := pmu.NewBank(pmu.Default, "core0")
-	e.obsAt(40, evBankInc, b, int32(pmu.MemLoadL1Hit), 0)
-	var seen uint64
-	e.Schedule(60, func(Cycles) { seen = b.Read(pmu.MemLoadL1Hit) })
-	if !e.Step() {
-		t.Fatal("no event to step")
-	}
-	if seen != 1 {
-		t.Fatalf("closure at 60 read %d, want 1 (obs entry at 40 must drain first)", seen)
+	m.eng.obsAt(40, evBankInc, b, int32(pmu.MemLoadL1Hit), 0)
+	var seen []uint64
+	thinks := []uint16{59, 0} // steps at 0 and 60
+	m.Attach(0, genFunc(func(op *workload.Op) bool {
+		if len(thinks) == 0 {
+			return false
+		}
+		seen = append(seen, b.Read(pmu.MemLoadL1Hit))
+		*op = workload.Op{Kind: nop, Think: thinks[0]}
+		thinks = thinks[1:]
+		return true
+	}))
+	m.eng.RunUntil(60)
+	if fmt.Sprint(seen) != "[0 1]" {
+		t.Fatalf("steps at 0 and 60 read %v, want [0 1] (the entry at 40 must drain before the step at 60)", seen)
 	}
 }
