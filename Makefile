@@ -109,7 +109,7 @@ bench-sweep:
 # Allocation guard: the three simulator stream loops must stay at 0
 # allocs/op and at most 64 B/op.  Go rounds both down from total/N, so
 # allocs/op:0 alone only means fewer than one allocation per op; the B/op
-# ceiling (today 3, 12 and 22 B/op of amortized one-time buffer growth)
+# ceiling (today 2, 7 and 11 B/op of amortized one-time buffer growth)
 # also catches an allocation made on a fraction of the ops.  Like
 # bench-sweep it gates within the run (-watch ''), so it passes or fails
 # on the code alone, on any host and at any GOMAXPROCS.  200000
@@ -125,14 +125,15 @@ bench-allocs:
 		"$$tmp"
 
 # Inlining guard: the simulator's per-op PMU bookkeeping (about 25 counter
-# adds and 4 observer-lane entries per simulated request) is cheap only while
-# these helpers inline into their callers.  Bank.Add sits just under the
-# compiler's budget of 80 (cost 71 on go1.24.0), so one more line silently
-# turns every counter add back into a call; this fails instead.  The list is
-# matched against `go build -gcflags=-m`'s "can inline" report.
+# adds and 4 observer-lane entries per simulated request) and its cache-set
+# rank updates are cheap only while these helpers inline into their
+# callers.  Bank.Add sits just under the compiler's budget of 80 (cost 71
+# on go1.24.0), so one more line silently turns every counter add back
+# into a call; this fails instead.  The list is matched against
+# `go build -gcflags=-m`'s "can inline" report.
 INLINE_HOT := '(*Bank).Add' '(*Bank).Inc' '(*OccTracker).Update' '(*OccTracker).Release' \
 	'(*BusyTracker).Release' holds '(*Core).pruneLFB' '(*Core).findLFB' '(*Core).pfLive' \
-	growObs '(*Engine).advance'
+	growObs '(*Engine).advance' zeroNibble promote torGroupOf
 
 inline-check:
 	@out=$$($(GO) build -gcflags=-m ./internal/pmu ./internal/sim 2>&1) || { echo "$$out" >&2; exit 1; }; \

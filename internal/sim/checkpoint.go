@@ -32,7 +32,6 @@ type Checkpoint struct {
 	cfg    Config
 	space  *mem.AddressSpace // frozen placement state at the barrier
 	shadow *Machine          // frozen deep copy; never runs
-	srcIdx map[any]int32     // shadow component -> table index, for event remap
 	bytes  int               // approximate hot-state size of the image
 }
 
@@ -46,8 +45,7 @@ type Checkpoint struct {
 // on each forked machine.
 func (m *Machine) Checkpoint() (*Checkpoint, error) {
 	shadow := New(m.cfg, m.as.Clone())
-	srcIdx := indexComponents(m)
-	copyMachineState(shadow, m, srcIdx)
+	copyMachineState(shadow, m)
 	for i, c := range m.cores {
 		g, err := workload.Fork(c.gen)
 		if err != nil {
@@ -59,7 +57,6 @@ func (m *Machine) Checkpoint() (*Checkpoint, error) {
 		cfg:    m.cfg,
 		space:  shadow.as,
 		shadow: shadow,
-		srcIdx: indexComponents(shadow),
 	}
 	cp.bytes = cp.imageBytes()
 	return cp, nil
@@ -106,7 +103,7 @@ func (cp *Checkpoint) RestoreInto(m *Machine) error {
 
 func (cp *Checkpoint) restoreInto(m *Machine) error {
 	m.as.CopyStateFrom(cp.space)
-	copyMachineState(m, cp.shadow, cp.srcIdx)
+	copyMachineState(m, cp.shadow)
 	for i, sc := range cp.shadow.cores {
 		dc := m.cores[i]
 		if workload.CopyState(sc.gen, dc.gen) {
@@ -122,86 +119,16 @@ func (cp *Checkpoint) restoreInto(m *Machine) error {
 }
 
 // ---------------------------------------------------------------------------
-// Component identity: pending events hold pointers to the components they
-// act on, so copying an event between machines means translating its target
-// to the destination's corresponding component.  componentTable enumerates
-// every possible event target in New()'s construction order — identical
-// Configs therefore produce positionally-identical tables, and (source
-// index -> destination table) is the whole translation.
-// ---------------------------------------------------------------------------
-
-func (m *Machine) componentTable() []any {
-	t := m.compTable[:0]
-	for _, c := range m.cores {
-		t = append(t, c, c.lfbOcc, c.oroData, c.oroDemand, c.oroL3Miss,
-			c.rfoBusy, c.missL1Busy, c.missL2Busy)
-	}
-	for _, s := range m.slices {
-		t = append(t, s, s.wbmtoi)
-		fams := [5]*torFamily{s.ia, s.drd, s.drdPref, s.rfo, s.rfoPref}
-		for _, f := range fams {
-			for _, tr := range f.occ {
-				t = append(t, tr)
-			}
-		}
-	}
-	for _, ch := range m.imc {
-		t = append(t, ch, ch.rpqOcc, ch.wpqOcc)
-	}
-	for _, ch := range m.remoteIMC {
-		t = append(t, ch, ch.rpqOcc, ch.wpqOcc)
-	}
-	for _, p := range m.ports {
-		t = append(t, p, p.ingress, p.retryOcc, p.packReqOcc, p.packDataOcc,
-			p.devRPQOcc, p.devWPQOcc)
-	}
-	for _, b := range m.banks {
-		t = append(t, b)
-	}
-	m.compTable = t
-	return t
-}
-
-func indexComponents(m *Machine) map[any]int32 {
-	t := m.componentTable()
-	idx := make(map[any]int32, len(t))
-	for i, c := range t {
-		idx[c] = int32(i)
-	}
-	return idx
-}
-
-// remapper translates event targets from the source machine's components to
-// the destination's.
-type remapper struct {
-	srcIdx map[any]int32
-	dst    []any
-}
-
-func (r *remapper) target(t any) any {
-	if t == nil {
-		return nil
-	}
-	i, ok := r.srcIdx[t]
-	if !ok {
-		// Every schedulable target is enumerated by componentTable; a miss
-		// means an event site and the table drifted apart — a checkpoint
-		// bug, not a user error.
-		panic(fmt.Sprintf("sim: checkpoint: event target %T not in component table", t))
-	}
-	return r.dst[i]
-}
-
-// ---------------------------------------------------------------------------
 // State copy.  One shared routine serves Checkpoint (live -> shadow),
 // Restore (shadow -> fresh machine), and RestoreInto (shadow -> reused
 // machine): dst and src must be structurally identical (same Config), and
-// every copy reuses dst's buffers where capacity allows.
+// every copy reuses dst's buffers where capacity allows.  Queued steps and
+// lane entries name the modules they act on by index, and identical
+// Configs build positionally identical modules, so both copy verbatim.
 // ---------------------------------------------------------------------------
 
-func copyMachineState(dst, src *Machine, srcIdx map[any]int32) {
-	rm := remapper{srcIdx: srcIdx, dst: dst.componentTable()}
-	copyEngineState(dst.eng, src.eng, &rm)
+func copyMachineState(dst, src *Machine) {
+	copyEngineState(dst.eng, src.eng)
 
 	dst.attached = dst.attached[:0]
 	for i, c := range src.cores {
@@ -213,11 +140,8 @@ func copyMachineState(dst, src *Machine, srcIdx map[any]int32) {
 	for i, s := range src.slices {
 		copyCHAState(dst.slices[i], s)
 	}
-	for i, ch := range src.imc {
-		copyIMCState(dst.imc[i], ch)
-	}
-	for i, ch := range src.remoteIMC {
-		copyIMCState(dst.remoteIMC[i], ch)
+	for i, ch := range src.chans {
+		copyIMCState(dst.chans[i], ch)
 	}
 	for i, p := range src.ports {
 		copyPortState(dst.ports[i], p)
@@ -236,56 +160,36 @@ func copyMachineState(dst, src *Machine, srcIdx map[any]int32) {
 	dst.accessHook = nil
 }
 
-func copyEngineState(dst, src *Engine, rm *remapper) {
+func copyEngineState(dst, src *Engine) {
 	dst.now = src.now
 	dst.seq = src.seq
 	dst.inlineSteps = src.inlineSteps
 	dst.dispatched = src.dispatched
 
 	// Step queue: a verbatim copy is a valid heap (same ordering invariant).
-	dst.heap = dst.heap[:0]
-	for _, ev := range src.heap {
-		ev.core = rm.target(ev.core).(*Core)
-		dst.heap = append(dst.heap, ev)
-	}
+	dst.heap = append(dst.heap[:0], src.heap...)
 
 	// Observer lane: visit the union of occupied slots on both wheel levels
-	// — src's to copy, dst's to clear stale residue — so the cost scales
+	// — src's to copy, dst's to truncate stale residue — so the cost scales
 	// with live entries, not wheel size.
 	for w := 0; w < obsNearWords; w++ {
 		union := src.obsNearOcc[w] | dst.obsNearOcc[w]
 		for union != 0 {
 			slot := w<<6 + bits.TrailingZeros64(union)
 			union &= union - 1
-			dst.obsNear[slot] = copyObsSlot(dst.obsNear[slot], src.obsNear[slot], rm)
+			dst.obsNear[slot] = append(dst.obsNear[slot][:0], src.obsNear[slot]...)
 		}
 	}
 	for union := src.obsCoarseOcc | dst.obsCoarseOcc; union != 0; union &= union - 1 {
 		b := bits.TrailingZeros64(union)
-		dst.obsCoarse[b] = copyObsSlot(dst.obsCoarse[b], src.obsCoarse[b], rm)
+		dst.obsCoarse[b] = append(dst.obsCoarse[b][:0], src.obsCoarse[b]...)
 	}
 	dst.obsNearOcc = src.obsNearOcc
 	dst.obsCoarseOcc = src.obsCoarseOcc
 	dst.obsLen = src.obsLen
-	dst.obsFar = dst.obsFar[:0]
-	for _, fe := range src.obsFar {
-		fe.ev.target = rm.target(fe.ev.target)
-		dst.obsFar = append(dst.obsFar, fe)
-	}
+	dst.obsFar = append(dst.obsFar[:0], src.obsFar...)
 	dst.obsSeq = src.obsSeq
 	dst.obsLast = src.obsLast
-}
-
-// copyObsSlot overwrites the observer slot dst with src's entries,
-// remapped, reusing dst's buffer.
-func copyObsSlot(dst, src []obsEvent, rm *remapper) []obsEvent {
-	clear(dst) // release stale target references
-	dst = dst[:0]
-	for _, ev := range src {
-		ev.target = rm.target(ev.target)
-		dst = append(dst, ev)
-	}
-	return dst
 }
 
 func copyCoreState(dst, src *Core) {
@@ -329,27 +233,21 @@ func copyCoreState(dst, src *Core) {
 }
 
 func copyCacheState(dst, src *Cache) {
-	if len(dst.ways) != len(src.ways) || dst.assoc != src.assoc || len(dst.presence) != len(src.presence) {
-		panic(fmt.Sprintf("sim: checkpoint cache geometry mismatch (%d/%d lines, %d/%d ways)",
-			len(dst.ways), len(src.ways), dst.assoc, src.assoc))
+	if len(dst.words) != len(src.words) || dst.stride != src.stride {
+		panic(fmt.Sprintf("sim: checkpoint cache geometry mismatch (%d/%d words, %d/%d per set)",
+			len(dst.words), len(src.words), dst.stride, src.stride))
 	}
-	copy(dst.ways, src.ways)
-	copy(dst.presence, src.presence)
-	copy(dst.mru, src.mru)
-	dst.stamp = src.stamp
+	copy(dst.words, src.words)
+	copy(dst.ranks, src.ranks)
 	dst.Victim = src.Victim
 	dst.HasVictim = src.HasVictim
 }
 
 func copyCHAState(dst, src *chaSlice) {
 	copyCacheState(dst.llc, src.llc)
-	df := [5]*torFamily{dst.ia, dst.drd, dst.drdPref, dst.rfo, dst.rfoPref}
-	sf := [5]*torFamily{src.ia, src.drd, src.drdPref, src.rfo, src.rfoPref}
-	for i := range df {
-		for j := range df[i].occ {
-			df[i].occ[j].CopyStateFrom(sf[i].occ[j])
-		}
-	}
+	dst.torCur = src.torCur
+	dst.torLast = src.torLast
+	dst.torLeave = append(dst.torLeave[:0], src.torLeave...)
 	dst.wbmtoi.CopyStateFrom(src.wbmtoi)
 }
 
@@ -414,10 +312,7 @@ func (cp *Checkpoint) imageBytes() int {
 	for _, s := range m.slices {
 		n += s.llc.Bytes()
 	}
-	for _, ch := range m.imc {
-		n += (len(ch.rpq.dep) + len(ch.wpq.dep)) * 8
-	}
-	for _, ch := range m.remoteIMC {
+	for _, ch := range m.chans {
 		n += (len(ch.rpq.dep) + len(ch.wpq.dep)) * 8
 	}
 	for _, p := range m.ports {

@@ -1,6 +1,10 @@
 package sim
 
-import "pathfinder/internal/cxl"
+import (
+	"fmt"
+
+	"pathfinder/internal/cxl"
+)
 
 // Config describes a simulated machine.  The two stock configurations,
 // SPR and EMR, are calibrated against the paper's testbeds (§5.1) and its
@@ -177,8 +181,15 @@ func (c *Config) validate() {
 	switch {
 	case c.Cores <= 0:
 		panic("sim: config needs at least one core")
+	case c.Cores > 64:
+		// LLC presence is a 64-bit core bitmap: core 64's bit would be
+		// zero, so its private copies would escape every snoop.
+		panic(fmt.Sprintf("sim: Cores = %d exceeds the 64 cores an LLC presence word tracks", c.Cores))
 	case c.LLCSlices <= 0 || c.LLCSlices%max(1, c.SNCClusters) != 0:
 		panic("sim: LLC slices must divide evenly into SNC clusters")
+	case c.LLCSlices > 1<<16, 2*c.DRAMChannels > 1<<16, c.CXLDevices > 1<<16:
+		// A lane entry names the module it updates in 16 bits.
+		panic("sim: LLC slices, memory channels and CXL devices must each number at most 65,536")
 	case c.LFBEntries <= 0 || c.SBEntries <= 0:
 		panic("sim: LFB and SB must have entries")
 	case c.DRAMChannels <= 0:
@@ -187,9 +198,21 @@ func (c *Config) validate() {
 		panic("sim: clock must be positive")
 	}
 	// Private caches are built at a core's first Attach, not by New;
-	// check their geometry here so a bad config still fails at New.
-	checkCacheGeometry(c.L1DSize, c.L1DWays)
-	checkCacheGeometry(c.L2Size, c.L2Ways)
+	// check every level's geometry here so a bad config fails at New,
+	// naming the field.
+	for _, g := range [...]struct {
+		name       string
+		size, ways int
+	}{
+		{"L1D", c.L1DSize, c.L1DWays},
+		{"L2", c.L2Size, c.L2Ways},
+		{"LLC", c.LLCSize / c.LLCSlices, c.LLCWays},
+	} {
+		if g.ways > maxWays {
+			panic(fmt.Sprintf("sim: %sWays = %d exceeds %d, the ways one rank word orders", g.name, g.ways, maxWays))
+		}
+		checkCacheGeometry(g.size, g.ways)
+	}
 	if err := c.Faults.Validate(); err != nil {
 		panic("sim: " + err.Error())
 	}

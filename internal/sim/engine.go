@@ -28,32 +28,39 @@ import (
 // Cycles is a point in simulated time, in core clock cycles.
 type Cycles = uint64
 
-// evKind selects the pre-bound PMU payload an observer-lane entry applies.
-// Dedicated kinds keep scheduling allocation-free.
+// evKind selects the PMU payload an observer-lane entry applies, and with
+// it the module its idx names: a core id, a CHA slice id, a channel index
+// over Machine.chans, a CXL port id, or (evRecord) a test recorder.  Each
+// kind names the module field it updates, so entries carry no pointer.
 type evKind uint8
 
 const (
-	evOcc       evKind = iota // target *pmu.OccTracker: Update(now, aux)
-	evOccPulse                // target *pmu.OccTracker: Update(now, +1) + Release(arg)
-	evLFBDemand               // target *Core: lfbOcc + missL1Busy pulses, release at arg
-	evORODemand               // target *Core: oroData + oroDemand pulses, release at arg
-	evBusyPulse               // target *pmu.BusyTracker: Begin(now) + Release(arg)
-	evBankInc                 // target *pmu.Bank: Inc(Event(aux))
-	evBankAdd                 // target *pmu.Bank: Add(Event(aux), arg)
-	evServe                   // target *Core: retired-load/OCR serve counters, aux=class|loc
-	evTORPulse                // target *chaSlice: TOR enter at now, leave queued at arg, aux=class|loc
-	evWBInsert                // target *chaSlice: writeback TOR inserts, aux=transition
-	evIMCReadAdmit
-	evIMCWriteAdmit // target *imcChannel: RPQ/WPQ insert + CAS counters
-	evCXLArrive     // target *cxlPort: M2PCIe ingress insert, leave queued at arg
+	evLFBDemand     evKind = iota // core: lfbOcc + missL1Busy pulses, release at arg
+	evORODemand                   // core: oroData + oroDemand pulses, release at arg
+	evLFBPulse                    // core: lfbOcc pulse, release at arg
+	evORODataPulse                // core: oroData pulse, release at arg
+	evOROL3Pulse                  // core: oroL3Miss pulse, release at arg
+	evRFOBusyPulse                // core: rfoBusy Begin, End at arg
+	evMissL2Pulse                 // core: missL2Busy Begin, End at arg
+	evServe                       // core: retired-load/OCR serve counters, aux=class|loc
+	evTORPulse                    // slice: TOR residency of group aux, leave at arg
+	evWBInsert                    // slice: writeback TOR inserts, aux=transition
+	evWBMToIPulse                 // slice: wbmtoi pulse, release at arg
+	evIMCReadAdmit                // channel: RPQ insert + CAS counters, leave at arg
+	evIMCWriteAdmit               // channel: WPQ insert + CAS counters, leave at arg
+	evM2PInc                      // port: m2pBank.Inc(aux)
+	evDevInc                      // port: devBank.Inc(aux)
+	evDevAdd                      // port: devBank.Add(aux, arg)
+	evRetryOcc                    // port: retryOcc.Update(now, aux)
+	evCXLArrive                   // port: M2PCIe ingress insert, leave at arg
 	evCXLReadDev
 	evCXLReadRPQ
 	evCXLReadData
 	evCXLWriteDev
 	evCXLWriteWPQ
-	evCXLWriteDone // target *cxlPort: device-side read/write stages
-	evCXLCRC       // target *cxlPort: link CRC error + replay, arg=bytes
-	evRecord       // target obsRecorder: the lane's order probe in tests
+	evCXLWriteDone // port: device-side read/write stages
+	evCXLCRC       // port: link CRC error + replay, arg=bytes
+	evRecord       // Engine.recorders[idx]: the lane's order probe in tests
 )
 
 // obsRecorder receives evRecord entries as the observer lane applies them,
@@ -62,26 +69,28 @@ const (
 // interface call and move every obsAt's entry to the heap.
 type obsRecorder interface{ record(ev obsEvent) }
 
-// event is one queued core step of the dispatch oracle: core runs its next
-// op at cycle when.  seq breaks same-cycle ties in schedule order.
+// event is one queued core step of the dispatch oracle: core (an index
+// into Machine.cores) runs its next op at cycle when.  seq breaks
+// same-cycle ties in schedule order.
 type event struct {
 	when Cycles
 	seq  uint64
-	core *Core
+	core int
 }
 
-// obsEvent is one deferred observer action: a pre-bound PMU payload (a
-// counter increment or an occupancy/busy-tracker edge) stamped with the
-// cycle it describes.  Observer entries are pure functions of PMU state —
-// nothing in the simulation reads the counters they touch between
+// obsEvent is one deferred observer action: a PMU payload (a counter
+// increment or an occupancy/busy-tracker edge) of one module, stamped with
+// the cycle it describes.  Observer entries are pure functions of PMU
+// state — nothing in the simulation reads the counters they touch between
 // observation points — so they can be applied lazily in bulk instead of
-// paying an event-engine round-trip each.
+// paying an event-engine round-trip each.  At 24 bytes with no pointer,
+// the lane is GC-noscan and a checkpoint copies it verbatim.
 type obsEvent struct {
-	target any
-	when   Cycles
-	arg    uint64
-	aux    int32
-	kind   evKind
+	when Cycles
+	arg  uint64
+	aux  int32
+	idx  uint16 // the module the kind updates
+	kind evKind
 }
 
 // obsFarEvent wraps a beyond-the-turn observer entry with its schedule
@@ -167,6 +176,9 @@ type Engine struct {
 	// (Machine.CounterCycle).
 	applying bool
 	obsStamp Cycles
+
+	// recorders are the evRecord targets; only tests fill the table.
+	recorders []obsRecorder
 }
 
 // NewEngine returns an engine at cycle zero.
@@ -199,22 +211,22 @@ func (e *Engine) Pending() int { return len(e.heap) }
 func (e *Engine) at(when Cycles, c *Core) {
 	e.checkPast(when)
 	e.seq++
-	e.push(event{when: when, seq: e.seq, core: c})
+	e.push(event{when: when, seq: e.seq, core: c.id})
 }
 
-// obsAt schedules a deferred observer action for cycle `when`.  Unlike at,
-// the entry never enters the step queue: it is buffered on the lane and
-// applied by drainObs at the next observation point at or after `when`.  Entries at or behind the drain cursor apply
+// obsAt schedules a deferred observer action of module idx for cycle
+// `when`.  Unlike at, the entry never enters the step queue: it is
+// buffered on the lane and applied by drainObs at the next observation
+// point at or after `when`.  Entries at or behind the drain cursor apply
 // immediately — they are the newest bookkeeping for that cycle, so
 // in-order application is preserved.
 //
 // A wheel entry is assigned field by field into its grown slot (growObs):
-// building the 40-byte entry on the stack to copy it in was most of
-// obsAt's time.
-func (e *Engine) obsAt(when Cycles, kind evKind, target any, aux int32, arg uint64) {
+// building the entry on the stack to copy it in was most of obsAt's time.
+func (e *Engine) obsAt(when Cycles, kind evKind, idx int, aux int32, arg uint64) {
 	e.checkPast(when)
 	if when <= e.obsLast {
-		ev := obsEvent{target: target, when: when, arg: arg, aux: aux, kind: kind}
+		ev := obsEvent{when: when, arg: arg, aux: aux, idx: uint16(idx), kind: kind}
 		e.applyObs(&ev)
 		return
 	}
@@ -229,17 +241,17 @@ func (e *Engine) obsAt(when Cycles, kind evKind, target any, aux int32, arg uint
 			ev = growObs(&e.obsCoarse[b])
 			e.obsCoarseOcc |= 1 << uint(b)
 		}
-		ev.target = target
 		ev.when = when
 		ev.arg = arg
 		ev.aux = aux
+		ev.idx = uint16(idx)
 		ev.kind = kind
 		e.obsLen++
 		return
 	}
 	e.obsSeq++
 	e.obsFar = append(e.obsFar, obsFarEvent{
-		ev:  obsEvent{target: target, when: when, arg: arg, aux: aux, kind: kind},
+		ev:  obsEvent{when: when, arg: arg, aux: aux, idx: uint16(idx), kind: kind},
 		seq: e.obsSeq,
 	})
 	heapUp(e.obsFar, len(e.obsFar)-1, obsLess)
@@ -335,8 +347,8 @@ func (e *Engine) drainNear(cur, end Cycles) {
 				e.applyObs(&b[i])
 			}
 			e.obsLen -= len(b)
-			// No clear: every lane target is a component of this
-			// engine's machine, so stale entries pin nothing.
+			// No clear: entries hold no pointer, so stale ones pin
+			// nothing.
 			e.obsNear[slot] = b[:0]
 			e.obsNearOcc[wi] &^= 1 << uint(slot&63)
 		}
@@ -378,7 +390,6 @@ func (e *Engine) obsFarPop() obsFarEvent {
 	ev := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
-	h[n] = obsFarEvent{} // release target reference
 	e.obsFar = h[:n]
 	heapDown(e.obsFar, 0, obsLess)
 	return ev
@@ -462,7 +473,7 @@ func (e *Engine) RunUntil(t Cycles) {
 		// as of its own cycle.
 		e.drainObs(ev.when)
 		e.dispatched++
-		e.mach.coreStep(ev.core, ev.when)
+		e.mach.coreStep(e.mach.cores[ev.core], ev.when)
 	}
 	if t > e.now {
 		e.now = t
@@ -485,100 +496,118 @@ func unpackClassLoc(aux int32) (ReqClass, ServeLoc) {
 // has to be correct across distinct cycles.
 func (e *Engine) applyObs(ev *obsEvent) {
 	now := ev.when
+	m := e.mach
 	switch ev.kind {
-	case evOcc:
-		ev.target.(*pmu.OccTracker).Update(now, int(ev.aux))
-	case evOccPulse:
-		tr := ev.target.(*pmu.OccTracker)
-		tr.Update(now, +1)
-		tr.Release(ev.arg)
 	case evLFBDemand:
-		c := ev.target.(*Core)
+		c := m.cores[ev.idx]
 		c.lfbOcc.Update(now, +1)
 		c.lfbOcc.Release(ev.arg)
 		c.missL1Busy.Begin(now)
 		c.missL1Busy.Release(ev.arg)
 	case evORODemand:
-		c := ev.target.(*Core)
+		c := m.cores[ev.idx]
 		c.oroData.Update(now, +1)
 		c.oroData.Release(ev.arg)
 		c.oroDemand.Update(now, +1)
 		c.oroDemand.Release(ev.arg)
-	case evBusyPulse:
-		tr := ev.target.(*pmu.BusyTracker)
-		tr.Begin(now)
-		tr.Release(ev.arg)
-	case evBankInc:
-		ev.target.(*pmu.Bank).Inc(pmu.Event(ev.aux))
-	case evBankAdd:
-		ev.target.(*pmu.Bank).Add(pmu.Event(ev.aux), ev.arg)
+	case evLFBPulse:
+		c := m.cores[ev.idx]
+		c.lfbOcc.Update(now, +1)
+		c.lfbOcc.Release(ev.arg)
+	case evORODataPulse:
+		c := m.cores[ev.idx]
+		c.oroData.Update(now, +1)
+		c.oroData.Release(ev.arg)
+	case evOROL3Pulse:
+		c := m.cores[ev.idx]
+		c.oroL3Miss.Update(now, +1)
+		c.oroL3Miss.Release(ev.arg)
+	case evRFOBusyPulse:
+		c := m.cores[ev.idx]
+		c.rfoBusy.Begin(now)
+		c.rfoBusy.Release(ev.arg)
+	case evMissL2Pulse:
+		c := m.cores[ev.idx]
+		c.missL2Busy.Begin(now)
+		c.missL2Busy.Release(ev.arg)
 	case evServe:
 		class, loc := unpackClassLoc(ev.aux)
-		ev.target.(*Core).serveRetired(class, loc)
+		m.cores[ev.idx].serveRetired(class, loc)
 	case evTORPulse:
-		class, loc := unpackClassLoc(ev.aux)
-		ev.target.(*chaSlice).torPulse(now, Cycles(ev.arg), class, loc)
+		m.slices[ev.idx].torPulse(now, Cycles(ev.arg), int(ev.aux))
 	case evWBInsert:
-		s := ev.target.(*chaSlice)
+		s := m.slices[ev.idx]
 		s.bank.Inc(pmu.TORInsertsIAWB[int(ev.aux)])
 		s.bank.Inc(pmu.TORInsertsIA[pmu.IAAll])
+	case evWBMToIPulse:
+		s := m.slices[ev.idx]
+		s.wbmtoi.Update(now, +1)
+		s.wbmtoi.Release(ev.arg)
 	case evIMCReadAdmit:
-		ch := ev.target.(*imcChannel)
+		ch := m.chans[ev.idx]
 		ch.bank.Inc(pmu.RPQInserts)
 		ch.bank.Inc(pmu.CASCountRd)
 		ch.bank.Inc(pmu.CASCountAll)
 		ch.rpqOcc.Update(now, +1)
 		ch.rpqOcc.Release(ev.arg)
 	case evIMCWriteAdmit:
-		ch := ev.target.(*imcChannel)
+		ch := m.chans[ev.idx]
 		ch.bank.Inc(pmu.WPQInserts)
 		ch.bank.Inc(pmu.CASCountWr)
 		ch.bank.Inc(pmu.CASCountAll)
 		ch.wpqOcc.Update(now, +1)
 		ch.wpqOcc.Release(ev.arg)
+	case evM2PInc:
+		m.ports[ev.idx].m2pBank.Inc(pmu.Event(ev.aux))
+	case evDevInc:
+		m.ports[ev.idx].devBank.Inc(pmu.Event(ev.aux))
+	case evDevAdd:
+		m.ports[ev.idx].devBank.Add(pmu.Event(ev.aux), ev.arg)
+	case evRetryOcc:
+		m.ports[ev.idx].retryOcc.Update(now, int(ev.aux))
 	case evCXLArrive:
-		p := ev.target.(*cxlPort)
+		p := m.ports[ev.idx]
 		p.m2pBank.Inc(pmu.M2PRxInserts)
 		p.ingress.Update(now, +1)
 		p.ingress.Release(ev.arg)
 	case evCXLReadDev:
-		p := ev.target.(*cxlPort)
+		p := m.ports[ev.idx]
 		p.devBank.Inc(pmu.CXLRxPackBufInsertsReq)
 		p.packReqOcc.Update(now, +1)
 		p.qos.Update(now, +1)
 	case evCXLReadRPQ:
-		p := ev.target.(*cxlPort)
+		p := m.ports[ev.idx]
 		p.packReqOcc.Update(now, -1)
 		p.devBank.Inc(pmu.CXLDevRPQInserts)
 		p.devRPQOcc.Update(now, +1)
 	case evCXLReadData:
-		p := ev.target.(*cxlPort)
+		p := m.ports[ev.idx]
 		p.devRPQOcc.Update(now, -1)
 		p.qos.Update(now, -1)
 		p.devBank.Inc(pmu.CXLDevCASRd)
 		p.devBank.Inc(pmu.CXLTxPackBufInsertsData)
 	case evCXLWriteDev:
-		p := ev.target.(*cxlPort)
+		p := m.ports[ev.idx]
 		p.devBank.Inc(pmu.CXLRxPackBufInsertsData)
 		p.packDataOcc.Update(now, +1)
 		p.qos.Update(now, +1)
 	case evCXLWriteWPQ:
-		p := ev.target.(*cxlPort)
+		p := m.ports[ev.idx]
 		p.packDataOcc.Update(now, -1)
 		p.devBank.Inc(pmu.CXLDevWPQInserts)
 		p.devWPQOcc.Update(now, +1)
 	case evCXLWriteDone:
-		p := ev.target.(*cxlPort)
+		p := m.ports[ev.idx]
 		p.devWPQOcc.Update(now, -1)
 		p.qos.Update(now, -1)
 		p.devBank.Inc(pmu.CXLDevCASWr)
 		p.devBank.Inc(pmu.CXLTxPackBufInsertsReq)
 	case evCXLCRC:
-		p := ev.target.(*cxlPort)
+		p := m.ports[ev.idx]
 		p.devBank.Inc(pmu.CXLLinkCRCErrors)
 		p.devBank.Inc(pmu.CXLLinkRetries)
 		p.devBank.Add(pmu.CXLLinkReplayBytes, ev.arg)
 	case evRecord:
-		ev.target.(obsRecorder).record(*ev)
+		e.recorders[ev.idx].record(*ev)
 	}
 }

@@ -43,11 +43,14 @@ const (
 	lvlFar
 )
 
+// newLaneRig returns a rig whose engine's recorder 0 is the rig's own log.
 func newLaneRig() *laneRig {
-	return &laneRig{
+	r := &laneRig{
 		e:      NewEngine(),
 		levels: map[Cycles]uint8{},
 	}
+	r.e.recorders = []obsRecorder{&r.log}
+	return r
 }
 
 // level classifies where the lane puts an entry for cycle when right now.
@@ -70,7 +73,7 @@ func (r *laneRig) obs(when Cycles) {
 	id := r.nextID
 	r.nextID++
 	r.pending = append(r.pending, obsEvent{when: when, arg: id})
-	r.e.obsAt(when, evRecord, &r.log, 0, id)
+	r.e.obsAt(when, evRecord, 0, 0, id)
 }
 
 // runUntil runs the engine to t; the lane drains to the clock.
@@ -127,19 +130,15 @@ func (r *laneRig) check(t *testing.T, label string, op int) {
 	r.checked += len(due)
 }
 
-// fork copies the rig's engine into dst the way a checkpoint fork does,
-// remapping the recorder target onto the fork's own.
+// fork copies the rig's engine into dst the way a checkpoint fork does.
+// The entries copy verbatim: recorder 0 of dst's engine is dst's own log.
 func (r *laneRig) fork(dst *laneRig) {
 	dst.log = slices.Clone(r.log)
 	dst.pending = slices.Clone(r.pending)
 	dst.checked = r.checked
 	dst.nextID = r.nextID
 	dst.cursor = r.cursor
-	rm := remapper{
-		srcIdx: map[any]int32{&r.log: 0},
-		dst:    []any{&dst.log},
-	}
-	copyEngineState(dst.e, r.e, &rm)
+	copyEngineState(dst.e, r.e)
 }
 
 // occupied reports whether the lane holds entries on all three levels.

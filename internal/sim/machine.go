@@ -28,11 +28,14 @@ type Machine struct {
 	// the sweep scans these instead of every core of a 32-core rig.
 	attached []*Core
 	slices   []*chaSlice
-	imc      []*imcChannel
 	ports    []*cxlPort
 
-	// Cross-socket memory: the remote socket's IMC channels, reached over
-	// the UPI link (remoteBus models the link bandwidth).
+	// chans holds every memory channel: the local socket's (imc), then the
+	// remote socket's (remoteIMC), which are reached over the UPI link
+	// (remoteBus models its bandwidth).  A channel's lane entries name it
+	// by its index in chans.
+	chans     []*imcChannel
+	imc       []*imcChannel
 	remoteIMC []*imcChannel
 	remoteBus server
 
@@ -60,11 +63,6 @@ type Machine struct {
 	// round-trips through the engine's step queue, one step per op.  The
 	// default, false, is the sequential sweep.
 	dispatch bool
-
-	// compTable is the reusable component-table scratch for checkpoint
-	// restore (see checkpoint.go); keeping it on the machine makes
-	// RestoreInto allocation-free in steady state.
-	compTable []any
 }
 
 // New assembles a machine from cfg over the given address space.
@@ -101,20 +99,23 @@ func New(cfg Config, as *mem.AddressSpace) *Machine {
 		m.slices = append(m.slices, newCHASlice(i, i/slicesPerCluster, sliceBytes, cfg.LLCWays, b))
 	}
 	chanService := cfg.serviceCycles(cfg.DRAMChanGBs)
+	addChan := func(name string) {
+		b := addBank(name)
+		m.chans = append(m.chans, newIMCChannel(len(m.chans), b, chanService, cfg.DRAMLat, cfg.RPQEntries, cfg.WPQEntries))
+	}
 	for i := 0; i < cfg.DRAMChannels; i++ {
-		b := addBank(fmt.Sprintf("imc%d", i))
-		m.imc = append(m.imc, newIMCChannel(b, chanService, cfg.DRAMLat, cfg.RPQEntries, cfg.WPQEntries))
+		addChan(fmt.Sprintf("imc%d", i))
 	}
 	if cfg.Sockets > 1 {
 		for i := 0; i < cfg.DRAMChannels; i++ {
-			b := addBank(fmt.Sprintf("rimc%d", i))
-			m.remoteIMC = append(m.remoteIMC, newIMCChannel(b, chanService, cfg.DRAMLat, cfg.RPQEntries, cfg.WPQEntries))
+			addChan(fmt.Sprintf("rimc%d", i))
 		}
 	}
+	m.imc, m.remoteIMC = m.chans[:cfg.DRAMChannels:cfg.DRAMChannels], m.chans[cfg.DRAMChannels:]
 	for i := 0; i < cfg.CXLDevices; i++ {
 		mb := addBank(fmt.Sprintf("m2pcie%d", i))
 		db := addBank(fmt.Sprintf("cxl%d", i))
-		m.ports = append(m.ports, newCXLPort(&m.cfg, mb, db))
+		m.ports = append(m.ports, newCXLPort(i, &m.cfg, mb, db))
 	}
 	return m
 }
@@ -223,11 +224,7 @@ func (m *Machine) Sync() {
 		s.sync(now)
 		s.bank.Add(pmu.CHAClockticks, d)
 	}
-	for _, ch := range m.imc {
-		ch.sync(now)
-		ch.bank.Add(pmu.IMCClockticks, d)
-	}
-	for _, ch := range m.remoteIMC {
+	for _, ch := range m.chans {
 		ch.sync(now)
 		ch.bank.Add(pmu.IMCClockticks, d)
 	}
@@ -400,13 +397,13 @@ func (m *Machine) missPath(c *Core, class ReqClass, la uint64, t Cycles) accessR
 	if class == ClassDRd {
 		// The LFB residency and the L1-miss-outstanding window coincide
 		// for a demand load; one fused event covers both trackers.
-		m.eng.obsAt(start, evLFBDemand, c, 0, uint64(done))
+		m.eng.obsAt(start, evLFBDemand, c.id, 0, uint64(done))
 		if res.missedL2 {
 			enter := res.times.torEnter
-			m.eng.obsAt(enter, evBusyPulse, c.missL2Busy, 0, uint64(done))
+			m.eng.obsAt(enter, evMissL2Pulse, c.id, 0, uint64(done))
 		}
 	} else {
-		m.eng.obsAt(start, evOccPulse, c.lfbOcc, 0, uint64(done))
+		m.eng.obsAt(start, evLFBPulse, c.id, 0, uint64(done))
 	}
 	return res
 }
@@ -490,16 +487,16 @@ func (m *Machine) accessL2Down(c *Core, class ReqClass, la uint64, t Cycles) acc
 	if class == ClassDRd {
 		// A demand read enters the data-read and demand-data-read
 		// windows together; one fused event covers both trackers.
-		m.eng.obsAt(tOff, evORODemand, c, 0, uint64(done))
+		m.eng.obsAt(tOff, evORODemand, c.id, 0, uint64(done))
 		if res.missedLLC {
 			enter := res.times.memEnter
-			m.eng.obsAt(enter, evOccPulse, c.oroL3Miss, 0, uint64(done))
+			m.eng.obsAt(enter, evOROL3Pulse, c.id, 0, uint64(done))
 		}
 	} else if isRead {
-		m.eng.obsAt(tOff, evOccPulse, c.oroData, 0, uint64(done))
+		m.eng.obsAt(tOff, evORODataPulse, c.id, 0, uint64(done))
 	}
 	if class == ClassRFO {
-		m.eng.obsAt(tOff, evBusyPulse, c.rfoBusy, 0, uint64(done))
+		m.eng.obsAt(tOff, evRFOBusyPulse, c.id, 0, uint64(done))
 	}
 
 	// Fill the hierarchy on the way back.
@@ -813,17 +810,15 @@ func (m *Machine) evictLLCVictim(s *chaSlice, v Line, t Cycles) Cycles {
 // torTransit records a TOR residency for a request: insert counters at
 // enter, occupancy over [enter, leave).
 func (m *Machine) torTransit(s *chaSlice, c *Core, class ReqClass, loc ServeLoc, enter, leave Cycles) {
-	if s.torClassFamily(class) == nil {
-		return
+	if g := torGroupOf(class, loc); g >= 0 {
+		m.eng.obsAt(enter, evTORPulse, s.id, int32(g), uint64(leave))
 	}
-	aux := packClassLoc(class, loc)
-	m.eng.obsAt(enter, evTORPulse, s, aux, uint64(leave))
 }
 
 // coreServeCounters increments the core-PMU offcore-response family and
 // the retired-load serve-location events at completion time.
 func (m *Machine) coreServeCounters(c *Core, class ReqClass, loc ServeLoc, done Cycles) {
-	m.eng.obsAt(done, evServe, c, packClassLoc(class, loc), 0)
+	m.eng.obsAt(done, evServe, c.id, packClassLoc(class, loc), 0)
 }
 
 // serveRetired is the evServe payload: the OCR response-scenario family of
@@ -900,7 +895,7 @@ func (m *Machine) fillL2(c *Core, la uint64, st State, t Cycles) {
 // path's core->CHA writeback).
 func (m *Machine) l2VictimWriteback(c *Core, la uint64, t Cycles) {
 	s := m.slices[mem.SliceOf(la, len(m.slices))]
-	m.eng.obsAt(t, evWBInsert, s, int32(pmu.WBMToE), 0)
+	m.eng.obsAt(t, evWBInsert, s.id, int32(pmu.WBMToE), 0)
 	c.bank.Inc(pmu.OCRModifiedWriteAny)
 	// The evicting core may still hold the line in its L1 (the L2 victim
 	// was selected independently), so its presence bit must survive —
@@ -927,7 +922,7 @@ func (m *Machine) l2VictimWriteback(c *Core, la uint64, t Cycles) {
 // CXL-resident lines.  It returns the device-queue admission time, which a
 // caller uses as fill backpressure when the write queue is full.
 func (m *Machine) writebackToMemory(s *chaSlice, la uint64, t Cycles, transition int) Cycles {
-	m.eng.obsAt(t, evWBInsert, s, int32(transition), 0)
+	m.eng.obsAt(t, evWBInsert, s.id, int32(transition), 0)
 	depart := t + m.cfg.MeshLat
 	var admit, done Cycles
 	switch m.as.KindOf(la) {
@@ -947,7 +942,7 @@ func (m *Machine) writebackToMemory(s *chaSlice, la uint64, t Cycles, transition
 		admit, done = m.ports[dev].write(m.eng, depart)
 	}
 	if transition == pmu.WBMToI {
-		m.eng.obsAt(t, evOccPulse, s.wbmtoi, 0, uint64(done))
+		m.eng.obsAt(t, evWBMToIPulse, s.id, 0, uint64(done))
 	}
 	return admit
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"pathfinder/internal/mem"
 	"pathfinder/internal/pmu"
@@ -184,9 +183,11 @@ func TestCacheSetsPowerOfTwo(t *testing.T) {
 	}
 }
 
-// TestCacheStatePacking: a way keeps its state in the line address's free
-// low bits, so every MESIF state must survive a round trip at both ends of
-// the address space, and a misaligned address must not be stored at all.
+// TestCacheStatePacking: a tag word keeps its state in the line address's
+// free low bits, so every MESIF state must survive a round trip at both
+// ends of the address space, and a misaligned address must not be stored
+// at all.  A way costs one 8-byte tag word (two in the LLC, with its
+// presence word), and a set one rank word of 4-bit LRU ranks.
 func TestCacheStatePacking(t *testing.T) {
 	top := ^uint64(0) &^ (mem.LineSize - 1)
 	for _, la := range []uint64{0, top} {
@@ -217,8 +218,43 @@ func TestCacheStatePacking(t *testing.T) {
 			}
 		}
 	}
-	if got := unsafe.Sizeof(way{}); got != 16 {
-		t.Fatalf("a way is %d bytes, want 16", got)
+
+	// One set of four ways: four 8-byte tag words and the rank word; the
+	// LLC adds four presence words after the tags.
+	c, llc := NewCache(4*mem.LineSize, 4), newLLC(4*mem.LineSize, 4)
+	if got := c.Bytes(); got != (4+1)*8 {
+		t.Fatalf("a 4-way private set holds %d bytes, want 40", got)
+	}
+	if got := llc.Bytes(); got != (2*4+1)*8 {
+		t.Fatalf("a 4-way LLC set holds %d bytes, want 72", got)
+	}
+	// A fresh set ranks way i at i and fills the unused nibbles with 0xF.
+	const fresh = 0xFFFF_FFFF_FFFF_3210
+	if c.ranks[0] != fresh {
+		t.Fatalf("fresh rank word %#x, want %#x", c.ranks[0], uint64(fresh))
+	}
+	for i := uint64(0); i < 4; i++ {
+		if w := llc.Insert(i*mem.LineSize, Exclusive); w != int(i) {
+			t.Fatalf("fill %d went to way %d", i, w)
+		}
+		llc.SetPresence(int(i), 1<<i)
+		if llc.words[4+i] != 1<<i {
+			t.Fatalf("way %d's presence is not the word after the tags", i)
+		}
+	}
+	// Each fill took rank 0, so way 3 is the MRU and way 0 the LRU; a hit
+	// on way 0 moves it to rank 0 and ages the other three.
+	if llc.ranks[0] != 0xFFFF_FFFF_FFFF_0123 {
+		t.Fatalf("rank word after four fills %#x, want 0x...0123", llc.ranks[0])
+	}
+	llc.Lookup(0)
+	if llc.ranks[0] != 0xFFFF_FFFF_FFFF_1230 {
+		t.Fatalf("rank word after a hit on way 0 %#x, want 0x...1230", llc.ranks[0])
+	}
+	// The full set evicts the way ranked 3 (way 1) and reports its presence.
+	llc.Insert(4*mem.LineSize, Exclusive)
+	if !llc.HasVictim || llc.Victim != (Line{Tag: mem.LineSize, State: Exclusive, Presence: 2}) {
+		t.Fatalf("victim %+v (HasVictim=%v), want line 0x40 with presence 2", llc.Victim, llc.HasVictim)
 	}
 
 	defer func() {
@@ -257,12 +293,12 @@ func TestPrivateCachesBuiltAtFirstAttach(t *testing.T) {
 			t.Fatalf("New built core %d's private caches", c.id)
 		}
 	}
-	// 32 slices of 2,048 sets x 12 ways: 786,432 lines of a 16-byte way
-	// and an 8-byte presence bitmap, plus one predictor byte per set.  A
-	// machine with 32-byte lines and every private cache built held
+	// 32 slices of 2,048 sets x 12 ways: 786,432 lines of an 8-byte tag
+	// word and an 8-byte presence word, plus one 8-byte rank word per set.
+	// A machine with 32-byte lines and every private cache built held
 	// about 57 MiB.
 	const llcLines, llcSets = 786_432, 65_536
-	if got, want := machineCacheBytes(m), llcLines*24+llcSets; got != want {
+	if got, want := machineCacheBytes(m), llcLines*16+llcSets*8; got != want {
 		t.Fatalf("fresh SPR machine holds %d cache bytes, want %d (%.1f MiB)",
 			got, want, float64(want)/(1<<20))
 	}
@@ -657,26 +693,37 @@ func TestAttachDetach(t *testing.T) {
 }
 
 func TestConfigValidatePanics(t *testing.T) {
-	cases := []func(*Config){
-		func(c *Config) { c.Cores = 0 },
-		func(c *Config) { c.LLCSlices = 3; c.SNCClusters = 2 },
-		func(c *Config) { c.LFBEntries = 0 },
-		func(c *Config) { c.DRAMChannels = 0 },
-		func(c *Config) { c.GHz = 0 },
+	cases := []struct {
+		mut  func(*Config)
+		want string // a substring of the panic, when the case pins one
+	}{
+		{func(c *Config) { c.Cores = 0 }, ""},
+		{func(c *Config) { c.LLCSlices = 3; c.SNCClusters = 2 }, ""},
+		{func(c *Config) { c.LFBEntries = 0 }, ""},
+		{func(c *Config) { c.DRAMChannels = 0 }, ""},
+		{func(c *Config) { c.GHz = 0 }, ""},
 		// Private caches are built at first Attach; New still checks them.
-		func(c *Config) { c.L1DWays = 0 },
-		func(c *Config) { c.L1DSize = 0 },
-		func(c *Config) { c.L2Ways = 300 },
+		{func(c *Config) { c.L1DWays = 0 }, ""},
+		{func(c *Config) { c.L1DSize = 0 }, ""},
+		{func(c *Config) { c.L2Ways = 300 }, "L2Ways = 300"},
+		// LLC presence is a 64-bit core bitmap.
+		{func(c *Config) { c.Cores = 65 }, "Cores = 65"},
+		// A set's rank word orders at most 16 ways.
+		{func(c *Config) { c.LLCWays = 17 }, "LLCWays = 17"},
+		{func(c *Config) { c.L1DWays = 17 }, "L1DWays = 17"},
 	}
-	for i, mut := range cases {
+	for i, tc := range cases {
 		func() {
 			defer func() {
-				if recover() == nil {
+				r := recover()
+				if r == nil {
 					t.Errorf("case %d: invalid config did not panic", i)
+				} else if msg := fmt.Sprint(r); !strings.Contains(msg, tc.want) {
+					t.Errorf("case %d: panic %q does not name %q", i, msg, tc.want)
 				}
 			}()
 			cfg := SPR()
-			mut(&cfg)
+			tc.mut(&cfg)
 			New(cfg, testSpace(t))
 		}()
 	}

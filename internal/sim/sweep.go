@@ -115,7 +115,7 @@ func (m *Machine) runSweep(t Cycles) {
 func (m *Machine) absorbCoreEvents() {
 	eng := m.eng
 	for _, ev := range eng.heap {
-		c := ev.core
+		c := m.cores[ev.core]
 		c.stepPending = true
 		c.stepAt = ev.when
 		c.stepSeq = ev.seq
@@ -130,7 +130,7 @@ func (m *Machine) flushStepMirror() {
 	for _, c := range m.attached {
 		if c.stepPending {
 			c.stepPending = false
-			m.eng.push(event{when: c.stepAt, seq: c.stepSeq, core: c})
+			m.eng.push(event{when: c.stepAt, seq: c.stepSeq, core: c.id})
 		}
 	}
 }

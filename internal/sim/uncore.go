@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+
 	"pathfinder/internal/cxl"
 	"pathfinder/internal/obs"
 	"pathfinder/internal/pmu"
@@ -146,22 +148,82 @@ func ocrFamilyOf(class ReqClass) pmu.Family {
 
 // ---------------------------------------------------------------------------
 // CHA slice: an LLC slice, its snoop-filter presence bits, and a TOR with
-// per-class occupancy trackers.
+// per-scenario occupancy integrators.
 // ---------------------------------------------------------------------------
 
-// torFamily bundles the insert counters and occupancy/not-empty trackers of
-// one TOR request-class family.
-type torFamily struct {
-	inserts pmu.Family
-	occ     []*pmu.OccTracker // indexed by scenario
-}
+// The TOR's occupancy and not-empty counters come in five scenario families
+// (IA, DRd, DRd prefetch, RFO, RFO prefetch).  A slice integrates each
+// scenario's pair in one of torInts integrators, numbered family by family.
+const (
+	torIA      = 0
+	torDRd     = torIA + pmu.IAScnCount
+	torDRdPref = torDRd + pmu.ScnCount
+	torRFO     = torDRdPref + pmu.ScnCount
+	torRFOPref = torRFO + pmu.RFOScnCount
+	torInts    = torRFOPref + pmu.RFOScnCount
+)
 
-func newTorFamily(bank *pmu.Bank, inserts, occ, ne pmu.Family) *torFamily {
-	f := &torFamily{inserts: inserts, occ: make([]*pmu.OccTracker, len(inserts))}
-	for i := range inserts {
-		f.occ[i] = pmu.NewOccTracker(bank, occ[i], ne[i], -1, 0)
+// torCounters are one integrator's insert, occupancy and not-empty events.
+type torCounters struct{ ins, occ, ne pmu.Event }
+
+// torCtr maps each integrator to its counters.
+var torCtr = func() (t [torInts]torCounters) {
+	for _, f := range [...]struct {
+		base         int
+		ins, occ, ne pmu.Family
+	}{
+		{torIA, pmu.TORInsertsIA, pmu.TOROccupancyIA, pmu.TORCyclesNEIA},
+		{torDRd, pmu.TORInsertsIADRd, pmu.TOROccupancyIADRd, pmu.TORCyclesNEIADRd},
+		{torDRdPref, pmu.TORInsertsIADRdPref, pmu.TOROccupancyIADRdPref, pmu.TORCyclesNEIADRdPref},
+		{torRFO, pmu.TORInsertsIARFO, pmu.TOROccupancyIARFO, pmu.TORCyclesNEIARFO},
+		{torRFOPref, pmu.TORInsertsIARFOPref, pmu.TOROccupancyIARFOPref, pmu.TORCyclesNEIARFOPref},
+	} {
+		for scn := range f.ins {
+			t[f.base+scn] = torCounters{f.ins[scn], f.occ[scn], f.ne[scn]}
+		}
 	}
-	return f
+	return t
+}()
+
+// torGroups lists, per (request family, serve location) group, the
+// integrators one TOR residency enters: its family's scenarios, then the
+// IA family's.  torGroupOf numbers the groups.
+var torGroups = func() (g [4 * srvCount][]uint8) {
+	for fam, base := range [4]int{torDRd, torDRdPref, torRFO, torRFOPref} {
+		for loc := range srvCount {
+			scns := drdScnTable[loc]
+			if base == torRFO || base == torRFOPref {
+				scns = rfoScnTable[loc]
+			}
+			var ints []uint8
+			for _, scn := range scns {
+				ints = append(ints, uint8(base+scn))
+			}
+			for _, scn := range iaScnTable[loc] {
+				ints = append(ints, uint8(torIA+scn))
+			}
+			g[fam*int(srvCount)+int(loc)] = ints
+		}
+	}
+	return g
+}()
+
+// torGroupOf returns the TOR group of a request class served at loc, or -1
+// for a class the TOR families do not track.
+func torGroupOf(class ReqClass, loc ServeLoc) int {
+	fam := 0
+	switch class {
+	case ClassDRd, ClassSWPF:
+	case ClassL1PF, ClassL2PFDRd:
+		fam = 1
+	case ClassRFO:
+		fam = 2
+	case ClassL2PFRFO:
+		fam = 3
+	default:
+		return -1
+	}
+	return fam*int(srvCount) + int(loc)
 }
 
 // chaSlice is one LLC slice with its caching-and-home-agent bookkeeping.
@@ -171,72 +233,109 @@ type chaSlice struct {
 	llc     *Cache
 	bank    *pmu.Bank
 
-	ia, drd, drdPref, rfo, rfoPref *torFamily
-	wbmtoi                         *pmu.OccTracker
+	// The TOR integrators: each one's occupancy and the cycle it was
+	// integrated to, and one min-heap of pending leaves, each packed as
+	// leave cycle<<8 | group.
+	torCur   [torInts]int32
+	torLast  [torInts]Cycles
+	torLeave []uint64
+
+	wbmtoi *pmu.OccTracker
 }
 
 func newCHASlice(id, cluster int, llcBytes, ways int, bank *pmu.Bank) *chaSlice {
-	s := &chaSlice{
+	return &chaSlice{
 		id:      id,
 		cluster: cluster,
 		llc:     newLLC(llcBytes, ways),
 		bank:    bank,
-	}
-	s.ia = newTorFamily(bank, pmu.TORInsertsIA, pmu.TOROccupancyIA, pmu.TORCyclesNEIA)
-	s.drd = newTorFamily(bank, pmu.TORInsertsIADRd, pmu.TOROccupancyIADRd, pmu.TORCyclesNEIADRd)
-	s.drdPref = newTorFamily(bank, pmu.TORInsertsIADRdPref, pmu.TOROccupancyIADRdPref, pmu.TORCyclesNEIADRdPref)
-	s.rfo = newTorFamily(bank, pmu.TORInsertsIARFO, pmu.TOROccupancyIARFO, pmu.TORCyclesNEIARFO)
-	s.rfoPref = newTorFamily(bank, pmu.TORInsertsIARFOPref, pmu.TOROccupancyIARFOPref, pmu.TORCyclesNEIARFOPref)
-	s.wbmtoi = pmu.NewOccTracker(bank, pmu.TOROccupancyIAWBMToI, -1, -1, 0)
-	return s
-}
-
-// torPulse is the evTORPulse payload: one whole TOR residency — the
-// insert counters and rising edges at now, with the falling edges queued
-// inside each tracker for cycle leave.  The class/location scenario lists
-// are re-derived from the static tables, so the entry carries no closure
-// state.
-func (s *chaSlice) torPulse(now, leave Cycles, class ReqClass, loc ServeLoc) {
-	fam := s.torClassFamily(class)
-	scns := drdScnTable[loc]
-	if class.IsRFOLike() {
-		scns = rfoScnTable[loc]
-	}
-	for _, scn := range scns {
-		s.bank.Inc(fam.inserts[scn])
-		fam.occ[scn].Update(uint64(now), +1)
-		fam.occ[scn].Release(uint64(leave))
-	}
-	for _, scn := range iaScnTable[loc] {
-		s.bank.Inc(s.ia.inserts[scn])
-		s.ia.occ[scn].Update(uint64(now), +1)
-		s.ia.occ[scn].Release(uint64(leave))
+		wbmtoi:  pmu.NewOccTracker(bank, pmu.TOROccupancyIAWBMToI, -1, -1, 0),
 	}
 }
 
-// torClassFamily returns the TOR family tracking the given request class.
-func (s *chaSlice) torClassFamily(class ReqClass) *torFamily {
-	switch class {
-	case ClassDRd, ClassSWPF:
-		return s.drd
-	case ClassRFO:
-		return s.rfo
-	case ClassL1PF, ClassL2PFDRd:
-		return s.drdPref
-	case ClassL2PFRFO:
-		return s.rfoPref
+// torPulse is the evTORPulse payload: one whole TOR residency of group g —
+// the leaves due by now first, then the group's insert counters and rising
+// edges at now, and its leave queued for cycle leave.  Each counter gets
+// the adds a pmu.OccTracker per scenario would give it, in the same order.
+func (s *chaSlice) torPulse(now, leave Cycles, g int) {
+	if leave >= 1<<56 {
+		panic(fmt.Sprintf("sim: TOR leave cycle %d does not fit the leave heap", leave))
 	}
-	return nil
-}
-
-// sync advances all occupancy trackers to now so a snapshot observes
-// up-to-date integrals.
-func (s *chaSlice) sync(now Cycles) {
-	for _, f := range []*torFamily{s.ia, s.drd, s.drdPref, s.rfo, s.rfoPref} {
-		for _, t := range f.occ {
-			t.Advance(now)
+	s.torSettle(now)
+	ints := torGroups[g]
+	for _, i := range ints {
+		s.bank.Inc(torCtr[i].ins)
+	}
+	s.torStep(ints, now, +1)
+	h := append(s.torLeave, leave<<8|uint64(g))
+	for j := len(h) - 1; j > 0; {
+		p := (j - 1) / 2
+		if h[p] <= h[j] {
+			break
 		}
+		h[p], h[j] = h[j], h[p]
+		j = p
 	}
+	s.torLeave = h
+}
+
+// torSettle applies the leaves due by now in cycle order: each integrates
+// its group up to the leave cycle and then decrements it.
+func (s *chaSlice) torSettle(now Cycles) {
+	h := s.torLeave
+	for len(h) > 0 && h[0]>>8 <= now {
+		top := h[0]
+		n := len(h) - 1
+		h[0] = h[n]
+		h = h[:n]
+		for j := 0; ; {
+			m := 2*j + 1
+			if m >= n {
+				break
+			}
+			if r := m + 1; r < n && h[r] < h[m] {
+				m = r
+			}
+			if h[j] <= h[m] {
+				break
+			}
+			h[j], h[m] = h[m], h[j]
+			j = m
+		}
+		s.torStep(torGroups[top&0xff], top>>8, -1)
+	}
+	s.torLeave = h
+}
+
+// torStep integrates each integrator of ints up to cycle t at its current
+// occupancy, exactly as pmu.OccTracker does, and then adds delta to it.
+func (s *chaSlice) torStep(ints []uint8, t Cycles, delta int32) {
+	for _, i := range ints {
+		if last := s.torLast[i]; t > last {
+			s.torLast[i] = t
+			if c := s.torCur[i]; c > 0 {
+				d := t - last
+				s.bank.Add(torCtr[i].occ, uint64(c)*d)
+				s.bank.Add(torCtr[i].ne, d)
+			}
+		}
+		s.torCur[i] += delta
+	}
+}
+
+// torAll lists every TOR integrator, for sync.
+var torAll = func() (a [torInts]uint8) {
+	for i := range a {
+		a[i] = uint8(i)
+	}
+	return a
+}()
+
+// sync settles the TOR and the writeback tracker up to now so a snapshot
+// observes up-to-date integrals.
+func (s *chaSlice) sync(now Cycles) {
+	s.torSettle(now)
+	s.torStep(torAll[:], now, 0)
 	s.wbmtoi.Advance(now)
 	s.bank.Add(pmu.CHAClockticks, 0) // clockticks are set by the machine
 }
@@ -246,6 +345,7 @@ func (s *chaSlice) sync(now Cycles) {
 // ---------------------------------------------------------------------------
 
 type imcChannel struct {
+	idx  int // position in Machine.chans
 	bank *pmu.Bank
 	bus  server // channel data bus (bandwidth)
 	lat  Cycles // media latency
@@ -254,8 +354,9 @@ type imcChannel struct {
 	rpqOcc, wpqOcc *pmu.OccTracker
 }
 
-func newIMCChannel(bank *pmu.Bank, service float64, lat Cycles, rpqEntries, wpqEntries int) *imcChannel {
+func newIMCChannel(idx int, bank *pmu.Bank, service float64, lat Cycles, rpqEntries, wpqEntries int) *imcChannel {
 	return &imcChannel{
+		idx:    idx,
 		bank:   bank,
 		bus:    server{service: service},
 		lat:    lat,
@@ -274,7 +375,7 @@ func (ch *imcChannel) read(eng *Engine, arrival Cycles) Cycles {
 	start := ch.bus.acquire(admit)
 	data := start + ch.lat
 	ch.rpq.commit(data) // RPQ entry is held until data returns
-	eng.obsAt(admit, evIMCReadAdmit, ch, 0, uint64(data))
+	eng.obsAt(admit, evIMCReadAdmit, ch.idx, 0, uint64(data))
 	return data
 }
 
@@ -286,7 +387,7 @@ func (ch *imcChannel) write(eng *Engine, arrival Cycles) (admitted, drained Cycl
 	start := ch.bus.acquire(admit)
 	done := start + ch.lat
 	ch.wpq.commit(done)
-	eng.obsAt(admit, evIMCWriteAdmit, ch, 0, uint64(done))
+	eng.obsAt(admit, evIMCWriteAdmit, ch.idx, 0, uint64(done))
 	return admit, done
 }
 
@@ -300,6 +401,7 @@ func (ch *imcChannel) sync(now Cycles) {
 // ---------------------------------------------------------------------------
 
 type cxlPort struct {
+	id  int
 	cfg *Config
 
 	m2pBank *pmu.Bank
@@ -340,13 +442,14 @@ type cxlPort struct {
 	removalSeen bool   // root port already counted the surprise removal
 }
 
-func newCXLPort(cfg *Config, m2pBank, devBank *pmu.Bank) *cxlPort {
+func newCXLPort(id int, cfg *Config, m2pBank, devBank *pmu.Bank) *cxlPort {
 	perByte := cfg.serviceCycles(cfg.FlexBusGBs) / 64 // cycles per wire byte
 	retryEntries := cfg.LinkRetryBufEntries
 	if retryEntries <= 0 {
 		retryEntries = cxl.DefaultRetryBufEntries
 	}
 	return &cxlPort{
+		id:      id,
 		cfg:     cfg,
 		m2pBank: m2pBank,
 		devBank: devBank,
@@ -414,7 +517,7 @@ func (p *cxlPort) linkXfer(eng *Engine, srv *byteServer, dir cxl.Direction, read
 	// The transfer's flits sit in the retry buffer from first transmission
 	// until the cumulative ack returns, one link round trip after arrival.
 	flits := flitsOf(size)
-	eng.obsAt(start, evOcc, p.retryOcc, int32(flits), 0)
+	eng.obsAt(start, evRetryOcc, p.id, int32(flits), 0)
 
 	// A Nak rewinds the sender to the lost flit, retransmitting the
 	// flits in flight behind it — on average half the retry window.
@@ -430,7 +533,7 @@ func (p *cxlPort) linkXfer(eng *Engine, srv *byteServer, dir cxl.Direction, read
 		// this transfer riding at its tail.
 		nakBack := start + 2*p.cfg.FlexBusLat
 		reStart := srv.acquire(nakBack, replayBytes+size)
-		eng.obsAt(start+p.cfg.FlexBusLat, evCXLCRC, p, 0, uint64(replayBytes+size))
+		eng.obsAt(start+p.cfg.FlexBusLat, evCXLCRC, p.id, 0, uint64(replayBytes+size))
 		prev := start
 		start = reStart + Cycles(replayBytes*srv.perByte)
 		if rec != nil {
@@ -438,7 +541,7 @@ func (p *cxlPort) linkXfer(eng *Engine, srv *byteServer, dir cxl.Direction, read
 		}
 	}
 	ack := start + 2*p.cfg.FlexBusLat
-	eng.obsAt(ack, evOcc, p.retryOcc, int32(-flits), 0)
+	eng.obsAt(ack, evRetryOcc, p.id, int32(-flits), 0)
 	return start
 }
 
@@ -474,7 +577,7 @@ func (p *cxlPort) notePoison(eng *Engine, t Cycles) {
 		if p.plan.ViralReset > 0 {
 			p.viralUntil = t + Cycles(p.plan.ViralReset)
 		}
-		eng.obsAt(t, evBankInc, p.devBank, int32(pmu.CXLDevViralEntries), 0)
+		eng.obsAt(t, evDevInc, p.id, int32(pmu.CXLDevViralEntries), 0)
 	}
 }
 
@@ -485,7 +588,7 @@ func (p *cxlPort) noteRemoval(eng *Engine, t Cycles) {
 		return
 	}
 	p.removalSeen = true
-	eng.obsAt(t, evBankInc, p.m2pBank, int32(pmu.M2PDevRemoved), 0)
+	eng.obsAt(t, evM2PInc, p.id, int32(pmu.M2PDevRemoved), 0)
 }
 
 // fastFail completes an access to an isolated device at the root port: a
@@ -493,9 +596,9 @@ func (p *cxlPort) noteRemoval(eng *Engine, t Cycles) {
 // touching the link or the (dark) device bank.
 func (p *cxlPort) fastFail(eng *Engine, arrival Cycles) Cycles {
 	done := arrival + p.cfg.M2PLat + removedFastFailLat
-	eng.obsAt(arrival, evCXLArrive, p, 0, uint64(done))
-	eng.obsAt(done, evBankInc, p.m2pBank, int32(pmu.M2PFastFails), 0)
-	eng.obsAt(done, evBankInc, p.m2pBank, int32(pmu.M2PErrCompletions), 0)
+	eng.obsAt(arrival, evCXLArrive, p.id, 0, uint64(done))
+	eng.obsAt(done, evM2PInc, p.id, int32(pmu.M2PFastFails), 0)
+	eng.obsAt(done, evM2PInc, p.id, int32(pmu.M2PErrCompletions), 0)
 	p.noteRemoval(eng, done)
 	return done
 }
@@ -506,7 +609,7 @@ func (p *cxlPort) ctrlDelay(eng *Engine, t Cycles) Cycles {
 	lat := p.cfg.CXLCtrlLat
 	if p.plan.TimeoutAt(uint64(t)) {
 		lat += Cycles(p.plan.Penalty())
-		eng.obsAt(t, evBankInc, p.devBank, int32(pmu.CXLDevTimeouts), 0)
+		eng.obsAt(t, evDevInc, p.id, int32(pmu.CXLDevTimeouts), 0)
 	}
 	return lat
 }
@@ -518,7 +621,7 @@ func (p *cxlPort) mediaAcquire(eng *Engine, t Cycles) Cycles {
 	if p.plan.ThrottledAt(uint64(start)) {
 		start = p.media.acquire(start)
 		slot := uint64(p.media.service + 0.5)
-		eng.obsAt(start, evBankAdd, p.devBank, int32(pmu.CXLDevThrottled), slot)
+		eng.obsAt(start, evDevAdd, p.id, int32(pmu.CXLDevThrottled), slot)
 	}
 	return start
 }
@@ -531,8 +634,8 @@ func (p *cxlPort) readRemoved(eng *Engine, arrival, txStart, devArrive Cycles) C
 	p.packReq.commit(devArrive) // the packing-buffer entry dies with the device
 	discover := devArrive + Cycles(p.plan.RemovalPenalty())
 	done := discover + p.cfg.M2PLat
-	eng.obsAt(arrival, evCXLArrive, p, 0, uint64(txStart))
-	eng.obsAt(done, evBankInc, p.m2pBank, int32(pmu.M2PErrCompletions), 0)
+	eng.obsAt(arrival, evCXLArrive, p.id, 0, uint64(txStart))
+	eng.obsAt(done, evM2PInc, p.id, int32(pmu.M2PErrCompletions), 0)
 	p.noteRemoval(eng, discover)
 	return done
 }
@@ -565,12 +668,12 @@ func (p *cxlPort) read(eng *Engine, arrival Cycles, la uint64) Cycles {
 		// Viral containment: every read completes at normal media timing
 		// but returns data flagged poisoned — an error completion, not a
 		// correction pass, because the device no longer trusts its media.
-		eng.obsAt(data, evBankInc, p.devBank, int32(pmu.CXLDevErrCompletions), 0)
+		eng.obsAt(data, evDevInc, p.id, int32(pmu.CXLDevErrCompletions), 0)
 	case p.plan.Poisoned(la):
 		// Poisoned media: the device's internal correction pass re-reads
 		// before returning data flagged poisoned.
 		data += p.cfg.CXLMediaLat
-		eng.obsAt(data, evBankInc, p.devBank, int32(pmu.CXLDevPoisonRd), 0)
+		eng.obsAt(data, evDevInc, p.id, int32(pmu.CXLDevPoisonRd), 0)
 		p.notePoison(eng, data)
 	}
 	p.devRPQ.commit(data)
@@ -592,11 +695,11 @@ func (p *cxlPort) read(eng *Engine, arrival Cycles, la uint64) Cycles {
 		rec.Span(obs.StageCXLRet, data, done)
 	}
 
-	eng.obsAt(arrival, evCXLArrive, p, 0, uint64(txStart))
-	eng.obsAt(devArrive, evCXLReadDev, p, 0, 0)
-	eng.obsAt(rpqAdmit, evCXLReadRPQ, p, 0, 0)
-	eng.obsAt(data, evCXLReadData, p, 0, 0)
-	eng.obsAt(hostArrive, evBankInc, p.m2pBank, int32(pmu.M2PTxInsertsBL), 0)
+	eng.obsAt(arrival, evCXLArrive, p.id, 0, uint64(txStart))
+	eng.obsAt(devArrive, evCXLReadDev, p.id, 0, 0)
+	eng.obsAt(rpqAdmit, evCXLReadRPQ, p.id, 0, 0)
+	eng.obsAt(data, evCXLReadData, p.id, 0, 0)
+	eng.obsAt(hostArrive, evM2PInc, p.id, int32(pmu.M2PTxInsertsBL), 0)
 	return done
 }
 
@@ -617,8 +720,8 @@ func (p *cxlPort) write(eng *Engine, arrival Cycles) (admitted, drained Cycles) 
 		p.packData.commit(devArrive)
 		discover := devArrive + Cycles(p.plan.RemovalPenalty())
 		done := discover + p.cfg.M2PLat
-		eng.obsAt(arrival, evCXLArrive, p, 0, uint64(txStart))
-		eng.obsAt(done, evBankInc, p.m2pBank, int32(pmu.M2PErrCompletions), 0)
+		eng.obsAt(arrival, evCXLArrive, p.id, 0, uint64(txStart))
+		eng.obsAt(done, evM2PInc, p.id, int32(pmu.M2PErrCompletions), 0)
 		p.noteRemoval(eng, discover)
 		return ready, done
 	}
@@ -634,11 +737,11 @@ func (p *cxlPort) write(eng *Engine, arrival Cycles) (admitted, drained Cycles) 
 	rxStart := p.linkXfer(eng, &p.linkRx, cxl.DirS2M, mediaStart, cxl.BytesPerMessage(cxl.Cmp)) // NDR
 	ackArrive := rxStart + p.cfg.FlexBusLat
 
-	eng.obsAt(arrival, evCXLArrive, p, 0, uint64(txStart))
-	eng.obsAt(devArrive, evCXLWriteDev, p, 0, 0)
-	eng.obsAt(wpqAdmit, evCXLWriteWPQ, p, 0, 0)
-	eng.obsAt(done, evCXLWriteDone, p, 0, 0)
-	eng.obsAt(ackArrive, evBankInc, p.m2pBank, int32(pmu.M2PTxInsertsAK), 0)
+	eng.obsAt(arrival, evCXLArrive, p.id, 0, uint64(txStart))
+	eng.obsAt(devArrive, evCXLWriteDev, p.id, 0, 0)
+	eng.obsAt(wpqAdmit, evCXLWriteWPQ, p.id, 0, 0)
+	eng.obsAt(done, evCXLWriteDone, p.id, 0, 0)
+	eng.obsAt(ackArrive, evM2PInc, p.id, int32(pmu.M2PTxInsertsAK), 0)
 	return ready, done
 }
 
