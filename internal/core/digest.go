@@ -88,19 +88,19 @@ func (r *digestReader) uvarint() (uint64, error) {
 	return v, nil
 }
 
-func (r *digestReader) bytes(n int) ([]byte, error) {
-	if r.off+n > len(r.b) {
+func (r *digestReader) bytes(n uint64) ([]byte, error) {
+	if n > uint64(len(r.b)-r.off) {
 		return nil, errDigestTruncated
 	}
-	out := r.b[r.off : r.off+n]
-	r.off += n
+	out := r.b[r.off : r.off+int(n)]
+	r.off += int(n)
 	return out, nil
 }
 
 // DecodeDigest reconstructs a snapshot.  eventCount is the catalog size
 // the digest was produced against (pmu.Default.Len()); counter vectors are
 // materialized at that length, under a BankIndex rebuilt from the encoded
-// bank names.
+// bank names.  Malformed input yields an error, never a panic.
 func DecodeDigest(d Digest, eventCount int) (*Snapshot, error) {
 	r := &digestReader{b: d}
 	magic, err := r.bytes(4)
@@ -133,9 +133,9 @@ func DecodeDigest(d Digest, eventCount int) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Each encoded bank takes at least two bytes, so a count beyond the
-	// buffer length is corrupt — reject before sizing the arena by it.
-	if nBanks > uint64(len(d)) {
+	// Each encoded bank takes at least two bytes, so a count beyond half
+	// the remaining buffer is corrupt — reject before sizing the arena by it.
+	if nBanks > uint64(len(d)-r.off)/2 {
 		return nil, errDigestTruncated
 	}
 	names := make([]string, 0, nBanks)
@@ -145,9 +145,21 @@ func DecodeDigest(d Digest, eventCount int) (*Snapshot, error) {
 		if err != nil {
 			return nil, err
 		}
-		nameBytes, err := r.bytes(int(nameLen))
+		nameBytes, err := r.bytes(nameLen)
 		if err != nil {
 			return nil, err
+		}
+		name := string(nameBytes)
+		// EncodeDigest writes banks sorted by name, which also rules out
+		// the duplicate names a BankIndex cannot hold.
+		if b > 0 && name <= names[b-1] {
+			return nil, fmt.Errorf("core: digest bank %q follows %q: names must be unique and sorted", name, names[b-1])
+		}
+		// A machine numbers each module kind densely from 0, so no instance
+		// reaches the bank count; a larger one would size BankIndex's
+		// per-kind tables by a corrupt number.
+		if _, inst, ok := splitBankName(name); ok && inst >= int(nBanks) {
+			return nil, fmt.Errorf("core: digest bank %q numbers an instance beyond its %d banks", name, nBanks)
 		}
 		pairs, err := r.uvarint()
 		if err != nil {
@@ -164,13 +176,18 @@ func DecodeDigest(d Digest, eventCount int) (*Snapshot, error) {
 			if err != nil {
 				return nil, err
 			}
-			idx += int(gap)
-			if idx >= eventCount {
-				return nil, fmt.Errorf("core: digest event index %d exceeds catalog size %d", idx, eventCount)
+			// The encoder writes gaps of at least 1; bounding the gap by the
+			// catalog also keeps the sum below from wrapping.
+			if gap == 0 {
+				return nil, fmt.Errorf("core: digest bank %q has a zero event index gap: indexes must increase", name)
 			}
+			if gap >= uint64(eventCount-idx) {
+				return nil, fmt.Errorf("core: digest bank %q event index gap %d after index %d passes the catalog's %d events", name, gap, idx, eventCount)
+			}
+			idx += int(gap)
 			vals[idx] = v
 		}
-		names = append(names, string(nameBytes))
+		names = append(names, name)
 	}
 	return &Snapshot{
 		Seq:   int(seq),

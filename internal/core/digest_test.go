@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -88,6 +90,60 @@ func TestDigestErrors(t *testing.T) {
 	if _, err := DecodeDigest(d, 3); err == nil {
 		t.Fatal("oversized event index accepted")
 	}
+
+	// Hand-built digests that panicked the decoder, wrapped its index
+	// arithmetic or would size its tables by a corrupt number.
+	if _, err := DecodeDigest(digestOf(digestBank{name: "core0", pairs: [][2]uint64{{1, 5}}}), pmu.Default.Len()); err != nil {
+		t.Fatalf("well-formed hand-built digest rejected: %v", err)
+	}
+	for _, c := range []struct {
+		what string
+		d    Digest
+	}{
+		{"first gap 0", digestOf(digestBank{name: "core0", pairs: [][2]uint64{{0, 5}}})},
+		{"later gap 0", digestOf(digestBank{name: "core0", pairs: [][2]uint64{{1, 5}, {0, 6}}})},
+		{"name length 2^64-1", digestOf(digestBank{nameLen: math.MaxUint64, name: "core0"})},
+		{"duplicate bank cxl0", digestOf(digestBank{name: "cxl0"}, digestBank{name: "cxl0"})},
+		{"unsorted banks", digestOf(digestBank{name: "cxl0"}, digestBank{name: "core0"})},
+		{"gap 2^63", digestOf(digestBank{name: "core0", pairs: [][2]uint64{{1 << 63, 1}}})},
+		{"gap 2^64-1", digestOf(digestBank{name: "core0", pairs: [][2]uint64{{math.MaxUint64, 1}}})},
+		{"instance beyond bank count", digestOf(digestBank{name: "core5000000"})},
+	} {
+		if _, err := DecodeDigest(c.d, pmu.Default.Len()); err == nil {
+			t.Errorf("%s: accepted", c.what)
+		} else {
+			t.Logf("%s: %v", c.what, err)
+		}
+	}
+}
+
+// digestBank is one bank of a hand-built digest: nameLen overrides the
+// encoded name length when non-zero, and pairs are raw (gap, value) pairs.
+type digestBank struct {
+	nameLen uint64
+	name    string
+	pairs   [][2]uint64
+}
+
+// digestOf encodes banks in the digest format without EncodeDigest's
+// invariants, so tests can build the corrupt digests a decoder must reject.
+func digestOf(banks ...digestBank) Digest {
+	d := append(Digest(digestMagic), digestVersion, 0, 0, 0) // seq, start, end
+	d = binary.AppendUvarint(d, uint64(len(banks)))
+	for _, b := range banks {
+		n := b.nameLen
+		if n == 0 {
+			n = uint64(len(b.name))
+		}
+		d = binary.AppendUvarint(d, n)
+		d = append(d, b.name...)
+		d = binary.AppendUvarint(d, uint64(len(b.pairs)))
+		for _, p := range b.pairs {
+			d = binary.AppendUvarint(d, p[0])
+			d = binary.AppendUvarint(d, p[1])
+		}
+	}
+	return d
 }
 
 // Property: synthetic sparse snapshots round-trip exactly.

@@ -10,10 +10,10 @@ import (
 // Link-fault injection: a FaultPlan is a seeded, fully deterministic
 // description of everything that can go wrong on a FlexBus link — per-flit
 // CRC corruption (with burst windows modeling retry storms), device-timeout
-// episodes, DevLoad-throttle episodes, and poisoned media lines.  The same
-// plan drives both the protocol-level Link simulation (retry.go) and the
-// timing-level cxlPort model in internal/sim, so a profiler experiment and
-// a message-integrity property test observe the same fault schedule.
+// episodes, DevLoad-throttle episodes, poisoned media lines, viral
+// containment and surprise removal.  The cxlPort timing model in
+// internal/sim draws every fault from the plan, and the chaos soak prints
+// and replays plans in the same syntax ParseFaultPlan reads.
 //
 // Determinism is load-bearing: corruption decisions are pure functions of
 // (Seed, direction, transfer index, time), never of a mutable RNG stream,
@@ -199,16 +199,6 @@ func (p *FaultPlan) Corrupts(dir Direction, index, now uint64) bool {
 		return false
 	}
 	return p.rand01(dir, index) < r
-}
-
-// CorruptBit returns the bit position (within an n-byte flit) a corrupted
-// transmission flips, derived from the same deterministic stream.
-func (p *FaultPlan) CorruptBit(dir Direction, index uint64, flitBytes int) int {
-	if flitBytes <= 0 {
-		return 0
-	}
-	h := mix64(p.Seed ^ mix64(uint64(dir)+0xb7) ^ mix64(index) ^ 0xfeedface)
-	return int(h % uint64(flitBytes*8))
 }
 
 // TimeoutAt reports whether a device-timeout episode is active at now.

@@ -1,233 +1,22 @@
 package cxl
 
-import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-)
-
 // Flit geometry of the 68-byte mode: a 4-byte header, four 15-byte message
-// slots, and a 2-byte CRC.  A data payload occupies a dedicated all-data
-// flit (4-byte header + 64-byte payload, CRC folded into the header's
-// space accounting), which is how the real protocol amortizes headers.
+// slots and a 2-byte CRC.  A data payload occupies an all-data flit of its
+// own (4-byte header + 64-byte payload), which is how the real protocol
+// amortizes headers.
 const (
-	FlitSize   = 68
-	headerSize = 4
-	slotSize   = 15
-	slotCount  = 4
-	crcSize    = 2
+	FlitSize  = 68
+	slotCount = 4 // message slots per protocol flit
 )
 
-// flit types carried in the header.
-const (
-	flitProtocol = 0x1 // slots carry protocol messages
-	flitAllData  = 0x2 // 64-byte payload follows the header
-)
-
-// slot layout (15 bytes):
-//
-//	[0]    opcode
-//	[1:7]  HPA >> 6 (40 bits used of 48) | meta<<46 semantics packed below
-//	[7:9]  tag
-//	[9]    meta (2 bits) | snp (2 bits) << 2 | ldid (4 bits) << 4
-//	[10:15] reserved (zero)
-const slotReserved = 10
-
-// crc16 implements CRC-16/CCITT-FALSE over a byte slice.
-func crc16(data []byte) uint16 {
-	crc := uint16(0xffff)
-	for _, b := range data {
-		crc ^= uint16(b) << 8
-		for i := 0; i < 8; i++ {
-			if crc&0x8000 != 0 {
-				crc = crc<<1 ^ 0x1021
-			} else {
-				crc <<= 1
-			}
-		}
-	}
-	return crc
-}
-
-// encodeSlot packs a message header into a 15-byte slot.
-func encodeSlot(dst []byte, m *Message) {
-	dst[0] = byte(m.Op)
-	// 46-bit line-aligned address stored as a 40-bit line number.
-	line := m.Addr >> 6
-	for i := 0; i < 6; i++ {
-		dst[1+i] = byte(line >> (8 * i))
-	}
-	binary.LittleEndian.PutUint16(dst[7:9], m.Tag)
-	dst[9] = byte(m.Meta) | byte(m.Snp)<<2 | m.LDID<<4
-	for i := slotReserved; i < slotSize; i++ {
-		dst[i] = 0
-	}
-}
-
-// decodeSlot unpacks a slot; a zeroed slot (opcode MemInv with zero
-// fields) is distinguished by the packer's slot-count header field, so
-// decodeSlot never sees padding.
-func decodeSlot(src []byte) Message {
-	var line uint64
-	for i := 0; i < 6; i++ {
-		line |= uint64(src[1+i]) << (8 * i)
-	}
-	return Message{
-		Op:   Opcode(src[0]),
-		Addr: line << 6,
-		Tag:  binary.LittleEndian.Uint16(src[7:9]),
-		Meta: MetaValue(src[9] & 0x3),
-		Snp:  SnpType(src[9] >> 2 & 0x3),
-		LDID: src[9] >> 4,
-	}
-}
-
-// Packer accumulates messages and emits 68-byte flits.  Header slots pack
-// up to four messages per flit; each data payload is emitted as one
-// all-data flit immediately after the flit carrying its header slot.
-type Packer struct {
-	pending []Message // headers waiting for a slot
-	data    [][]byte  // payloads owed after the current protocol flit
-	seq     uint8
-}
-
-// Push queues a validated message for transmission.
-func (p *Packer) Push(m Message) error {
-	if err := m.Validate(); err != nil {
-		return err
-	}
-	p.pending = append(p.pending, m)
-	return nil
-}
-
-// Pending reports queued messages not yet emitted.
-func (p *Packer) Pending() int { return len(p.pending) + len(p.data) }
-
-// Next emits the next flit, or false when nothing is queued.  Protocol
-// flits drain up to four pending headers; owed payloads are emitted as
-// all-data flits before further protocol flits.
-func (p *Packer) Next() ([FlitSize]byte, bool) {
-	var f [FlitSize]byte
-	if len(p.data) > 0 {
-		payload := p.data[0]
-		p.data = p.data[1:]
-		f[0] = flitAllData
-		f[1] = p.seq
-		p.seq++
-		copy(f[headerSize:], payload)
-		// All-data flits carry no CRC field in this layout; integrity is
-		// covered by the link layer of the next protocol flit.
-		return f, true
-	}
-	if len(p.pending) == 0 {
-		return f, false
-	}
-	n := len(p.pending)
-	if n > slotCount {
-		n = slotCount
-	}
-	f[0] = flitProtocol
-	f[1] = p.seq
-	p.seq++
-	f[2] = byte(n)
-	for i := 0; i < n; i++ {
-		m := &p.pending[i]
-		encodeSlot(f[headerSize+i*slotSize:headerSize+(i+1)*slotSize], m)
-		if m.Op.HasData() {
-			p.data = append(p.data, m.Data)
-		}
-	}
-	p.pending = p.pending[n:]
-	crc := crc16(f[:FlitSize-crcSize])
-	binary.LittleEndian.PutUint16(f[FlitSize-crcSize:], crc)
-	return f, true
-}
-
-// Unpacker reassembles messages from a flit stream.
-type Unpacker struct {
-	out     []Message
-	owed    []int // indexes into out awaiting payloads
-	nextSeq uint8
-	started bool
-}
-
-// Errors surfaced by the unpacker.
-var (
-	ErrBadCRC      = errors.New("cxl: flit CRC mismatch")
-	ErrBadSequence = errors.New("cxl: flit sequence gap")
-	ErrBadFlitType = errors.New("cxl: unknown flit type")
-	ErrStrayData   = errors.New("cxl: all-data flit without an owing message")
-)
-
-// Feed consumes one flit.
-func (u *Unpacker) Feed(f [FlitSize]byte) error {
-	if u.started && f[1] != u.nextSeq {
-		return fmt.Errorf("%w: got %d want %d", ErrBadSequence, f[1], u.nextSeq)
-	}
-	u.started = true
-	u.nextSeq = f[1] + 1
-	switch f[0] {
-	case flitAllData:
-		if len(u.owed) == 0 {
-			return ErrStrayData
-		}
-		idx := u.owed[0]
-		u.owed = u.owed[1:]
-		data := make([]byte, 64)
-		copy(data, f[headerSize:headerSize+64])
-		u.out[idx].Data = data
-		return nil
-	case flitProtocol:
-		want := binary.LittleEndian.Uint16(f[FlitSize-crcSize:])
-		if crc16(f[:FlitSize-crcSize]) != want {
-			return ErrBadCRC
-		}
-		n := int(f[2])
-		if n > slotCount {
-			return fmt.Errorf("cxl: slot count %d exceeds %d", n, slotCount)
-		}
-		for i := 0; i < n; i++ {
-			m := decodeSlot(f[headerSize+i*slotSize : headerSize+(i+1)*slotSize])
-			u.out = append(u.out, m)
-			if m.Op.HasData() {
-				u.owed = append(u.owed, len(u.out)-1)
-			}
-		}
-		return nil
-	default:
-		return fmt.Errorf("%w: %#x", ErrBadFlitType, f[0])
-	}
-}
-
-// Drain returns the fully reassembled messages (those not awaiting
-// payloads) and retains the rest.
-func (u *Unpacker) Drain() []Message {
-	// Messages are complete in order until the first owed index.
-	cut := len(u.out)
-	if len(u.owed) > 0 {
-		cut = u.owed[0]
-	}
-	done := make([]Message, cut)
-	copy(done, u.out[:cut])
-	u.out = u.out[cut:]
-	for i := range u.owed {
-		u.owed[i] -= cut
-	}
-	return done
-}
-
-// FlitsFor returns how many 68-byte flits a message set consumes — the
-// quantity the simulator charges to the FlexBus.  headerMsgs protocol
-// headers share flits four-a-piece; each data payload adds one all-data
-// flit.
-func FlitsFor(headerMsgs, dataPayloads int) int {
-	flits := (headerMsgs + slotCount - 1) / slotCount
-	return flits + dataPayloads
-}
+// DefaultRetryBufEntries is the depth, in flits, of the link-layer retry
+// buffer that holds transmitted flits until the far side acknowledges them.
+const DefaultRetryBufEntries = 32
 
 // BytesPerMessage reports the effective wire bytes of a single message of
 // the given opcode when flits are fully packed: a quarter of a protocol
-// flit for the header, plus a full all-data flit for payloads.
+// flit for the header, plus a full all-data flit for payloads.  It is the
+// quantity the simulator charges to the FlexBus byte server.
 func BytesPerMessage(op Opcode) float64 {
 	b := float64(FlitSize) / slotCount
 	if op.HasData() {

@@ -1,110 +1,6 @@
 package cxl
 
-import (
-	"bytes"
-	"testing"
-)
-
-// seedFlits68 returns a few well-formed 68B flits for fuzz corpora.
-func seedFlits68() [][FlitSize]byte {
-	var p Packer
-	data := make([]byte, 64)
-	for i := range data {
-		data[i] = byte(i)
-	}
-	_ = p.Push(NewRead(0x1000, 1))
-	_ = p.Push(NewWrite(0x2000, 2, data))
-	_ = p.Push(NewCompletion(3))
-	var out [][FlitSize]byte
-	for {
-		f, ok := p.Next()
-		if !ok {
-			break
-		}
-		out = append(out, f)
-	}
-	return out
-}
-
-// FuzzFlitDecode feeds arbitrary 68-byte flits (and short prefixes padded
-// out) to the 68B Unpacker: it must never panic, only return structured
-// errors, and CRC-valid protocol flits must decode to validatable slots.
-func FuzzFlitDecode(f *testing.F) {
-	for _, fl := range seedFlits68() {
-		f.Add(fl[:])
-	}
-	f.Add(bytes.Repeat([]byte{0xff}, FlitSize))
-	f.Add(make([]byte, FlitSize))
-
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		var fl [FlitSize]byte
-		copy(fl[:], raw)
-		var u Unpacker
-		if err := u.Feed(fl); err != nil {
-			return // structured rejection is the contract
-		}
-		// Accepted flits must drain without panicking either.
-		for _, m := range u.Drain() {
-			_ = m.Op.String()
-		}
-
-		// A second arbitrary flit after a good one exercises the
-		// sequence/owed-payload state machine.
-		var fl2 [FlitSize]byte
-		if len(raw) > FlitSize {
-			copy(fl2[:], raw[FlitSize:])
-		} else {
-			fl2 = fl
-			fl2[1]++ // keep the sequence plausible
-		}
-		_ = u.Feed(fl2)
-		u.Drain()
-	})
-}
-
-// FuzzFlit256Feed feeds arbitrary byte slices to the mode-dispatching
-// unpacker, which must reject malformed 68B and 256B flits (including
-// corrupted slack-slot counts on data flits) without panicking.
-func FuzzFlit256Feed(f *testing.F) {
-	var p ModePacker
-	p.Mode = Mode256
-	data := make([]byte, 64)
-	_ = p.Push(NewWrite(0x4000, 7, data))
-	_ = p.Push(NewRead(0x8000, 8))
-	for {
-		fl, ok := p.Next()
-		if !ok {
-			break
-		}
-		f.Add(fl)
-	}
-	for _, fl := range seedFlits68() {
-		f.Add(fl[:])
-	}
-	// The historical panic: a 68B all-data flit whose f[3] (a payload byte
-	// position in that mode) is nonzero, and a 256B data flit overclaiming
-	// slack slots.
-	crash68 := make([]byte, FlitSize)
-	crash68[0] = flitAllData
-	crash68[3] = 1
-	f.Add(crash68)
-	crash256 := make([]byte, 256)
-	crash256[0] = flitAllData256
-	crash256[3] = 0xff
-	f.Add(crash256)
-	f.Add([]byte{})
-	f.Add([]byte{flitProtocol256})
-
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		var u ModeUnpacker
-		if err := u.Feed(raw); err != nil {
-			return
-		}
-		u.Drain()
-		_ = u.Feed(raw) // sequence-gap path
-		u.Drain()
-	})
-}
+import "testing"
 
 // FuzzParseFaultPlan checks the CLI fault-plan grammar never panics, only
 // returns validated plans, and that String is a canonical form: whatever

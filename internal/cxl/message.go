@@ -1,17 +1,11 @@
-// Package cxl implements the CXL.mem protocol substrate the simulator's
-// FlexBus transports: M2S request (Req) and request-with-data (RwD)
-// messages, S2M no-data (NDR) and data (DRS) responses, their packing into
-// 68-byte flits with CRC protection, and the device-load (QoS telemetry)
-// classification the CXL 3.x specification derives from the device queue
-// state — the paper's §2.1 protocol description and the §3.5 telemetry it
-// leaves as future work.
-//
-// The bit layout is a faithful simplification of the 68B flit mode: a
-// 4-byte flit header, four 15-byte slots each carrying one message (a
-// 64-byte data payload spans a dedicated all-data flit), and a trailing
-// CRC-16.  It is not wire-compatible with real hardware; it preserves the
-// fields, the slot/flit structure, and the header/data bandwidth overheads
-// that matter for protocol analysis.
+// Package cxl implements the CXL.mem protocol facts the simulator's
+// FlexBus timing model reads: the M2S request (Req) and request-with-data
+// (RwD) opcodes, the S2M no-data (NDR) and data (DRS) responses, the wire
+// bytes each costs once packed into 68-byte flits, the deterministic
+// link-fault schedule, and the device-load (QoS telemetry) classification
+// the CXL 3.x specification derives from the device queue state — the
+// paper's §2.1 protocol description and the §3.5 telemetry it leaves as
+// future work.
 package cxl
 
 import "fmt"
@@ -44,8 +38,6 @@ const (
 	CmpE
 	// MemData is the DRS data response for reads.
 	MemData
-
-	opcodeCount
 )
 
 // String returns the specification mnemonic.
@@ -75,103 +67,7 @@ func (o Opcode) String() string {
 	return fmt.Sprintf("Opcode(%d)", uint8(o))
 }
 
-// IsM2S reports whether the opcode travels master-to-subordinate.
-func (o Opcode) IsM2S() bool { return o <= MemWrPtl }
-
 // HasData reports whether the message carries a 64-byte payload.
 func (o Opcode) HasData() bool {
 	return o == MemWr || o == MemWrPtl || o == MemData
-}
-
-// MetaValue is the 2-bit coherence metadata of M2S requests (the host
-// directory state the device tracks for back-invalidation).
-type MetaValue uint8
-
-// Meta states.
-const (
-	MetaInvalid MetaValue = iota
-	MetaAny
-	MetaShared
-	metaCount
-)
-
-// SnpType is the snoop semantic attached to an M2S request.
-type SnpType uint8
-
-// Snoop types.
-const (
-	NoOp SnpType = iota
-	SnpData
-	SnpCur
-	SnpInv
-	snpCount
-)
-
-// Message is one CXL.mem protocol message.  Addr is line-aligned and
-// limited to 46 bits (the HPA field width of the 68B slot format); Tag
-// matches requests to responses; LDID selects the logical device of a
-// multi-headed module.
-type Message struct {
-	Op   Opcode
-	Addr uint64
-	Tag  uint16
-	Meta MetaValue
-	Snp  SnpType
-	LDID uint8 // 4 bits
-
-	// Data is the 64-byte payload for HasData opcodes (nil otherwise).
-	Data []byte
-}
-
-// maxAddr is the 46-bit HPA limit of the slot format.
-const maxAddr = 1 << 46
-
-// Validate checks field ranges and payload presence.
-func (m *Message) Validate() error {
-	if m.Op >= opcodeCount {
-		return fmt.Errorf("cxl: invalid opcode %d", m.Op)
-	}
-	if m.Addr >= maxAddr {
-		return fmt.Errorf("cxl: address %#x exceeds the 46-bit HPA field", m.Addr)
-	}
-	if m.Addr%64 != 0 {
-		return fmt.Errorf("cxl: address %#x is not line aligned", m.Addr)
-	}
-	if m.Meta >= metaCount {
-		return fmt.Errorf("cxl: invalid meta value %d", m.Meta)
-	}
-	if m.Snp >= snpCount {
-		return fmt.Errorf("cxl: invalid snoop type %d", m.Snp)
-	}
-	if m.LDID > 0xf {
-		return fmt.Errorf("cxl: LD-ID %d exceeds 4 bits", m.LDID)
-	}
-	if m.Op.HasData() {
-		if len(m.Data) != 64 {
-			return fmt.Errorf("cxl: %v requires a 64-byte payload, got %d", m.Op, len(m.Data))
-		}
-	} else if m.Data != nil {
-		return fmt.Errorf("cxl: %v must not carry data", m.Op)
-	}
-	return nil
-}
-
-// NewRead builds the M2S Req for a demand read.
-func NewRead(addr uint64, tag uint16) Message {
-	return Message{Op: MemRd, Addr: addr, Tag: tag, Meta: MetaAny, Snp: NoOp}
-}
-
-// NewWrite builds the M2S RwD for a full-line write.
-func NewWrite(addr uint64, tag uint16, data []byte) Message {
-	return Message{Op: MemWr, Addr: addr, Tag: tag, Meta: MetaAny, Snp: NoOp, Data: data}
-}
-
-// NewDataResponse builds the S2M DRS answering a read.
-func NewDataResponse(tag uint16, data []byte) Message {
-	return Message{Op: MemData, Tag: tag, Data: data}
-}
-
-// NewCompletion builds the S2M NDR answering a write.
-func NewCompletion(tag uint16) Message {
-	return Message{Op: Cmp, Tag: tag}
 }

@@ -198,59 +198,6 @@ func TestMultiplexAccounting(t *testing.T) {
 	}
 }
 
-func TestSamplingSession(t *testing.T) {
-	m, r := testMachine(t, 1)
-	ss, err := OpenSampling(m, "core0/mem_load_retired.l1_miss/", 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ss.Period() != 100 {
-		t.Fatalf("period = %d", ss.Period())
-	}
-	m.Attach(0, &opList{ops: loads(r.Base, 2000)})
-	m.Run(20_000_000)
-	samples := ss.Samples()
-	if len(samples) == 0 {
-		t.Fatal("no overflow samples")
-	}
-	// Samples arrive in time order with totals at period multiples.
-	for i, s := range samples {
-		if s.Bank != "core0" {
-			t.Fatalf("sample %d from %s", i, s.Bank)
-		}
-		if s.Total < uint64(i+1)*100 {
-			t.Fatalf("sample %d total %d below period boundary", i, s.Total)
-		}
-		if i > 0 && s.Cycle < samples[i-1].Cycle {
-			t.Fatalf("samples out of order at %d", i)
-		}
-	}
-	before := len(samples)
-	ss.Close()
-	m.Attach(0, &opList{ops: loads(r.Base+1<<20, 2000)})
-	m.Run(20_000_000)
-	if len(ss.Samples()) != before {
-		t.Fatal("sampler fired after Close")
-	}
-	ss.Close() // idempotent
-}
-
-func TestSamplingErrors(t *testing.T) {
-	m, _ := testMachine(t, 0)
-	if _, err := OpenSampling(m, "core0/mem_load_retired.l1_miss/", 0); err == nil {
-		t.Fatal("zero period accepted")
-	}
-	if _, err := OpenSampling(m, "core0/bogus/", 10); err == nil {
-		t.Fatal("unknown event accepted")
-	}
-	if _, err := OpenSampling(m, "nomatch*/inst_retired.any/", 10); err == nil {
-		t.Fatal("unmatched pattern accepted")
-	}
-	if _, err := OpenSampling(m, "junk", 10); err == nil {
-		t.Fatal("malformed spec accepted")
-	}
-}
-
 func TestRunRotatedUnmultiplexed(t *testing.T) {
 	m, r := testMachine(t, 0)
 	m.Attach(0, &opList{ops: loads(r.Base, 3000)})
@@ -334,63 +281,5 @@ func TestRotationHelpers(t *testing.T) {
 	SortEstimates(es)
 	if es[0].Estimate != 5 || es[2].Estimate != 1 {
 		t.Fatalf("sort order: %+v", es)
-	}
-}
-
-// TestSamplingSweepMatchesOracle: a sample's Cycle is the cycle the
-// overflowing increment describes, not the clock at which the observer lane
-// happened to apply it.  Counters fed through the lane (the CXL device's
-// RPQ inserts, TOR inserts on every CHA, M2PCIe ingress inserts) are
-// applied once per 1,024-cycle block on the sweep but at every step on the
-// dispatch oracle, so only the increment's own cycle makes the two record
-// the same samples.  l1_miss, counted directly by the core, rides along.
-func TestSamplingSweepMatchesOracle(t *testing.T) {
-	specs := []string{
-		"cxl0/unc_cxldimm_rpq_inserts/",
-		"cha*/unc_cha_tor_inserts.ia.all/",
-		"m2pcie0/unc_m2p_rxc_inserts.all/",
-		"core0/mem_load_retired.l1_miss/",
-	}
-	record := func(lanes int) [][]Sample {
-		m, r := testMachine(t, 1)
-		m.SetLanes(lanes)
-		sessions := make([]*SampleSession, len(specs))
-		for i, spec := range specs {
-			ss, err := OpenSampling(m, spec, 7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sessions[i] = ss
-		}
-		m.Attach(0, workload.NewStream(workload.Region{Base: r.Base, Size: r.Size}, 0, 0, 1))
-		m.Run(2_000_000)
-		out := make([][]Sample, len(specs))
-		for i, ss := range sessions {
-			out[i] = ss.Samples()
-		}
-		return out
-	}
-	sweep, oracle := record(0), record(-1)
-	for i, spec := range specs {
-		s, o := sweep[i], oracle[i]
-		if len(s) < 1000 {
-			t.Fatalf("%s: only %d samples", spec, len(s))
-		}
-		if len(s) != len(o) {
-			t.Fatalf("%s: sweep recorded %d samples, oracle %d", spec, len(s), len(o))
-		}
-		diff, first := 0, -1
-		for j := range s {
-			if s[j] != o[j] {
-				if first < 0 {
-					first = j
-				}
-				diff++
-			}
-		}
-		if diff > 0 {
-			t.Errorf("%s: %d of %d samples differ; first #%d: sweep %+v, oracle %+v",
-				spec, diff, len(s), first, s[first], o[first])
-		}
 	}
 }

@@ -11,11 +11,6 @@ type Bank struct {
 	cat  *Catalog
 	name string
 	vals []uint64
-
-	// samplers is dense, indexed by Event, and nil until the first Attach:
-	// the common no-sampler increment pays one nil test, never a map
-	// lookup.
-	samplers []*Sampler
 }
 
 // NewBank allocates a zeroed bank over cat.  The name identifies the owning
@@ -31,24 +26,10 @@ func (b *Bank) Name() string { return b.name }
 // Catalog returns the catalog the bank is allocated against.
 func (b *Bank) Catalog() *Catalog { return b.cat }
 
-// Add increments event e by n.  It stays within the compiler's inlining
-// budget (make inline-check guards that): the simulator calls it about 25
-// times per simulated request, so the sampler check lives out of line.
-func (b *Bank) Add(e Event, n uint64) {
-	b.vals[e] += n
-	if b.samplers != nil {
-		b.notify(e)
-	}
-}
-
-// notify hands event e's new total to its sampler, if one is attached.
-func (b *Bank) notify(e Event) {
-	if int(e) < len(b.samplers) {
-		if s := b.samplers[e]; s != nil {
-			s.observe(b.vals[e])
-		}
-	}
-}
+// Add increments event e by n.  The simulator calls it about 25 times per
+// simulated request, so it must stay inlinable (make inline-check guards
+// that).
+func (b *Bank) Add(e Event, n uint64) { b.vals[e] += n }
 
 // Inc increments event e by one.
 func (b *Bank) Inc(e Event) { b.Add(e, 1) }
@@ -101,22 +82,4 @@ func (b *Bank) CopyTo(dst []uint64) {
 			b.name, len(dst), len(b.vals)))
 	}
 	copy(dst, b.vals)
-}
-
-// Attach registers a sampler on event e.  A later Attach for the same event
-// replaces the earlier sampler.
-func (b *Bank) Attach(e Event, s *Sampler) {
-	if int(e) >= len(b.samplers) {
-		grown := make([]*Sampler, b.cat.Len())
-		copy(grown, b.samplers)
-		b.samplers = grown
-	}
-	b.samplers[e] = s
-}
-
-// Detach removes any sampler from event e.
-func (b *Bank) Detach(e Event) {
-	if int(e) < len(b.samplers) {
-		b.samplers[e] = nil
-	}
 }

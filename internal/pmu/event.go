@@ -1,9 +1,10 @@
 // Package pmu models the performance-monitoring-unit layer PathFinder is
 // built on.  It provides a catalog of named hardware events (mirroring the
 // counter tables of the PathFinder paper), fixed-size counter banks that
-// architectural modules increment during simulation, occupancy/busy
-// integrators for the "*_occupancy" and "*_cycles_ne" counter families,
-// and an overflow-driven sampling mode.
+// architectural modules increment during simulation, and occupancy/busy
+// integrators for the "*_occupancy" and "*_cycles_ne" counter families.
+// Counters are read in counting mode, at epoch snapshots, as PathFinder
+// reads them.
 //
 // The catalog names, scopes and semantics follow Tables 1-5 of
 // "Understanding and Profiling CXL.mem Using PathFinder" (SIGCOMM 2025) so

@@ -26,9 +26,7 @@ func (t *BusyTracker) CopyStateFrom(src *BusyTracker) {
 }
 
 // CopyCountersFrom copies every counter value from src, which must be
-// allocated against a catalog of the same length.  Samplers attached to b
-// are kept as-is and are not fired by the bulk copy: a restore re-positions
-// the bank, it does not replay the increments that got it there.
+// allocated against a catalog of the same length.
 func (b *Bank) CopyCountersFrom(src *Bank) {
 	if len(b.vals) != len(src.vals) {
 		panic(fmt.Sprintf("pmu: bank %s: CopyCountersFrom src %s holds %d values, want %d",

@@ -287,83 +287,3 @@ func TestBusyTrackerUnderflowPanics(t *testing.T) {
 	tr := NewBusyTracker(NewBank(Default, "x"), StallsL1DMiss)
 	tr.End(1)
 }
-
-func TestSamplerOverflow(t *testing.T) {
-	var fired []uint64
-	s := NewSampler(10, func(total uint64) { fired = append(fired, total) })
-	b := NewBank(Default, "core0")
-	b.Attach(MemLoadL1Miss, s)
-
-	b.Add(MemLoadL1Miss, 9)
-	if len(fired) != 0 {
-		t.Fatalf("fired early: %v", fired)
-	}
-	b.Add(MemLoadL1Miss, 1)  // total 10
-	b.Add(MemLoadL1Miss, 25) // total 35 -> crossings at 20, 30
-	if len(fired) != 3 {
-		t.Fatalf("fired %d times, want 3 (%v)", len(fired), fired)
-	}
-	if s.Fired() != 3 {
-		t.Fatalf("Fired() = %d", s.Fired())
-	}
-	b.Detach(MemLoadL1Miss)
-	b.Add(MemLoadL1Miss, 100)
-	if len(fired) != 3 {
-		t.Fatal("sampler fired after Detach")
-	}
-}
-
-// TestSamplerThroughInlinedAdd pins the sampler contract of the inlinable
-// Add/Inc: a sampler fires once per period crossing with the counter's
-// total, Detach silences it, and events without a sampler count exactly as
-// before on a bank whose sampler slice exists (Add then takes the
-// out-of-line notify path and must find nothing to fire).
-func TestSamplerThroughInlinedAdd(t *testing.T) {
-	var fired []uint64
-	b := NewBank(Default, "core0")
-	b.Attach(MemLoadL1Miss, NewSampler(4, func(total uint64) { fired = append(fired, total) }))
-
-	for i := 0; i < 10; i++ {
-		b.Inc(MemLoadL1Miss) // crossings at 4 and 8
-		b.Add(InstRetiredAny, 3)
-		b.Inc(MemLoadL1Hit)
-	}
-	b.Add(MemLoadL1Miss, 7) // total 17: crossings at 12 and 16, one call
-	want := []uint64{4, 8, 17, 17}
-	if len(fired) != len(want) {
-		t.Fatalf("fired %v, want %v", fired, want)
-	}
-	for i := range want {
-		if fired[i] != want[i] {
-			t.Fatalf("fired %v, want %v", fired, want)
-		}
-	}
-	if got := b.Read(InstRetiredAny); got != 30 {
-		t.Fatalf("unsampled Add counted %d, want 30", got)
-	}
-	if got := b.Read(MemLoadL1Hit); got != 10 {
-		t.Fatalf("unsampled Inc counted %d, want 10", got)
-	}
-
-	b.Detach(MemLoadL1Miss)
-	b.Add(MemLoadL1Miss, 100)
-	b.Inc(MemLoadL1Hit)
-	if len(fired) != len(want) {
-		t.Fatalf("sampler fired after Detach: %v", fired)
-	}
-	if got := b.Read(MemLoadL1Miss); got != 117 {
-		t.Fatalf("detached event counted %d, want 117", got)
-	}
-	if got := b.Read(MemLoadL1Hit); got != 11 {
-		t.Fatalf("unsampled Inc after Detach counted %d, want 11", got)
-	}
-}
-
-func TestSamplerZeroPeriodPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero period did not panic")
-		}
-	}()
-	NewSampler(0, nil)
-}

@@ -351,17 +351,19 @@ func TestCheckpointIdleMachine(t *testing.T) {
 // runs both to completion, and requires identical counters.  With
 // lateCore, core 1 never runs before the checkpoint: the fork lands by
 // RestoreInto on a machine whose core 1 has run, and core 1 attaches only
-// after it.
+// after it.  Warm-up and suffix are short enough (at most 350k simulated
+// cycles per input) that the fuzzer's baseline pass over the seeds ends in
+// about a second and a short fuzzing budget goes to mutated inputs.
 func FuzzCheckpointRoundTrip(f *testing.F) {
 	f.Add(uint32(1_000), int8(-1), false, false)
-	f.Add(uint32(500_000), int8(1), true, false)
-	f.Add(uint32(1_999_999), int8(2), false, false)
+	f.Add(uint32(50_000), int8(1), true, false)
+	f.Add(uint32(99_999), int8(2), false, false)
 	f.Add(uint32(137), int8(0), true, false)
-	f.Add(uint32(800_000), int8(0), false, true)
-	f.Add(uint32(300_000), int8(-1), true, true)
+	f.Add(uint32(80_000), int8(0), false, true)
+	f.Add(uint32(30_000), int8(-1), true, true)
 	f.Fuzz(func(t *testing.T, warmRaw uint32, lanes int8, withFaults, lateCore bool) {
-		warm := Cycles(warmRaw%2_000_000) + 1
-		suffix := Cycles(750_000)
+		warm := Cycles(warmRaw%100_000) + 1
+		suffix := Cycles(50_000)
 		laneMode := int(lanes) // SetLanes: negative is the oracle
 		var cxl workload.Region
 		build := func() *Machine {

@@ -171,12 +171,6 @@ type Engine struct {
 	obsSeq       uint64
 	obsLast      Cycles
 
-	// While drainObs applies buffered entries, applying is set and
-	// obsStamp is the cycle of the entries being applied
-	// (Machine.CounterCycle).
-	applying bool
-	obsStamp Cycles
-
 	// recorders are the evRecord targets; only tests fill the table.
 	recorders []obsRecorder
 }
@@ -294,7 +288,6 @@ func (e *Engine) drainObs(ts Cycles) {
 	if ts <= e.obsLast {
 		return
 	}
-	e.applying = true
 	cur, end := e.obsLast, e.obsLast|obsNearMask // end: last cycle of cur's block
 	for e.obsLen > 0 {
 		if ts <= end {
@@ -318,7 +311,6 @@ func (e *Engine) drainObs(ts Cycles) {
 	if len(e.obsFar) > 0 {
 		e.drainFarUpTo(ts)
 	}
-	e.applying = false
 	e.obsLast = ts
 }
 
@@ -342,7 +334,6 @@ func (e *Engine) drainNear(cur, end Cycles) {
 			if len(e.obsFar) > 0 {
 				e.drainFarUpTo(b[0].when)
 			}
-			e.obsStamp = b[0].when
 			for i := range b {
 				e.applyObs(&b[i])
 			}
@@ -373,7 +364,6 @@ func (e *Engine) cascade(k int) {
 func (e *Engine) drainFarUpTo(w Cycles) {
 	for len(e.obsFar) > 0 && e.obsFar[0].ev.when <= w {
 		ev := e.obsFarPop()
-		e.obsStamp = ev.ev.when
 		e.applyObs(&ev.ev)
 	}
 }

@@ -129,20 +129,6 @@ func (m *Machine) AddressSpace() *mem.AddressSpace { return m.as }
 // Now returns the current simulated cycle.
 func (m *Machine) Now() Cycles { return m.eng.Now() }
 
-// CounterCycle returns the cycle the PMU increment being made right now
-// describes, for overflow samplers: the cycle of the observer-lane entry
-// being applied while the lane drains, which on the sweep lags the clock
-// by up to a block, and the clock otherwise.  A lane entry applied the
-// moment it is scheduled is at the clock: it cannot lie behind the clock,
-// nor ahead of the drain cursor, which never passes the clock.
-func (m *Machine) CounterCycle() Cycles {
-	e := m.eng
-	if e.applying {
-		return e.obsStamp
-	}
-	return e.now
-}
-
 // Banks returns every PMU bank of the machine.
 func (m *Machine) Banks() []*pmu.Bank { return m.banks }
 

@@ -480,10 +480,9 @@ func newCXLPort(id int, cfg *Config, m2pBank, devBank *pmu.Bank) *cxlPort {
 	}
 }
 
-// linkMaxAttempts bounds per-transfer replay attempts in the timing model;
+// linkMaxAttempts bounds per-transfer replay attempts in the timing model:
 // a transfer corrupted that many consecutive times is assumed to survive
-// the subsequent link retraining (the protocol-level Link surfaces
-// ErrLinkDown instead, but the timing model must always make progress).
+// the link retraining that follows, so the model always makes progress.
 const linkMaxAttempts = 16
 
 // flitsOf returns the whole flits a transfer of size wire bytes parks in
@@ -520,7 +519,8 @@ func (p *cxlPort) linkXfer(eng *Engine, srv *byteServer, dir cxl.Direction, read
 	eng.obsAt(start, evRetryOcc, p.id, int32(flits), 0)
 
 	// A Nak rewinds the sender to the lost flit, retransmitting the
-	// flits in flight behind it — on average half the retry window.
+	// flits in flight behind it, charged as half the retry window
+	// (DESIGN §7 compares the charge with a go-back-N link's replay).
 	replayBytes := float64(p.retryEntries/2) * cxl.FlitSize
 	for attempt := 0; attempt < linkMaxAttempts; attempt++ {
 		idx := p.txIdx[dir]
