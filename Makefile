@@ -125,16 +125,17 @@ bench-allocs:
 		"$$tmp"
 
 # Inlining guard: the simulator's per-op PMU bookkeeping (about 25 counter
-# adds and 4 observer-lane entries per simulated request) and its cache-set
-# rank updates are cheap only while these helpers inline into their
-# callers.  Bank.Add is a bare array add (inline cost 6, Inc 10, against
-# the compiler's budget of 80 on go1.24.0), but others sit just under it
-# (OccTracker.Update 72, Core.findLFB 78, Engine.advance 71), and one more
-# line silently turns such a helper back into a call; this fails
-# instead.  The list is matched against `go build -gcflags=-m`'s "can
+# adds and 4 observer-lane entries per simulated request), its cache tag
+# compares (holds, and Cache.locate, which derives a line's set and tag)
+# and its cache-set rank updates are cheap only while these helpers inline
+# into their callers.  Against the compiler's budget of 80 on go1.24.0,
+# Bank.Add, a bare array add, costs 6, Inc 10, holds 15 and locate 20, but
+# others sit just under it (OccTracker.Update 72, Core.findLFB 78,
+# Engine.advance 71), and one more line silently turns such a helper back
+# into a call; this fails instead.  The list is matched against `go build -gcflags=-m`'s "can
 # inline" report.
 INLINE_HOT := '(*Bank).Add' '(*Bank).Inc' '(*OccTracker).Update' '(*OccTracker).Release' \
-	'(*BusyTracker).Release' holds '(*Core).pruneLFB' '(*Core).findLFB' '(*Core).pfLive' \
+	'(*BusyTracker).Release' holds '(*Cache).locate' '(*Core).pruneLFB' '(*Core).findLFB' '(*Core).pfLive' \
 	growObs '(*Engine).advance' zeroNibble promote torGroupOf
 
 inline-check:

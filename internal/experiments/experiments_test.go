@@ -404,8 +404,8 @@ func TestFaultsShape(t *testing.T) {
 			t.Errorf("rate %v replayed no bytes", rate)
 		}
 	}
-	// Fault-domain localization: media-bound when healthy, link-bound once
-	// the CRC rate reaches 1e-3.
+	// Fault-domain localization at -quick: media-bound when healthy,
+	// link-bound once the CRC rate reaches 1e-3.
 	if r.Culprits[0] != "CXL DIMM" {
 		t.Errorf("healthy culprit = %q, want CXL DIMM", r.Culprits[0])
 	}
@@ -420,6 +420,21 @@ func TestFaultsShape(t *testing.T) {
 	}
 	if d := r.ThroughputDrop(); d <= 0.05 {
 		t.Errorf("throughput drop = %.3f, want noticeable loss", d)
+	}
+}
+
+// TestFaultsFullLength runs the sweep at full length (2M-cycle epochs, as
+// pfbench -exp faults without -quick).  The healthy link's culprit depends
+// on the length: FlexBus+MC here (flexbus_q 57.01 against cxl_dimm_q
+// 34.56), the CXL DIMM at -quick.  The shift to FlexBus+MC once the CRC
+// rate reaches 1e-3 holds at both lengths.
+func TestFaultsFullLength(t *testing.T) {
+	r := RunFaults(sim.SPR(), false)
+	for i, rate := range r.Rates {
+		if rate >= 1e-3 && r.Culprits[i] != "FlexBus+MC" {
+			t.Errorf("culprit at rate %v = %q (flexbus_q %.2f, cxl_dimm_q %.2f), want FlexBus+MC",
+				rate, r.Culprits[i], r.At(i, faultColFlexQ), r.At(i, faultColDIMMQ))
+		}
 	}
 }
 

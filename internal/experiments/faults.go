@@ -13,10 +13,13 @@ import (
 // memory is profiled while the FlexBus link degrades through a sweep of
 // CRC-corruption rates (with burst windows and, at the top rate, device
 // timeout/throttle episodes).  The sweep shows the profiler localizing
-// the fault domain: a healthy setup is media-bound (the CXL DIMM holds
-// the dominant downstream queue), while a degrading link shifts the
-// culprit to FlexBus+MC as retry replays eat wire bandwidth and requests
-// pile up at the M2PCIe ingress instead of the device queues.
+// the fault domain: once the CRC rate reaches 1e-3 the culprit is
+// FlexBus+MC at either length, as retry replays eat wire bandwidth and
+// requests pile up at the M2PCIe ingress instead of the device queues.
+// The healthy link's culprit depends on the length: at -quick (800k-cycle
+// epochs) the CXL DIMM holds the dominant downstream queue (38.50 against
+// FlexBus+MC's 35.86), but at full length (2M cycles) the link's queue
+// has grown past it (57.01 against 34.56), so FlexBus+MC leads there too.
 type FaultsResult struct {
 	Rates    []float64      // CRC corruption probability per flit transfer
 	Sweep    *report.Series // throughput, link-fault counters, measured queues
@@ -67,7 +70,10 @@ func faultPlanFor(rate float64, epoch sim.Cycles) *cxl.FaultPlan {
 
 // RunFaults sweeps link CRC-corruption rates under a fixed CXL-bound
 // workload.  Everything is keyed off FaultPlan seed 42, so two runs with
-// the same configuration produce identical numbers.
+// the same configuration produce identical numbers.  quick selects
+// 800k-cycle epochs instead of 2M; the healthy link's culprit is the CXL
+// DIMM at -quick but FlexBus+MC at full length, while every rate from
+// 1e-3 up names FlexBus+MC at both (see FaultsResult).
 func RunFaults(cfg sim.Config, quick bool) *FaultsResult {
 	opt := defaultChar(cfg, quick)
 	epoch := sim.Cycles(2_000_000)
@@ -100,8 +106,10 @@ func RunFaults(cfg sim.Config, quick bool) *FaultsResult {
 		m.Attach(0, counting)
 
 		// Background CXL readers keep the link moderately loaded but not
-		// saturated: the healthy bottleneck stays at the device media, so
-		// a fault-induced shift toward the link is unambiguous.
+		// saturated.  At -quick the healthy bottleneck stays at the device
+		// media, so the fault-induced shift toward the link is a change of
+		// culprit; at full length the link's queue already leads on a
+		// healthy link and the faults lengthen its lead.
 		for cr := 1; cr <= 4; cr++ {
 			reg := rig.Alloc(opt.ws/2, 2)
 			m.Attach(cr, workload.NewStream(reg, 40, 0.1, uint64(cr*7)))

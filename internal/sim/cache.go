@@ -37,17 +37,28 @@ func (s State) String() string {
 	return fmt.Sprintf("State(%d)", uint8(s))
 }
 
-// stateMask selects the state bits of a tag word.  Line addresses are
-// line aligned, so their low mem.LineShift bits are free to hold the MESIF
-// state; a way whose state bits are zero is invalid.
-const stateMask = mem.LineSize - 1
+// A tag word is 32 bits: the line number's bits above the set index in
+// the high tagBits, the MESIF state in the low stateBits.  A way whose
+// state bits are zero is invalid.
+const (
+	stateBits = 3
+	stateMask = 1<<stateBits - 1
+	tagBits   = 32 - stateBits
+)
 
-// holds reports whether tag word tag holds line address la in a valid
-// state.  la must be line aligned: the XOR then leaves exactly the way's
-// state bits when the addresses match, and a state is valid when non-zero.
-func holds(tag, la uint64) bool {
-	x := tag ^ la
+// holds reports whether tag word t holds the line whose key is key (see
+// Cache.locate) in a valid state: when the tag bits match, the XOR leaves
+// exactly the way's state bits, and a state is valid when non-zero.
+func holds(t, key uint32) bool {
+	x := t ^ key
 	return x != 0 && x <= stateMask
+}
+
+// tagReach returns the first address that tags of a cache with the given
+// set count cannot name: a line number must fit tagBits above the set
+// index, and an address at or beyond the reach would alias a lower line.
+func tagReach(sets int) uint64 {
+	return uint64(sets) << (tagBits + mem.LineShift)
 }
 
 // maxWays caps a cache's associativity: a set's LRU order is one 64-bit
@@ -103,20 +114,24 @@ type Line struct {
 // lookups and fills.  Lookups return way indices (-1 on a miss), which stay
 // valid until the next Insert or Invalidate of the same set.
 //
-// A set is assoc tag words (line address | State).  In the LLC the set's
-// assoc presence words follow its tags in the same slice: per way, the
-// snoop filter's bitmap of cores holding a private copy, meaningful only
-// while the way is valid (Insert resets it).  Each set also has one rank
-// word holding way i's LRU rank in nibble i.  Rank 0 is the most recently
-// used way, which doubles as the way predictor; a hit moves its way to
-// rank 0, and a miss fills the first invalid way, else the way ranked
-// assoc-1.
+// A set is assoc 32-bit tag words (the line number above the set index,
+// then the State).  In the LLC the set's assoc presence words follow its
+// tags in the same slice: per way, the snoop filter's 32-bit bitmap of
+// cores holding a private copy, meaningful only while the way is valid
+// (Insert resets it).  Each set also has one rank word holding way i's LRU
+// rank in nibble i.  Rank 0 is the most recently used way, which doubles
+// as the way predictor; a hit moves its way to rank 0, and a miss fills
+// the first invalid way, else the way ranked assoc-1.
+//
+// Tags name only lines below the cache's reach: Insert panics beyond it,
+// and the machine refuses ops beyond its smallest cache's reach.
 type Cache struct {
 	assoc   int
 	stride  int // words per set: assoc tags, then assoc presence words in the LLC
 	setMask uint64
+	setBits uint     // log2 of the set count
 	lruRank uint64   // assoc-1 in every nibble: XOR finds the LRU way
-	words   []uint64 // stride words per set, set-major
+	words   []uint32 // stride words per set, set-major
 	ranks   []uint64 // one rank word per set
 
 	// Victim carries eviction results out of Insert without allocating.
@@ -134,23 +149,14 @@ func NewCache(size, ways int) *Cache { return newCache(size, ways, ways) }
 func newLLC(size, ways int) *Cache { return newCache(size, ways, 2*ways) }
 
 func newCache(size, ways, stride int) *Cache {
-	checkCacheGeometry(size, ways)
-	sets := size / (mem.LineSize * ways)
-	if sets < 1 {
-		sets = 1
-	}
-	// Round down to a power of two.
-	p := 1
-	for p*2 <= sets {
-		p *= 2
-	}
-	sets = p
+	sets := cacheSets(size, ways)
 	c := &Cache{
 		assoc:   ways,
 		stride:  stride,
 		setMask: uint64(sets - 1),
+		setBits: uint(bits.TrailingZeros(uint(sets))),
 		lruRank: uint64(ways-1) * nibbles,
-		words:   make([]uint64, sets*stride),
+		words:   make([]uint32, sets*stride),
 		ranks:   make([]uint64, sets),
 	}
 	r := initialRanks(ways)
@@ -158,6 +164,18 @@ func newCache(size, ways, stride int) *Cache {
 		c.ranks[i] = r
 	}
 	return c
+}
+
+// cacheSets returns the set count of a cache of size bytes and ways ways:
+// the lines over the ways, rounded down to a power of two.
+func cacheSets(size, ways int) int {
+	checkCacheGeometry(size, ways)
+	sets := size / (mem.LineSize * ways)
+	p := 1
+	for p*2 <= sets {
+		p *= 2
+	}
+	return p
 }
 
 // checkCacheGeometry panics unless size and ways describe a cache NewCache
@@ -185,28 +203,33 @@ func (c *Cache) Sets() int { return len(c.ranks) }
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.assoc }
 
-// Bytes returns the memory the cache's state arrays hold.
-func (c *Cache) Bytes() int { return (len(c.words) + len(c.ranks)) * 8 }
+// reach returns the first address the cache's tags cannot name.
+func (c *Cache) reach() uint64 { return tagReach(c.Sets()) }
 
-// setIdx returns the set index of line address la.
-func (c *Cache) setIdx(la uint64) uint64 {
-	return (la >> mem.LineShift) & c.setMask
+// Bytes returns the memory the cache's state arrays hold.
+func (c *Cache) Bytes() int { return len(c.words)*4 + len(c.ranks)*8 }
+
+// locate returns line address la's set index and its key: the line number
+// above the set index, shifted clear of the state bits.  A tag word holds
+// la exactly when it is the key plus a valid state.
+func (c *Cache) locate(la uint64) (si int, key uint32) {
+	line := la >> mem.LineShift
+	return int(line & c.setMask), uint32(line>>c.setBits) << stateBits
 }
 
 // Lookup returns the way holding la, moving it to rank 0, or -1 on a miss.
-// la must be line aligned: a set low bit could falsely match a way.  The
-// rank-0 way is probed first, so lookups with temporal reuse cost one tag
-// compare instead of a scan of every way.
+// The rank-0 way is probed first, so lookups with temporal reuse cost one
+// tag compare instead of a scan of every way.
 func (c *Cache) Lookup(la uint64) int {
-	si := c.setIdx(la)
-	base := int(si) * c.stride
+	si, key := c.locate(la)
+	base := si * c.stride
 	r := c.ranks[si]
-	if w := base + zeroNibble(r); holds(c.words[w], la) {
+	if w := base + zeroNibble(r); holds(c.words[w], key) {
 		return w // already rank 0
 	}
 	set := c.words[base : base+c.assoc]
 	for i, t := range set {
-		if holds(t, la) {
+		if holds(t, key) {
 			c.ranks[si] = promote(r, i)
 			return base + i
 		}
@@ -214,17 +237,17 @@ func (c *Cache) Lookup(la uint64) int {
 	return -1
 }
 
-// Peek returns the way holding la without touching recency, or -1.  la
-// must be line aligned, as for Lookup.  The rank-0 way is probed first.
+// Peek returns the way holding la without touching recency, or -1.  The
+// rank-0 way is probed first.
 func (c *Cache) Peek(la uint64) int {
-	si := c.setIdx(la)
-	base := int(si) * c.stride
-	if w := base + zeroNibble(c.ranks[si]); holds(c.words[w], la) {
+	si, key := c.locate(la)
+	base := si * c.stride
+	if w := base + zeroNibble(c.ranks[si]); holds(c.words[w], key) {
 		return w
 	}
 	set := c.words[base : base+c.assoc]
 	for i, t := range set {
-		if holds(t, la) {
+		if holds(t, key) {
 			return base + i
 		}
 	}
@@ -236,35 +259,36 @@ func (c *Cache) State(w int) State { return State(c.words[w] & stateMask) }
 
 // SetState changes the coherence state of the valid way w.
 func (c *Cache) SetState(w int, st State) {
-	c.words[w] = c.words[w]&^stateMask | uint64(st)
+	c.words[w] = c.words[w]&^stateMask | uint32(st)
 }
 
 // Presence returns the presence bitmap of LLC way w.
-func (c *Cache) Presence(w int) uint64 { return c.words[w+c.assoc] }
+func (c *Cache) Presence(w int) uint64 { return uint64(c.words[w+c.assoc]) }
 
-// SetPresence replaces the presence bitmap of LLC way w.
-func (c *Cache) SetPresence(w int, p uint64) { c.words[w+c.assoc] = p }
+// SetPresence replaces the presence bitmap of LLC way w.  It holds 32
+// cores, the most Config.validate allows.
+func (c *Cache) SetPresence(w int, p uint64) { c.words[w+c.assoc] = uint32(p) }
 
 // Insert places la with the given state, evicting the LRU way if the set is
 // full.  The evicted line, if any, is exposed via Victim/HasVictim (valid
 // until the next Insert).  Inserting an already-present line updates its
 // state in place, keeping its presence bitmap; a new line starts with none.
-// It returns the inserted way.  la must be line aligned: only a simulator
-// bug produces anything else, so a misaligned address panics.
+// It returns the inserted way.  la must be line aligned and below the reach:
+// only a simulator bug produces anything else, so such an address panics.
 func (c *Cache) Insert(la uint64, st State) int {
-	if la&stateMask != 0 {
-		panic(fmt.Sprintf("sim: Cache.Insert of misaligned line address %#x", la))
+	if la&(mem.LineSize-1) != 0 || la >= c.reach() {
+		panic(fmt.Sprintf("sim: Cache.Insert of line address %#x, misaligned or beyond the tags' reach %#x", la, c.reach()))
 	}
 	c.HasVictim = false
-	si := c.setIdx(la)
-	base := int(si) * c.stride
+	si, key := c.locate(la)
+	base := si * c.stride
 	set := c.words[base : base+c.assoc]
 	r := c.ranks[si]
 	// One pass finds a hit or the first invalid way.
 	vi := -1
 	for i, t := range set {
-		if holds(t, la) {
-			set[i] = la | uint64(st)
+		if holds(t, key) {
+			set[i] = key | uint32(st)
 			c.ranks[si] = promote(r, i)
 			return base + i
 		}
@@ -274,16 +298,18 @@ func (c *Cache) Insert(la uint64, st State) int {
 	}
 	presence := c.stride > c.assoc
 	if vi < 0 {
-		// Every way is valid: evict the one ranked assoc-1.
+		// Every way is valid: evict the one ranked assoc-1.  Its line
+		// address is its tag above the set index, the inverse of locate.
 		vi = zeroNibble(r ^ c.lruRank)
 		v := set[vi]
-		c.Victim = Line{Tag: v &^ stateMask, State: State(v & stateMask)}
+		line := uint64(v>>stateBits)<<c.setBits | uint64(si)
+		c.Victim = Line{Tag: line << mem.LineShift, State: State(v & stateMask)}
 		if presence {
-			c.Victim.Presence = c.words[base+c.assoc+vi]
+			c.Victim.Presence = uint64(c.words[base+c.assoc+vi])
 		}
 		c.HasVictim = true
 	}
-	set[vi] = la | uint64(st)
+	set[vi] = key | uint32(st)
 	if presence {
 		c.words[base+c.assoc+vi] = 0
 	}
@@ -292,12 +318,13 @@ func (c *Cache) Insert(la uint64, st State) int {
 }
 
 // Invalidate removes la, returning its previous state and whether it was
-// present.  la must be line aligned, as for Lookup.
+// present.
 func (c *Cache) Invalidate(la uint64) (State, bool) {
-	base := int(c.setIdx(la)) * c.stride
+	si, key := c.locate(la)
+	base := si * c.stride
 	set := c.words[base : base+c.assoc]
 	for i, t := range set {
-		if holds(t, la) {
+		if holds(t, key) {
 			set[i] = 0
 			return State(t & stateMask), true
 		}

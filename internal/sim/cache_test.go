@@ -8,10 +8,11 @@ import (
 	"pathfinder/internal/mem"
 )
 
-// stampCache is the reference replacement policy: per way a tag word and a
-// 64-bit stamp bumped on every touch, and a miss fills the first invalid
-// way, else the valid way with the lowest stamp.  Way indices follow
-// Cache's layout (set*stride + way), so returned ways compare directly.
+// stampCache is the reference replacement policy: per way the full line
+// address with the state in its low bits, and a 64-bit stamp bumped on
+// every touch; a miss fills the first invalid way, else the valid way with
+// the lowest stamp.  Way indices follow Cache's layout (set*stride + way),
+// so returned ways compare directly.
 type stampCache struct {
 	assoc, stride int
 	setMask       uint64
@@ -23,6 +24,9 @@ type stampCache struct {
 	hasVictim bool
 }
 
+// refState selects the state bits of a reference tag: the line offset bits.
+const refState = mem.LineSize - 1
+
 func newStampCache(c *Cache) *stampCache {
 	n := c.Sets() * c.assoc
 	r := &stampCache{assoc: c.assoc, stride: c.stride, setMask: c.setMask,
@@ -33,11 +37,11 @@ func newStampCache(c *Cache) *stampCache {
 	return r
 }
 
-// find returns la's set base in the reference arrays and its way, or -1.
+// find returns la's set index and its way, or -1.
 func (r *stampCache) find(la uint64) (int, int) {
 	si := int((la >> mem.LineShift) & r.setMask)
 	for i := 0; i < r.assoc; i++ {
-		if holds(r.tags[si*r.assoc+i], la) {
+		if t := r.tags[si*r.assoc+i]; t&refState != 0 && t&^refState == la {
 			return si, i
 		}
 	}
@@ -71,7 +75,7 @@ func (r *stampCache) insert(la uint64, st State) int {
 	}
 	inv, lru := -1, -1
 	for i := 0; i < r.assoc; i++ {
-		if r.tags[base+i]&stateMask == 0 {
+		if r.tags[base+i]&refState == 0 {
 			if inv < 0 {
 				inv = i
 			}
@@ -83,7 +87,7 @@ func (r *stampCache) insert(la uint64, st State) int {
 	if vi < 0 {
 		vi = lru
 		v := r.tags[base+vi]
-		r.victim = Line{Tag: v &^ stateMask, State: State(v & stateMask)}
+		r.victim = Line{Tag: v &^ refState, State: State(v & refState)}
 		if r.presence != nil {
 			r.victim.Presence = r.presence[base+vi]
 		}
@@ -103,7 +107,7 @@ func (r *stampCache) invalidate(la uint64) (State, bool) {
 		return Invalid, false
 	}
 	w := si*r.assoc + i
-	st := State(r.tags[w] & stateMask)
+	st := State(r.tags[w] & refState)
 	r.tags[w], r.stamps[w] = 0, 0
 	return st, true
 }
@@ -111,7 +115,7 @@ func (r *stampCache) invalidate(la uint64) (State, bool) {
 func (r *stampCache) occupied() int {
 	n := 0
 	for _, t := range r.tags {
-		if t&stateMask != 0 {
+		if t&refState != 0 {
 			n++
 		}
 	}
@@ -123,7 +127,9 @@ func (r *stampCache) occupied() int {
 // stamp-LRU reference, at 1, 2, 4, 12 and 16 ways, on private caches and
 // on the LLC.  Every returned way, every victim (with its presence) and the
 // occupancy must match: the rank word must pick exactly the victim the
-// lowest stamp picks.
+// lowest stamp picks, and the victim's tag, rebuilt from its set and tag
+// word, must be the full address the reference stored when it was
+// inserted.
 func TestCacheRankMatchesStampLRU(t *testing.T) {
 	const sets = 4
 	for _, ways := range []int{1, 2, 4, 12, 16} {
@@ -142,9 +148,15 @@ func TestCacheRankMatchesStampLRU(t *testing.T) {
 func driveCacheDifferential(t *testing.T, c *Cache, seed int64) {
 	ref := newStampCache(c)
 	rng := rand.New(rand.NewSource(seed))
-	// Three times as many lines as the cache holds, so sets overflow.
-	lines := uint64(3 * c.Sets() * c.assoc)
-	line := func() uint64 { return rng.Uint64() % lines * mem.LineSize }
+	// Three clusters of as many lines as the cache holds, so sets
+	// overflow: at address 0, at half the tags' reach (the top tag bit
+	// set) and just below the reach (every tag bit set).  The clusters
+	// share set indices, so one set holds tags that differ only in their
+	// top bits.
+	lines := uint64(c.Sets() * c.assoc)
+	reach := c.reach()
+	bases := [...]uint64{0, reach / 2, reach - lines*mem.LineSize}
+	line := func() uint64 { return bases[rng.Intn(len(bases))] + rng.Uint64()%lines*mem.LineSize }
 	states := []State{Shared, Exclusive, Modified, Forward}
 	victims := 0
 	for op := 0; op < 20_000; op++ {
@@ -186,13 +198,13 @@ func driveCacheDifferential(t *testing.T, c *Cache, seed int64) {
 			st := State(rng.Intn(int(Forward) + 1))
 			c.SetState(w, st)
 			i := ref.at(w)
-			ref.tags[i] = ref.tags[i]&^stateMask | uint64(st)
+			ref.tags[i] = ref.tags[i]&^refState | uint64(st)
 		default:
 			w := c.Peek(la)
 			if ref.presence == nil || w < 0 {
 				continue
 			}
-			p := rng.Uint64()
+			p := uint64(rng.Uint32()) // a presence word holds 32 cores
 			c.SetPresence(w, p)
 			ref.presence[ref.at(w)] = p
 			if got := c.Presence(w); got != p {

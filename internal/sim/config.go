@@ -175,16 +175,50 @@ func EMR() Config {
 	return c
 }
 
+// maxCores caps a machine's cores: an LLC presence word is a 32-bit
+// bitmap, one bit per core, enough for SPR's and EMR's 32 cores.
+const maxCores = 32
+
+// cacheLevel is one cache level's geometry: one instance's size in bytes
+// and its associativity.
+type cacheLevel struct {
+	name       string
+	size, ways int
+}
+
+// caches returns the geometry of every cache level a machine builds, an
+// LLC slice standing for the LLC.
+func (c *Config) caches() [3]cacheLevel {
+	return [...]cacheLevel{
+		{"L1D", c.L1DSize, c.L1DWays},
+		{"L2", c.L2Size, c.L2Ways},
+		{"LLC", c.LLCSize / c.LLCSlices, c.LLCWays},
+	}
+}
+
+// tagReach returns the first address the tags of the machine's caches
+// cannot all name, and the level that bounds it: the one with the fewest
+// sets, since a tag word keeps the line number above the set index (2 TiB
+// for SPR's 64-set L1D).  c must be valid.
+func (c *Config) tagReach() (reach uint64, level string) {
+	for _, g := range c.caches() {
+		if r := tagReach(cacheSets(g.size, g.ways)); level == "" || r < reach {
+			reach, level = r, g.name
+		}
+	}
+	return reach, level
+}
+
 // Validate checks configuration invariants, returning a descriptive panic
 // on first use rather than corrupting a run; it is called by New.
 func (c *Config) validate() {
 	switch {
 	case c.Cores <= 0:
 		panic("sim: config needs at least one core")
-	case c.Cores > 64:
-		// LLC presence is a 64-bit core bitmap: core 64's bit would be
+	case c.Cores > maxCores:
+		// LLC presence is a 32-bit core bitmap: core 32's bit would be
 		// zero, so its private copies would escape every snoop.
-		panic(fmt.Sprintf("sim: Cores = %d exceeds the 64 cores an LLC presence word tracks", c.Cores))
+		panic(fmt.Sprintf("sim: Cores = %d exceeds the %d cores an LLC presence word tracks", c.Cores, maxCores))
 	case c.LLCSlices <= 0 || c.LLCSlices%max(1, c.SNCClusters) != 0:
 		panic("sim: LLC slices must divide evenly into SNC clusters")
 	case c.LLCSlices > 1<<16, 2*c.DRAMChannels > 1<<16, c.CXLDevices > 1<<16:
@@ -200,14 +234,7 @@ func (c *Config) validate() {
 	// Private caches are built at a core's first Attach, not by New;
 	// check every level's geometry here so a bad config fails at New,
 	// naming the field.
-	for _, g := range [...]struct {
-		name       string
-		size, ways int
-	}{
-		{"L1D", c.L1DSize, c.L1DWays},
-		{"L2", c.L2Size, c.L2Ways},
-		{"LLC", c.LLCSize / c.LLCSlices, c.LLCWays},
-	} {
+	for _, g := range c.caches() {
 		if g.ways > maxWays {
 			panic(fmt.Sprintf("sim: %sWays = %d exceeds %d, the ways one rank word orders", g.name, g.ways, maxWays))
 		}

@@ -63,15 +63,32 @@ type Machine struct {
 	// round-trips through the engine's step queue, one step per op.  The
 	// default, false, is the sequential sweep.
 	dispatch bool
+
+	// reach is the first address the smallest cache's tags cannot name
+	// (Config.tagReach).  An op at or beyond it panics: its tag would
+	// alias a resident line's, and a hit would go unnoticed.
+	reach uint64
 }
 
-// New assembles a machine from cfg over the given address space.
+// New assembles a machine from cfg over the given address space.  It
+// panics when the address space's capacity exceeds what the smallest
+// cache's tags can name.
 func New(cfg Config, as *mem.AddressSpace) *Machine {
 	cfg.validate()
+	reach, level := cfg.tagReach()
+	var span uint64
+	for _, n := range as.Nodes() {
+		span += n.Capacity
+	}
+	if span > reach {
+		panic(fmt.Sprintf("sim: a %.4g GiB address space exceeds the %.4g GiB the %s's tags reach",
+			float64(span)/(1<<30), float64(reach)/(1<<30), level))
+	}
 	m := &Machine{
 		cfg:        cfg,
 		eng:        NewEngine(),
 		as:         as,
+		reach:      reach,
 		remoteBus:  server{service: cfg.serviceCycles(cfg.RemoteDRAMGBs)},
 		bankByName: make(map[string]*pmu.Bank),
 	}
@@ -245,6 +262,9 @@ func (m *Machine) stepOne(c *Core, now Cycles) (next Cycles, ok bool) {
 		return 0, false
 	}
 	op := &c.op
+	if op.Addr >= m.reach {
+		m.beyondReach(c, op.Addr)
+	}
 	t := now + Cycles(op.Think)
 	c.bank.Add(pmu.InstRetiredAny, uint64(op.Think)+1)
 
@@ -278,6 +298,14 @@ func (m *Machine) stepOne(c *Core, now Cycles) (next Cycles, ok bool) {
 	}
 	c.bank.Add(pmu.CPUClkUnhalted, next-now)
 	return next, true
+}
+
+// beyondReach panics for an op of core c at addr, at or beyond the
+// machine's tag reach.
+func (m *Machine) beyondReach(c *Core, addr uint64) {
+	_, level := m.cfg.tagReach()
+	panic(fmt.Sprintf("sim: core %d accesses %#x, at or beyond %#x, the first address the %s's tags cannot name",
+		c.id, addr, m.reach, level))
 }
 
 // load executes a demand load issued at t, returning when the core may

@@ -183,13 +183,14 @@ func TestCacheSetsPowerOfTwo(t *testing.T) {
 	}
 }
 
-// TestCacheStatePacking: a tag word keeps its state in the line address's
-// free low bits, so every MESIF state must survive a round trip at both
-// ends of the address space, and a misaligned address must not be stored
-// at all.  A way costs one 8-byte tag word (two in the LLC, with its
-// presence word), and a set one rank word of 4-bit LRU ranks.
+// TestCacheStatePacking: a tag word keeps the line number above the set
+// index with the state in its low bits, so every MESIF state must survive
+// a round trip at both ends of the tags' reach, and a misaligned address
+// or one beyond the reach must not be stored at all.  A way costs one
+// 4-byte tag word (two in the LLC, with its presence word), and a set one
+// 8-byte rank word of 4-bit LRU ranks.
 func TestCacheStatePacking(t *testing.T) {
-	top := ^uint64(0) &^ (mem.LineSize - 1)
+	top := NewCache(mem.LineSize, 1).reach() - mem.LineSize
 	for _, la := range []uint64{0, top} {
 		for _, st := range []State{Invalid, Shared, Exclusive, Modified, Forward} {
 			c := NewCache(mem.LineSize, 1) // 1 set, 1 way
@@ -219,14 +220,14 @@ func TestCacheStatePacking(t *testing.T) {
 		}
 	}
 
-	// One set of four ways: four 8-byte tag words and the rank word; the
-	// LLC adds four presence words after the tags.
+	// One set of four ways: four 4-byte tag words and the 8-byte rank
+	// word; the LLC adds four 4-byte presence words after the tags.
 	c, llc := NewCache(4*mem.LineSize, 4), newLLC(4*mem.LineSize, 4)
-	if got := c.Bytes(); got != (4+1)*8 {
-		t.Fatalf("a 4-way private set holds %d bytes, want 40", got)
+	if got := c.Bytes(); got != 4*4+8 {
+		t.Fatalf("a 4-way private set holds %d bytes, want 24", got)
 	}
-	if got := llc.Bytes(); got != (2*4+1)*8 {
-		t.Fatalf("a 4-way LLC set holds %d bytes, want 72", got)
+	if got := llc.Bytes(); got != 2*4*4+8 {
+		t.Fatalf("a 4-way LLC set holds %d bytes, want 40", got)
 	}
 	// A fresh set ranks way i at i and fills the unused nibbles with 0xF.
 	const fresh = 0xFFFF_FFFF_FFFF_3210
@@ -257,16 +258,10 @@ func TestCacheStatePacking(t *testing.T) {
 		t.Fatalf("victim %+v (HasVictim=%v), want line 0x40 with presence 2", llc.Victim, llc.HasVictim)
 	}
 
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("Insert of a misaligned address did not panic")
-		}
-		if msg := fmt.Sprint(r); !strings.Contains(msg, "0x1001") {
-			t.Fatalf("panic %q does not name the address", msg)
-		}
-	}()
-	NewCache(4096, 4).Insert(0x1001, Exclusive)
+	// A 16-set cache reaches 16 << 35 bytes: 32 bits of line number.
+	for _, la := range []uint64{0x1001, 16 << 35} {
+		wantPanic(t, func() { NewCache(4096, 4).Insert(la, Exclusive) }, fmt.Sprintf("%#x", la))
+	}
 }
 
 // machineCacheBytes sums the state arrays of every cache the machine holds.
@@ -293,12 +288,12 @@ func TestPrivateCachesBuiltAtFirstAttach(t *testing.T) {
 			t.Fatalf("New built core %d's private caches", c.id)
 		}
 	}
-	// 32 slices of 2,048 sets x 12 ways: 786,432 lines of an 8-byte tag
-	// word and an 8-byte presence word, plus one 8-byte rank word per set.
-	// A machine with 32-byte lines and every private cache built held
-	// about 57 MiB.
+	// 32 slices of 2,048 sets x 12 ways: 786,432 lines of a 4-byte tag
+	// word and a 4-byte presence word, plus one 8-byte rank word per set
+	// (6,815,744 bytes).  A machine with 32-byte lines and every private
+	// cache built held about 57 MiB.
 	const llcLines, llcSets = 786_432, 65_536
-	if got, want := machineCacheBytes(m), llcLines*16+llcSets*8; got != want {
+	if got, want := machineCacheBytes(m), llcLines*8+llcSets*8; got != want {
 		t.Fatalf("fresh SPR machine holds %d cache bytes, want %d (%.1f MiB)",
 			got, want, float64(want)/(1<<20))
 	}
@@ -706,8 +701,8 @@ func TestConfigValidatePanics(t *testing.T) {
 		{func(c *Config) { c.L1DWays = 0 }, ""},
 		{func(c *Config) { c.L1DSize = 0 }, ""},
 		{func(c *Config) { c.L2Ways = 300 }, "L2Ways = 300"},
-		// LLC presence is a 64-bit core bitmap.
-		{func(c *Config) { c.Cores = 65 }, "Cores = 65"},
+		// LLC presence is a 32-bit core bitmap.
+		{func(c *Config) { c.Cores = 33 }, "Cores = 33"},
 		// A set's rank word orders at most 16 ways.
 		{func(c *Config) { c.LLCWays = 17 }, "LLCWays = 17"},
 		{func(c *Config) { c.L1DWays = 17 }, "L1DWays = 17"},
@@ -726,5 +721,67 @@ func TestConfigValidatePanics(t *testing.T) {
 			tc.mut(&cfg)
 			New(cfg, testSpace(t))
 		}()
+	}
+}
+
+// wantPanic runs f and fails unless it panics with a message containing
+// every one of want.
+func wantPanic(t *testing.T, f func(), want ...string) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		r := recover()
+		if r == nil {
+			t.Fatal("no panic")
+		}
+		msg := fmt.Sprint(r)
+		for _, w := range want {
+			if !strings.Contains(msg, w) {
+				t.Fatalf("panic %q does not name %q", msg, w)
+			}
+		}
+	}()
+	f()
+}
+
+// TestNewRejectsSpaceBeyondTagReach: SPR's 64-set L1D has the fewest sets,
+// so its tags name the first 2 TiB (29 bits of line number above 6 set
+// bits).  New takes an address space of exactly that capacity and refuses
+// one a page larger, naming the cache.
+func TestNewRejectsSpaceBeyondTagReach(t *testing.T) {
+	const reach = 2 << 40
+	space := func(capacity uint64) *mem.AddressSpace {
+		return mem.NewAddressSpace(12, []mem.Node{
+			{ID: 0, Kind: mem.LocalDRAM, Capacity: reach / 2},
+			{ID: 1, Kind: mem.CXLDRAM, Device: 0, Capacity: capacity - reach/2},
+		})
+	}
+	cfg := SPR()
+	if got, level := cfg.tagReach(); got != reach || level != "L1D" {
+		t.Fatalf("SPR tag reach %#x (%s), want %#x (L1D)", got, level, uint64(reach))
+	}
+	New(cfg, space(reach))
+	wantPanic(t, func() { New(cfg, space(reach+4096)) }, "L1D", "2048 GiB")
+}
+
+// TestOpBeyondTagReachPanics: a load to a resident line's address plus the
+// tag reach has the same set and the same tag word, so without the per-op
+// guard it would hit that line in the L1D.  The machine panics instead,
+// naming the address.
+func TestOpBeyondTagReachPanics(t *testing.T) {
+	as := testSpace(t)
+	r, err := as.Alloc(1<<20, mem.Fixed(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := New(SPR(), as)
+	alias := r.Base + m.reach
+	m.Attach(0, workload.NewReplay([]workload.Op{
+		{Addr: r.Base, Kind: workload.Load, Dep: true},
+		{Addr: alias, Kind: workload.Load, Dep: true},
+	}, false))
+	wantPanic(t, func() { m.Run(100_000) }, fmt.Sprintf("%#x", alias), "L1D")
+	if m.cores[0].l1.Peek(r.Base) < 0 {
+		t.Fatal("the first load left its line out of the L1D")
 	}
 }
