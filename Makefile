@@ -40,22 +40,14 @@ bench-json:
 # versus the latest BENCH_*.json.  The iteration count must match
 # bench-json's, or the differently-amortized warmup skews the comparison;
 # the gate takes the fastest of three repetitions to filter scheduler noise.
-# The TracerOff pairs additionally bound the cost of an attached-but-
-# disabled request tracer — compared within the same run, where a tight
-# tolerance is meaningful.  The bound is 8%: inline core stepping cut
-# per-op cost ~1.5x, so the tracer's fixed per-op check (one predicted
-# branch + an inlined atomic load) is now a larger fraction of a smaller
-# number (~4-5% on the CXL stream), and the multi-core pair adds scheduler
-# noise on top.  An accidentally-enabled tracer costs ~10x, far outside
-# the bound either way.
 # The Flight pairs ride the same bench run (benchregress accepts a file, so
-# the output is captured once and gated at three tolerances): the disabled
+# the output is captured once and gated at two tolerances): the disabled
 # flight recorder is meant to ride along in production, so its off-cost is
 # bounded at 2% — one nil check plus an inlined atomic load per completion.
 # The enabled recorder (FlightOn vs FlightOff, same run) files a packed
-# record through the per-core ring, quantile sketch, and histogram on every
-# completion (~18% on the pure CXL stream, the worst case: every op
-# completes); 25% bounds it without gating on noise.
+# record through the per-core ring, stage totals, quantile sketch, and
+# histogram on every completion (the pure CXL stream is the worst case:
+# every op completes); 25% bounds it without gating on noise.
 # The -max ceilings pin the simulator hot loops at 0 allocs/op and bound
 # their residual B/op.  The residual bytes at 0 allocs/op are amortized
 # one-time buffer growth (observer wheel slots and buckets, pending-list
@@ -69,8 +61,6 @@ bench-regress:
 		| tee "$$tmp" && \
 	$(GO) run ./cmd/benchregress \
 		-watch 'BenchmarkSimCXLStream,BenchmarkSimMultiCoreStream,BenchmarkCaptureSnapshot,BenchmarkEpochLoop' \
-		-pair-tolerance 0.08 \
-		-pairs 'BenchmarkSimCXLStreamTracerOff=BenchmarkSimCXLStream,BenchmarkSimMultiCoreStreamTracerOff=BenchmarkSimMultiCoreStream,BenchmarkEpochLoopTracerOff=BenchmarkEpochLoop' \
 		-max 'BenchmarkSimLocalStream:allocs/op:0,BenchmarkSimCXLStream:allocs/op:0,BenchmarkSimMultiCoreStream:allocs/op:0,BenchmarkSimLocalStream:B/op:64,BenchmarkSimCXLStream:B/op:64,BenchmarkSimMultiCoreStream:B/op:256' \
 		"$$tmp" && \
 	$(GO) run ./cmd/benchregress \

@@ -339,88 +339,13 @@ func BenchmarkEpochLoop(b *testing.B) {
 	}
 }
 
-// --- Tracer-off overhead (observability must be free when off) -----------------
-
-// BenchmarkSimCXLStreamTracerOff is BenchmarkSimCXLStream with a request
-// tracer attached but disabled: the only extra work on the request path is
-// one atomic load.  `make bench-regress` gates this against its untraced
-// twin from the same run (<=2% growth) — a same-run pair, so machine drift
-// between baseline snapshots cannot mask or fake a regression.
-func BenchmarkSimCXLStreamTracerOff(b *testing.B) {
-	m, r := benchRig(b, 1)
-	m.SetTracer(obs.NewTracer(4096, 64)) // attached, never enabled
-	g := workload.NewStream(r, 2, 0.2, 1)
-	g.Reuse = 4
-	m.Attach(0, workload.NewLimit(g, uint64(b.N)))
-	b.ResetTimer()
-	for m.Core(0).Running() {
-		m.Run(1_000_000)
-	}
-}
-
-// BenchmarkSimMultiCoreStreamTracerOff is BenchmarkSimMultiCoreStream with
-// a disabled tracer attached, gated as a same-run pair like the others.
-func BenchmarkSimMultiCoreStreamTracerOff(b *testing.B) {
-	m, r := benchRig(b, 0)
-	m.SetTracer(obs.NewTracer(4096, 64)) // attached, never enabled
-	rc, err := m.AddressSpace().Alloc(64<<20, mem.Fixed(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	cxlReg := workload.Region{Base: rc.Base, Size: rc.Size}
-	g := workload.NewStream(r, 2, 0.2, 1)
-	g.Reuse = 4
-	m.Attach(0, workload.NewLimit(g, uint64(b.N)))
-	for c := 1; c < 4; c++ {
-		reg := r
-		if c >= 2 {
-			reg = cxlReg
-		}
-		gc := workload.NewStream(reg, 2, 0.2, uint64(c+10))
-		gc.Reuse = 4
-		m.Attach(c, gc)
-	}
-	b.ResetTimer()
-	for m.Core(0).Running() {
-		m.Run(1_000_000)
-	}
-}
-
-// BenchmarkEpochLoopTracerOff is BenchmarkEpochLoop with a disabled tracer
-// attached, gated the same way.
-func BenchmarkEpochLoopTracerOff(b *testing.B) {
-	m, r := benchRig(b, 1)
-	m.SetTracer(obs.NewTracer(4096, 64))
-	k := core.ConstsFor(m.Config())
-	m.Attach(0, workload.NewStream(r, 2, 0.2, 1))
-	cap := core.NewCapturer(m)
-	m.Run(2_000_000)
-	plan := core.NewPlan(cap.Index(), []int{0}, 0)
-	var pm core.PathMap
-	var bd core.StallBreakdown
-	var qr core.QueueReport
-	buf := make(core.Digest, 0, 4096)
-	cap.Capture().Release()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := cap.Capture()
-		plan.BuildPathMapInto(s, &pm)
-		plan.EstimateStallsInto(s, k, &bd)
-		plan.AnalyzeQueuesInto(s, k, &qr)
-		buf = core.AppendDigest(buf[:0], s)
-		s.Release()
-	}
-}
-
 // --- Flight-recorder overhead (always-on must be near-free) --------------------
 
 // BenchmarkSimCXLStreamFlightOff is BenchmarkSimCXLStream with a flight
 // recorder attached but disabled: the completion hook costs one nil check
 // plus an inlined atomic load.  `make bench-regress` gates this against its
 // recorder-free twin from the same run at ≤2% — the flight recorder is
-// meant to ride along in production, so its off-cost bound is tighter than
-// the tracer's.
+// meant to ride along in production.
 func BenchmarkSimCXLStreamFlightOff(b *testing.B) {
 	m, r := benchRig(b, 1)
 	m.SetFlight(obs.NewFlight(m.Cores(), 4096, 512)) // attached, never enabled

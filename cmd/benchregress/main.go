@@ -3,7 +3,7 @@
 // compares the watched benchmarks against the committed BENCH_*.json
 // baseline, and exits nonzero when any ns/op grew beyond the tolerance
 // (see `make bench-regress`).  -pairs additionally gates Variant=Base
-// pairs within the same run (e.g. the tracer-off overhead bound), which
+// pairs within the same run (e.g. the flight recorder's off-cost bound), which
 // supports much tighter tolerances than a committed baseline.  With an
 // empty -watch list no row is compared against a baseline, so none is
 // loaded: the pair and -max gates then run on any host, whatever
@@ -36,7 +36,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		"comma-separated benchmark names to gate")
 	tolerance := fs.Float64("tolerance", 0.20, "allowed ns/op growth fraction")
 	pairs := fs.String("pairs", "",
-		"comma-separated Variant=Base same-run pairs to gate (e.g. BenchmarkSimCXLStreamTracerOff=BenchmarkSimCXLStream)")
+		"comma-separated Variant=Base same-run pairs to gate (e.g. BenchmarkSimCXLStreamFlightOff=BenchmarkSimCXLStream)")
 	pairTolerance := fs.Float64("pair-tolerance", 0.02,
 		"allowed ns/op growth of a pair's variant over its base, same run")
 	maxes := fs.String("max", "",

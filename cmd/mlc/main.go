@@ -6,6 +6,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	"pathfinder/internal/experiments"
 	"pathfinder/internal/sim"
@@ -16,9 +17,10 @@ func main() {
 	quick := flag.Bool("quick", false, "shorter, less precise sweep")
 	flag.Parse()
 
-	cfg := sim.SPR()
-	if *machine == "emr" {
-		cfg = sim.EMR()
+	cfg, err := sim.ConfigByName(*machine)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mlc: %v\n", err)
+		os.Exit(2)
 	}
 	res := experiments.RunMLC(cfg, *quick)
 	fmt.Print(res.Table())

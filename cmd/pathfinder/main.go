@@ -152,8 +152,7 @@ func main() {
 	listApps := flag.Bool("list-apps", false, "print the application catalog and exit")
 	listEvents := flag.Bool("list-events", false, "print the PMU event catalog and exit")
 	serve := flag.String("serve", "", "serve /metrics, /status, /trace, /debug/pprof on this address (e.g. :6060); keeps serving after the run")
-	traceSample := flag.Int("trace-sample", 0, "trace one request in N through the request path (0 = tracing off)")
-	traceBuf := flag.Int("trace-buf", 4096, "request-path trace ring capacity in records")
+	traceSample := flag.Int("trace-sample", 64, "/trace exports one flight record in N per core (0 = /trace off)")
 	flightRing := flag.Int("flight", 4096, "flight-recorder per-core ring capacity in records (0 = recorder off)")
 	flightTail := flag.Int("flight-tail", 512, "flight-recorder tail-store capacity in promoted records")
 	flightDump := flag.String("flight-dump", "pathfinder-flight-bundle.json", "postmortem bundle path written on SIGQUIT or a profiler watchdog trip")
@@ -186,9 +185,9 @@ func main() {
 		fatalf("%v", err)
 	}
 
-	cfg := sim.SPR()
-	if *machine == "emr" {
-		cfg = sim.EMR()
+	cfg, err := sim.ConfigByName(*machine)
+	if err != nil {
+		fatalf("%v", err)
 	}
 	if *fault != "" {
 		plan, err := cxl.ParseFaultPlan(*fault)
@@ -211,13 +210,6 @@ func main() {
 		{ID: 2, Kind: mem.CXLDRAM, Device: 0, Capacity: 256 << 30},
 	})
 	m := sim.New(cfg, as)
-
-	var tr *obs.Tracer
-	if *traceSample > 0 {
-		tr = obs.NewTracer(*traceBuf, *traceSample)
-		tr.Enable()
-		m.SetTracer(tr)
-	}
 
 	// The flight recorder is on by default: always-on tail capture is the
 	// point, and the off-path cost with it attached is a couple of loads.
@@ -322,7 +314,7 @@ func main() {
 
 	setStatus := func(state string, epoch, truncated int, note string, last *core.EpochResult) {
 		st := runStatus{
-			Machine:     *machine,
+			Machine:     cfg.Name,
 			State:       state,
 			Epoch:       epoch,
 			Epochs:      *epochs,
@@ -357,8 +349,9 @@ func main() {
 
 	var srv *obs.Server
 	if *serve != "" {
-		srv = obs.NewServer(obs.Default, tr, statusFn, cfg.GHz)
+		srv = obs.NewServer(obs.Default, statusFn, cfg.GHz)
 		srv.SetFlight(fl, faultPlanStr)
+		srv.SetTrace(*traceSample, func(l uint8) string { return sim.ServeLoc(l).String() })
 		addr, err := srv.Start(*serve)
 		if err != nil {
 			fatalf("-serve %s: %v", *serve, err)

@@ -141,9 +141,9 @@ func main() {
 	experiments.SetParallelism(*parallel)
 	experiments.SetWarmCache(*warmCache)
 
-	cfg := sim.SPR()
-	if *machine == "emr" {
-		cfg = sim.EMR()
+	cfg, err := sim.ConfigByName(*machine)
+	if err != nil {
+		fatalf("pfbench: %v", err)
 	}
 
 	runners := map[string]func(w io.Writer){

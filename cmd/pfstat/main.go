@@ -10,7 +10,8 @@
 //
 // With -bundle it instead summarizes a flight-recorder postmortem bundle:
 // promotion counts, thresholds, and how the promoted tail's per-stage
-// residency compares against the whole recorded population.
+// residency compares against the whole recorded population, both split
+// by the recorder's stage partition (obs.FlightRec.Stages).
 //
 // With -status it summarizes a live `-serve` /status document — run state,
 // engine stepping counters, and the checkpoint cache — so soak and sweep
@@ -60,9 +61,9 @@ func main() {
 		return
 	}
 
-	cfg := sim.SPR()
-	if *machine == "emr" {
-		cfg = sim.EMR()
+	cfg, err := sim.ConfigByName(*machine)
+	if err != nil {
+		fatalf("%v", err)
 	}
 	cfg.LLCSize /= 4
 	cfg.LLCSlices /= 4
@@ -208,37 +209,6 @@ func summarizeStatus(addr string) {
 	}
 }
 
-// tailStageAgg accumulates the promoted tail's per-stage cycles using the
-// same segmentation the recorder applies to the whole population, so the
-// two means are directly comparable.
-type tailStageAgg struct {
-	n                         uint64
-	total, core, l2, cha, dev uint64
-}
-
-func (a *tailStageAgg) add(r *obs.FlightRec) {
-	lat := r.Latency()
-	a.n++
-	a.total += lat
-	l2 := uint64(r.L2Start)
-	tor := uint64(r.TOREnter)
-	mem := uint64(r.MemEnter)
-	if l2 == 0 {
-		a.core += lat
-	} else {
-		a.core += l2
-	}
-	if tor > l2 && l2 > 0 {
-		a.l2 += tor - l2
-	}
-	if mem > tor && tor > 0 {
-		a.cha += mem - tor
-	}
-	if mem > 0 && lat > mem {
-		a.dev += lat - mem
-	}
-}
-
 // summarizeBundle prints the postmortem digest of a dumped flight bundle:
 // what triggered it, how much the recorder saw, where the promotion
 // thresholds sat, and how the promoted tail's stage residency skews
@@ -264,32 +234,36 @@ func summarizeBundle(path string) {
 	fmt.Print(t)
 	fmt.Println()
 
-	// Split the retained tail by class with the recorder's own segmentation.
-	var tails [2]tailStageAgg
+	// Split the retained tail by class with the recorder's own partition.
+	var tails [2]obs.StageTotals
+	var tailN [2]uint64
 	for i := range fl.Tail {
-		tails[fl.Tail[i].Class&1].add(&fl.Tail[i].FlightRec)
+		c := fl.Tail[i].Class & 1
+		tails[c].Add(&fl.Tail[i].FlightRec)
+		tailN[c]++
 	}
 
-	for _, cs := range fl.Classes {
-		if cs.Records == 0 {
+	for c, cs := range fl.Classes {
+		if cs.Records == 0 || c >= len(tails) {
 			continue
-		}
-		var ta *tailStageAgg
-		for c := range tails {
-			if obs.FlightClassName(uint8(c)) == cs.Name {
-				ta = &tails[c]
-			}
 		}
 		ct := &report.Table{
 			Title: fmt.Sprintf("%s: %d records, %d promoted, threshold %s cyc",
 				cs.Name, cs.Records, cs.Promoted, report.Num(cs.Threshold)),
 			Cols: []string{"stage", "all mean cyc", "tail mean cyc", "tail/all"},
 		}
-		addStage := func(name string, all, tail uint64, tailN uint64) {
-			allMean := float64(all) / float64(cs.Records)
-			row := []string{name, report.Num(allMean), "n/a", "n/a"}
-			if tailN > 0 {
-				tailMean := float64(tail) / float64(tailN)
+		for st, all := range cs.Stages {
+			tail := uint64(0)
+			if st < int(obs.StageCount) {
+				tail = tails[c].Cycles[st]
+			}
+			if all.Cycles == 0 && tail == 0 {
+				continue
+			}
+			allMean := float64(all.Cycles) / float64(cs.Records)
+			row := []string{all.Stage, report.Num(allMean), "n/a", "n/a"}
+			if tailN[c] > 0 {
+				tailMean := float64(tail) / float64(tailN[c])
 				row[2] = report.Num(tailMean)
 				if allMean > 0 {
 					row[3] = fmt.Sprintf("%.1fx", tailMean/allMean)
@@ -297,15 +271,6 @@ func summarizeBundle(path string) {
 			}
 			ct.AddRow(row...)
 		}
-		var tn, tt, tc, tl, th, td uint64
-		if ta != nil {
-			tn, tt, tc, tl, th, td = ta.n, ta.total, ta.core, ta.l2, ta.cha, ta.dev
-		}
-		addStage("end-to-end", cs.TotalCycles, tt, tn)
-		addStage("core (pre-L2)", cs.CoreCycles, tc, tn)
-		addStage("L2", cs.L2Cycles, tl, tn)
-		addStage("CHA/mesh", cs.CHACycles, th, tn)
-		addStage("device", cs.DevCycles, td, tn)
 		fmt.Print(ct)
 		fmt.Println()
 	}

@@ -1,9 +1,9 @@
 // Command pftrace records, inspects, and replays memory-access traces:
 // the trace-driven methodology for feeding one captured op stream to many
 // simulated configurations.  The spans subcommand traces the request path
-// itself — per-request stage waterfalls through SB/LFB, L2, CHA, and the
-// IMC or M2PCIe/CXL backends — and cross-checks observed residency against
-// the PFAnalyzer queue estimates.
+// itself — per-request stage waterfalls through the core, L2, CHA, and the
+// IMC or M2PCIe/CXL backends, read from the flight recorder — and
+// cross-checks observed residency against the PFAnalyzer queue estimates.
 //
 //	pftrace record -app FOTS -ops 200000 -o fots.trc
 //	pftrace info   -i fots.trc
@@ -139,6 +139,7 @@ func replay(args []string) {
 	machine := fs.String("machine", "spr", "machine model: spr or emr")
 	_ = fs.Parse(args)
 
+	cfg := machineConfig(*machine)
 	ops := loadTrace(*in)
 	var maxAddr uint64
 	for _, op := range ops {
@@ -147,28 +148,7 @@ func replay(args []string) {
 		}
 	}
 
-	cfg := sim.SPR()
-	if *machine == "emr" {
-		cfg = sim.EMR()
-	}
-	cfg.LLCSize /= 4
-	cfg.LLCSlices /= 4
-	as := mem.NewAddressSpace(12, []mem.Node{
-		{ID: 0, Kind: mem.LocalDRAM, Capacity: 256 << 30},
-		{ID: 1, Kind: mem.RemoteDRAM, Socket: 1, Capacity: 256 << 30},
-		{ID: 2, Kind: mem.CXLDRAM, Device: 0, Capacity: 256 << 30},
-	})
-	var id mem.NodeID
-	switch *node {
-	case "local":
-		id = 0
-	case "remote":
-		id = 1
-	case "cxl":
-		id = 2
-	default:
-		fatalf("bad node %q", *node)
-	}
+	as, id := space(*node)
 	if _, err := as.Alloc(maxAddr+4096, mem.Fixed(id)); err != nil {
 		fatalf("allocating trace footprint: %v", err)
 	}
@@ -193,59 +173,71 @@ func replay(args []string) {
 	fmt.Print(t)
 }
 
-// spans traces the request path of a dependent pointer chase (or a catalog
-// application) at full sampling, prints the per-stage residency waterfall,
-// cross-checks it against AnalyzeQueues' Little's-law estimates, and
-// optionally exports Chrome trace_event JSON for Perfetto.
+// machineConfig returns the named machine with its LLC scaled down by 4,
+// the scale the replay and spans rigs run at.
+func machineConfig(name string) sim.Config {
+	cfg, err := sim.ConfigByName(name)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	cfg.LLCSize /= 4
+	cfg.LLCSlices /= 4
+	return cfg
+}
+
+// space returns the rigs' three-node address space and the node a
+// placement name selects.
+func space(node string) (*mem.AddressSpace, mem.NodeID) {
+	as := mem.NewAddressSpace(12, []mem.Node{
+		{ID: 0, Kind: mem.LocalDRAM, Capacity: 256 << 30},
+		{ID: 1, Kind: mem.RemoteDRAM, Socket: 1, Capacity: 256 << 30},
+		{ID: 2, Kind: mem.CXLDRAM, Device: 0, Capacity: 256 << 30},
+	})
+	ids := map[string]mem.NodeID{"local": 0, "remote": 1, "cxl": 2}
+	id, ok := ids[node]
+	if !ok {
+		fatalf("bad node %q (want local, remote, or cxl)", node)
+	}
+	return as, id
+}
+
+// locName names a flight record's serve-location ordinal.
+func locName(l uint8) string { return sim.ServeLoc(l).String() }
+
+// spans runs a dependent pointer chase (or a catalog application) with
+// the flight recorder attached, prints the per-stage residency waterfall
+// over every demand request, cross-checks it against AnalyzeQueues'
+// Little's-law estimates, and optionally exports one ring record in
+// -sample as Chrome trace_event JSON for Perfetto.
 func spans(args []string) {
 	fs := flag.NewFlagSet("spans", flag.ExitOnError)
 	appName := fs.String("app", "", "catalog application (default: dependent pointer chase)")
 	node := fs.String("node", "cxl", "placement: local, remote, or cxl")
 	machine := fs.String("machine", "spr", "machine model: spr or emr")
 	kcycles := fs.Uint64("kcycles", 2000, "cycles to simulate, in kilocycles")
-	sample := fs.Int("sample", 1, "trace one request in N")
-	bufCap := fs.Int("buf", 1<<14, "trace ring capacity in records")
+	sample := fs.Int("sample", 1, "export one flight record in N to -o")
+	bufCap := fs.Int("buf", 1<<14, "flight ring capacity in records per core")
 	wsMB := fs.Uint64("ws-mb", 16, "working-set size in MiB")
 	out := fs.String("o", "", "write Chrome trace_event JSON here (open in Perfetto)")
 	_ = fs.Parse(args)
 
-	cfg := sim.SPR()
-	if *machine == "emr" {
-		cfg = sim.EMR()
-	}
-	cfg.LLCSize /= 4
-	cfg.LLCSlices /= 4
+	cfg := machineConfig(*machine)
 	if *appName == "" {
-		// Demand-only pointer chase: prefetch traffic is untraced, so it
-		// would widen the PMU integrals relative to the demand spans and
-		// blur the cross-check.
+		// Demand-only pointer chase: the recorder files demand requests
+		// only, so prefetch traffic would widen the PMU integrals
+		// relative to the recorded stages and blur the cross-check.
 		cfg.L1PFDegree, cfg.L2PFDegree = 0, 0
 	}
-	as := mem.NewAddressSpace(12, []mem.Node{
-		{ID: 0, Kind: mem.LocalDRAM, Capacity: 256 << 30},
-		{ID: 1, Kind: mem.RemoteDRAM, Socket: 1, Capacity: 256 << 30},
-		{ID: 2, Kind: mem.CXLDRAM, Device: 0, Capacity: 256 << 30},
-	})
-	var id mem.NodeID
-	switch *node {
-	case "local":
-		id = 0
-	case "remote":
-		id = 1
-	case "cxl":
-		id = 2
-	default:
-		fatalf("bad node %q", *node)
-	}
+	as, id := space(*node)
 	reg, err := as.Alloc(*wsMB<<20, mem.Fixed(id))
 	if err != nil {
 		fatalf("allocating working set: %v", err)
 	}
 
 	m := sim.New(cfg, as)
-	tr := obs.NewTracer(*bufCap, *sample)
-	tr.Enable()
-	m.SetTracer(tr)
+	fl := obs.NewFlight(m.Cores(), *bufCap, 1)
+	fl.Enable()
+	m.SetFlight(fl)
 
 	wr := workload.Region{Base: reg.Base, Size: reg.Size}
 	var gen workload.Generator
@@ -268,39 +260,41 @@ func spans(args []string) {
 	snap := c.Capture()
 	clocks := snap.Cycles()
 
-	stats, committed, dropped := tr.Stats()
-	if committed == 0 {
-		fatalf("no requests traced (is the workload running?)")
+	n := fl.RecordsTotal()
+	if n == 0 {
+		fatalf("no requests recorded (is the workload running?)")
 	}
-	fmt.Printf("%s on %s (%s): traced %d requests (1 in %d), %d dropped from ring\n\n",
-		label, *node, cfg.Name, committed, tr.Every(), dropped)
+	// The waterfall covers every record: the recorder aggregates as it
+	// files, whatever the ring keeps.
+	st := fl.Stages()
+	fmt.Printf("%s on %s (%s): recorded %d requests\n\n", label, *node, cfg.Name, n)
 
 	t := &report.Table{Title: "request-path waterfall (per-stage residency)",
 		Cols: []string{"stage", "spans", "cycles", "avg cyc/span", "residency (occupancy)"}}
-	for st := obs.Stage(0); st < obs.StageCount; st++ {
-		s := stats[st]
-		if s.Spans == 0 {
+	for s := obs.Stage(0); s < obs.StageCount; s++ {
+		spans, cycles := st.Spans[s], st.Cycles[s]
+		if spans == 0 {
 			continue
 		}
-		t.AddRow(st.String(), fmt.Sprint(s.Spans), fmt.Sprint(s.Cycles),
-			report.Num(float64(s.Cycles)/float64(s.Spans)),
-			report.Num(float64(s.Cycles)/clocks))
+		t.AddRow(s.String(), fmt.Sprint(spans), fmt.Sprint(cycles),
+			report.Num(float64(cycles)/float64(spans)),
+			report.Num(float64(cycles)/clocks))
 	}
 	fmt.Print(t)
 	fmt.Println()
 
 	// Cross-check against PFAnalyzer on the CXL path: the queue estimates
 	// price the same intervals through PMU occupancy integrals, so the two
-	// views must agree if the tracer's stage boundaries are honest.
+	// views must agree if the recorded crossings are honest.
 	if *node == "cxl" {
 		k := core.ConstsFor(cfg)
 		plan := core.NewPlan(c.Index(), []int{0}, 0)
 		var qr core.QueueReport
 		plan.AnalyzeQueuesInto(snap, k, &qr)
 
-		obsDIMM := float64(stats[obs.StageCXLDevQ].Cycles+stats[obs.StageCXLMedia].Cycles) / clocks
-		nReads := float64(stats[obs.StageM2PCIe].Spans)
-		obsFlex := float64(stats[obs.StageM2PCIe].Cycles)/clocks + (nReads/clocks)*k.LinkTransit
+		obsDIMM := float64(st.Cycles[obs.StageCXLDevQ]+st.Cycles[obs.StageCXLMedia]) / clocks
+		nReads := float64(st.Spans[obs.StageM2PCIe])
+		obsFlex := float64(st.Cycles[obs.StageM2PCIe])/clocks + (nReads/clocks)*k.LinkTransit
 
 		ct := &report.Table{Title: "observed residency vs AnalyzeQueues estimate (DRd path)",
 			Cols: []string{"component", "observed", "estimated", "delta"}}
@@ -318,28 +312,33 @@ func spans(args []string) {
 	}
 
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		recs := tr.Records()
-		werr := obs.WriteChromeTrace(f, recs, cfg.GHz)
-		cerr := f.Close()
-		if werr != nil {
-			fatalf("writing %s: %v", *out, werr)
-		}
-		if cerr != nil {
-			fatalf("closing %s: %v", *out, cerr)
-		}
-		fmt.Printf("wrote %d records to %s — open at https://ui.perfetto.dev\n", len(recs), *out)
+		recs := fl.Sample(*sample)
+		writeTrace(*out, recs, cfg.GHz)
+		fmt.Printf("wrote %d records (1 in %d per core) to %s — open at https://ui.perfetto.dev\n",
+			len(recs), max(*sample, 1), *out)
+	}
+}
+
+// writeTrace writes records as Chrome trace_event JSON to path.
+func writeTrace(path string, recs []obs.TraceRec, ghz float64) {
+	f, err := os.Create(path)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	werr := obs.WriteChromeTrace(f, recs, ghz, locName)
+	cerr := f.Close()
+	if werr != nil {
+		fatalf("writing %s: %v", path, werr)
+	}
+	if cerr != nil {
+		fatalf("closing %s: %v", path, cerr)
 	}
 }
 
 // bundle renders a flight-recorder postmortem bundle's promoted tail
-// records as Perfetto spans: one track per (core, request) with the
-// issue->done envelope and the L2/CHA/device segments the packed record's
-// stage deltas allow.  The device segment is labeled with the serving
-// backend (IMC for DRAM, FlexBus for CXL).
+// records as Perfetto spans: one track per (core, promotion seq) with the
+// request envelope and its stage partition (obs.FlightRec.Stages), the
+// same stages the live /trace export draws.
 func bundle(args []string) {
 	fs := flag.NewFlagSet("bundle", flag.ExitOnError)
 	in := fs.String("i", "pathfinder-flight-bundle.json", "postmortem bundle file")
@@ -355,52 +354,11 @@ func bundle(args []string) {
 	if len(tail) == 0 {
 		fatalf("%s: bundle (trigger %q) has no promoted tail records", *in, b.Trigger)
 	}
-
-	recs := make([]obs.ReqRec, 0, len(tail))
+	recs := make([]obs.TraceRec, len(tail))
 	for i := range tail {
-		t := &tail[i]
-		loc := sim.ServeLoc(t.Loc)
-		r := obs.ReqRec{
-			ID:    uint64(t.Seq),
-			Core:  int32(t.Core),
-			Addr:  t.Addr,
-			Class: obs.FlightClassName(t.Class),
-			Loc:   loc.String(),
-		}
-		r.Span(obs.StageReq, t.Issue, t.Done)
-		// Stage deltas are cycle offsets from issue; zero means the request
-		// never reached that stage, so only the segments that exist render.
-		l2 := t.Issue + uint64(t.L2Start)
-		tor := t.Issue + uint64(t.TOREnter)
-		memEnter := t.Issue + uint64(t.MemEnter)
-		if t.L2Start > 0 && t.TOREnter > t.L2Start {
-			r.Span(obs.StageL2, l2, tor)
-		}
-		if t.TOREnter > 0 && t.MemEnter > t.TOREnter {
-			r.Span(obs.StageCHA, tor, memEnter)
-		}
-		if t.MemEnter > 0 && t.Done > memEnter {
-			st := obs.StageIMC
-			if loc == sim.SrvCXL {
-				st = obs.StageCXLLink
-			}
-			r.Span(st, memEnter, t.Done)
-		}
-		recs = append(recs, r)
+		recs[i] = obs.TraceRec{FlightRec: tail[i].FlightRec, ID: uint64(tail[i].Seq)}
 	}
-
-	f, err := os.Create(*out)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	werr := obs.WriteChromeTrace(f, recs, *ghz)
-	cerr := f.Close()
-	if werr != nil {
-		fatalf("writing %s: %v", *out, werr)
-	}
-	if cerr != nil {
-		fatalf("closing %s: %v", *out, cerr)
-	}
+	writeTrace(*out, recs, *ghz)
 	fmt.Printf("bundle %s (trigger %q, epoch %d): wrote %d promoted spans to %s — open at https://ui.perfetto.dev\n",
 		*in, b.Trigger, b.Epoch, len(recs), *out)
 }

@@ -160,10 +160,10 @@ func TestCompare(t *testing.T) {
 func TestComparePairs(t *testing.T) {
 	cur := parseSample(t)
 	v := *cur.Find("BenchmarkSimCXLStream")
-	v.Name = "BenchmarkSimCXLStreamTracerOff"
+	v.Name = "BenchmarkSimCXLStreamFlightOff"
 	v.Metrics = map[string]float64{"ns/op": 992.9 * 1.01}
 	cur.Benchmarks = append(cur.Benchmarks, v)
-	pair := []string{"BenchmarkSimCXLStreamTracerOff=BenchmarkSimCXLStream"}
+	pair := []string{"BenchmarkSimCXLStreamFlightOff=BenchmarkSimCXLStream"}
 
 	// +1% passes a 2% pair gate.
 	regs, err := ComparePairs(cur, pair, 0.02)
@@ -172,7 +172,7 @@ func TestComparePairs(t *testing.T) {
 	}
 
 	// +5% fails it, reporting both sides.
-	cur.Find("BenchmarkSimCXLStreamTracerOff").Metrics["ns/op"] = 992.9 * 1.05
+	cur.Find("BenchmarkSimCXLStreamFlightOff").Metrics["ns/op"] = 992.9 * 1.05
 	regs, err = ComparePairs(cur, pair, 0.02)
 	if err != nil || len(regs) != 1 {
 		t.Fatalf("pair regression missed: %v %v", regs, err)
@@ -186,7 +186,7 @@ func TestComparePairs(t *testing.T) {
 	if err != nil || len(regs) != 1 || !regs[0].MissingCurrent {
 		t.Fatalf("missing variant: %v %v", regs, err)
 	}
-	regs, err = ComparePairs(cur, []string{"BenchmarkSimCXLStreamTracerOff=BenchmarkNope"}, 0.02)
+	regs, err = ComparePairs(cur, []string{"BenchmarkSimCXLStreamFlightOff=BenchmarkNope"}, 0.02)
 	if err != nil || len(regs) != 1 || !regs[0].MissingBaseline {
 		t.Fatalf("missing base: %v %v", regs, err)
 	}

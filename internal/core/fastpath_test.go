@@ -19,7 +19,7 @@ import (
 // counter of every bank, serialized — to be byte-identical per epoch.
 
 // fastpathScenario configures a freshly built rig (workloads, fault
-// plans, tracer).  It runs twice per test, once per engine mode, so both
+// plans, flight recorder).  It runs twice per test, once per engine mode, so both
 // machines see identical construction order and workload seeds.  The
 // returned cleanup (may be nil) runs after each machine finishes.
 type fastpathScenario func(t *testing.T, m *sim.Machine, local, cxlReg workload.Region) func()
@@ -189,43 +189,66 @@ func TestFastpathGoldenSurpriseRemoval(t *testing.T) {
 	fastpathGolden(t, e, c, s)
 }
 
-func TestFastpathGoldenTracerAttached(t *testing.T) {
-	var stats [2]struct {
-		committed, dropped uint64
+// traceScenario runs the flight recorder tests' two-stream load with a
+// recorder whose rings wrap, and at cleanup stores into out the trace
+// /trace would serve at -trace-sample 4: the records, rendered for
+// Perfetto.
+func traceScenario(out *[]byte) fastpathScenario {
+	return func(t *testing.T, m *sim.Machine, local, cxlReg workload.Region) func() {
+		fl := obs.NewFlight(m.Cores(), 512, 16)
+		fl.Enable()
+		m.SetFlight(fl)
+		m.Attach(0, workload.NewStream(cxlReg, 2, 0.2, 5))
+		m.Attach(1, workload.NewStream(local, 2, 0.2, 6))
+		return func() {
+			var buf bytes.Buffer
+			if err := obs.WriteChromeTrace(&buf, fl.Sample(4), 2, nil); err != nil {
+				t.Fatal(err)
+			}
+			*out = buf.Bytes()
+		}
 	}
+}
+
+// checkTrace fails unless the rendered trace draws both memory paths.
+func checkTrace(t *testing.T, trace []byte) {
+	t.Helper()
+	for _, stage := range []obs.Stage{obs.StageCXLMedia, obs.StageIMC} {
+		if !bytes.Contains(trace, []byte(`"name":"`+stage.String()+`"`)) {
+			t.Fatalf("trace has no %s event", stage)
+		}
+	}
+}
+
+// TestFastpathGoldenTracerAttached: the exported trace is byte-identical
+// between the sweep and the dispatch oracle.
+func TestFastpathGoldenTracerAttached(t *testing.T) {
+	var fast, oracle []byte
 	i := 0
 	fastpathGolden(t, 2, 1_000_000,
 		func(t *testing.T, m *sim.Machine, local, cxlReg workload.Region) func() {
-			// Sampling every 4th op mixes traced and untraced ops in the
-			// same run.
-			tr := obs.NewTracer(1<<14, 4)
-			tr.Enable()
-			m.SetTracer(tr)
-			m.Attach(0, workload.NewStream(cxlReg, 2, 0.2, 5))
-			m.Attach(1, workload.NewStream(local, 2, 0.2, 6))
-			slot := &stats[i]
-			i++
-			return func() {
-				_, slot.committed, slot.dropped = tr.Stats()
+			out := &fast
+			if i > 0 {
+				out = &oracle
 			}
+			i++
+			return traceScenario(out)(t, m, local, cxlReg)
 		})
-	// The tracer must observe the same request population in both modes.
-	if stats[0] != stats[1] {
-		t.Fatalf("tracer stats differ: fast=%+v dispatch=%+v", stats[0], stats[1])
-	}
-	if stats[0].committed == 0 {
-		t.Fatal("tracer committed no records")
+	checkTrace(t, fast)
+	if !bytes.Equal(fast, oracle) {
+		t.Fatal("trace differs between the sweep and the dispatch oracle")
 	}
 }
 
 // TestFastpathGoldenFlightAttached: the always-on flight recorder files a
-// record for every completed request, so unlike the sampling tracer it is
-// active on every inline step.  Digests must stay byte-identical with it
-// enabled, and the recorder must see the identical request population in
+// record for every completed request, so it is active on every inline
+// step.  Digests must stay byte-identical with it enabled, and the
+// recorder must see the identical request population, stage by stage, in
 // both stepping modes.
 func TestFastpathGoldenFlightAttached(t *testing.T) {
 	var stats [2]struct {
 		records, promoted uint64
+		stages            obs.StageTotals
 	}
 	i := 0
 	fastpathGolden(t, 2, 1_000_000,
@@ -240,6 +263,7 @@ func TestFastpathGoldenFlightAttached(t *testing.T) {
 			return func() {
 				slot.records = fl.RecordsTotal()
 				slot.promoted = fl.Promoted()
+				slot.stages = fl.Stages()
 			}
 		})
 	if stats[0] != stats[1] {
@@ -248,6 +272,7 @@ func TestFastpathGoldenFlightAttached(t *testing.T) {
 	if stats[0].records == 0 {
 		t.Fatal("flight recorder filed no records")
 	}
+	checkStagePartition(t, stats[0].stages, obs.StageCXLMedia, obs.StageIMC)
 	if stats[0].promoted == 0 {
 		t.Fatal("no promotions over a mixed local/CXL run; threshold pipeline dead")
 	}

@@ -12,11 +12,11 @@ import (
 	"pathfinder/internal/workload"
 )
 
-// TestSpanResidencyMatchesQueueAnalysis is the tracer's ground-truth check:
-// for a pure pointer chase on CXL memory traced at sample=1, the directly
-// observed per-stage residency must agree with the Little's-law queue
-// estimates AnalyzeQueues derives from the PMU occupancy integrals — the
-// CXL-path acceptance criterion (within 10%).
+// TestSpanResidencyMatchesQueueAnalysis is the flight recorder's
+// ground-truth check: for a pure pointer chase on CXL memory, the
+// per-stage residency of every recorded request must agree with the
+// Little's-law queue estimates AnalyzeQueues derives from the PMU
+// occupancy integrals — the CXL-path acceptance criterion (within 10%).
 func TestSpanResidencyMatchesQueueAnalysis(t *testing.T) {
 	as := mem.NewAddressSpace(12, []mem.Node{
 		{ID: 0, Kind: mem.LocalDRAM, Capacity: 8 << 30},
@@ -30,14 +30,14 @@ func TestSpanResidencyMatchesQueueAnalysis(t *testing.T) {
 	cfg.Cores = 4
 	cfg.LLCSlices = 8
 	cfg.LLCSize = 4 << 20
-	// Demand-only traffic: with prefetchers on, untraced prefetch requests
-	// would widen the PMU integrals relative to the traced demand spans.
+	// Demand-only traffic: with prefetchers on, unrecorded prefetch
+	// requests would widen the PMU integrals relative to the demand stages.
 	cfg.L1PFDegree, cfg.L2PFDegree = 0, 0
 	m := sim.New(cfg, as)
 
-	tr := obs.NewTracer(1<<14, 1)
-	tr.Enable()
-	m.SetTracer(tr)
+	fl := obs.NewFlight(m.Cores(), 64, 8)
+	fl.Enable()
+	m.SetFlight(fl)
 	m.Attach(0, workload.NewPointerChase(region(cxl), 2, 7))
 
 	c := NewCapturer(m)
@@ -48,10 +48,11 @@ func TestSpanResidencyMatchesQueueAnalysis(t *testing.T) {
 	var qr QueueReport
 	plan.AnalyzeQueuesInto(snap, k, &qr)
 
-	stats, committed, _ := tr.Stats()
-	if committed == 0 {
-		t.Fatal("no records traced")
+	if fl.RecordsTotal() == 0 {
+		t.Fatal("no records filed")
 	}
+	st := fl.Stages()
+	checkStagePartition(t, st, obs.StageCXLMedia, obs.StageCXLRet)
 	clocks := snap.Cycles()
 
 	within := func(name string, got, want, tol float64) {
@@ -66,17 +67,36 @@ func TestSpanResidencyMatchesQueueAnalysis(t *testing.T) {
 	}
 
 	// CXL DIMM queue: the estimate prices Σ(data - devArrive) through the
-	// RPQ + packing-buffer occupancy integrals; the tracer observed the
-	// same interval directly as cxl_devq + cxl_media spans.
-	obsDIMM := float64(stats[obs.StageCXLDevQ].Cycles+stats[obs.StageCXLMedia].Cycles) / clocks
+	// RPQ + packing-buffer occupancy integrals; the records hold the same
+	// interval directly as the cxl_devq + cxl_media stages.
+	obsDIMM := float64(st.Cycles[obs.StageCXLDevQ]+st.Cycles[obs.StageCXLMedia]) / clocks
 	within("CXL DIMM queue", obsDIMM, qr.Q[PathDRd][CompCXLDIMM], 0.10)
 
 	// FlexBus+MC: estimate is rate x (M2PCIe ingress residency + link
-	// transit); the observed analog uses the traced m2pcie spans and the
-	// traced request count.
-	nReads := float64(stats[obs.StageM2PCIe].Spans)
-	obsFlex := float64(stats[obs.StageM2PCIe].Cycles)/clocks + (nReads/clocks)*k.LinkTransit
+	// transit); the observed analog uses the m2pcie stage and the count
+	// of records that crossed it.
+	nReads := float64(st.Spans[obs.StageM2PCIe])
+	obsFlex := float64(st.Cycles[obs.StageM2PCIe])/clocks + (nReads/clocks)*k.LinkTransit
 	within("FlexBus+MC queue", obsFlex, qr.Q[PathDRd][CompFlexBusMC], 0.10)
+}
+
+// checkStagePartition fails unless the stages partition the requests —
+// their cycles sum to the "req" stage's — and every stage in want was
+// reached by some record.
+func checkStagePartition(t *testing.T, st obs.StageTotals, want ...obs.Stage) {
+	t.Helper()
+	var sum uint64
+	for s := obs.StageCore; s < obs.StageLRSM; s++ {
+		sum += st.Cycles[s]
+	}
+	if sum != st.Cycles[obs.StageReq] {
+		t.Fatalf("stages sum to %d cycles, requests took %d: %+v", sum, st.Cycles[obs.StageReq], st)
+	}
+	for _, s := range want {
+		if st.Spans[s] == 0 {
+			t.Fatalf("no record reached stage %s: %+v", s, st)
+		}
+	}
 }
 
 // TestProfilerPublishesMetrics checks the epoch loop's registry series:

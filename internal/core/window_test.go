@@ -80,43 +80,32 @@ func TestWindowGoldenScenarios(t *testing.T) {
 	}
 }
 
-// TestWindowGoldenTracerEnabled: with an enabled sampling tracer, every
-// lane count still runs the sweep, and the tracer observes the same
-// request population as on the oracle.
+// TestWindowGoldenTracerEnabled: at every lane count the exported trace is
+// byte-identical to the oracle's.
 func TestWindowGoldenTracerEnabled(t *testing.T) {
-	type stats struct{ committed, dropped uint64 }
-	run := func(lanes int) (fastpathRun, stats) {
-		var st stats
-		out := runWindowMode(t, lanes, 2, windowPrefix,
-			func(t *testing.T, m *sim.Machine, local, cxlReg workload.Region) func() {
-				tr := obs.NewTracer(1<<14, 4)
-				tr.Enable()
-				m.SetTracer(tr)
-				m.Attach(0, workload.NewStream(cxlReg, 2, 0.2, 5))
-				m.Attach(1, workload.NewStream(local, 2, 0.2, 6))
-				return func() { _, st.committed, st.dropped = tr.Stats() }
-			})
-		return out, st
-	}
-	base, baseStats := run(-1)
-	if baseStats.committed == 0 {
-		t.Fatal("tracer committed no records")
-	}
+	var base []byte
+	baseRun := runWindowMode(t, -1, 2, windowPrefix, traceScenario(&base))
+	checkTrace(t, base)
 	for _, lanes := range windowLaneConfigs {
-		got, gotStats := run(lanes)
-		sameRun(t, fmt.Sprintf("lanes=%d", lanes), got, base)
-		if gotStats != baseStats {
-			t.Fatalf("lanes=%d: tracer stats differ: %+v vs %+v", lanes, gotStats, baseStats)
+		var trace []byte
+		sameRun(t, fmt.Sprintf("lanes=%d", lanes),
+			runWindowMode(t, lanes, 2, windowPrefix, traceScenario(&trace)), baseRun)
+		if !bytes.Equal(trace, base) {
+			t.Fatalf("lanes=%d: trace differs from the oracle's", lanes)
 		}
 	}
 }
 
 // TestWindowGoldenFlightEnabled: with an enabled flight recorder, every
-// lane count still runs the sweep, and the recorder files the same records
-// as on the oracle.
+// lane count still runs the sweep, and the recorder files the same
+// records, stage by stage, as on the oracle.
 func TestWindowGoldenFlightEnabled(t *testing.T) {
-	run := func(lanes int) (fastpathRun, uint64) {
-		var records uint64
+	type stats struct {
+		records uint64
+		stages  obs.StageTotals
+	}
+	run := func(lanes int) (fastpathRun, stats) {
+		var st stats
 		out := runWindowMode(t, lanes, 2, windowPrefix,
 			func(t *testing.T, m *sim.Machine, local, cxlReg workload.Region) func() {
 				fl := obs.NewFlight(m.Cores(), 2048, 128)
@@ -124,19 +113,21 @@ func TestWindowGoldenFlightEnabled(t *testing.T) {
 				m.SetFlight(fl)
 				m.Attach(0, workload.NewStream(cxlReg, 2, 0.2, 5))
 				m.Attach(1, workload.NewStream(local, 2, 0.2, 6))
-				return func() { records = fl.RecordsTotal() }
+				return func() { st = stats{fl.RecordsTotal(), fl.Stages()} }
 			})
-		return out, records
+		return out, st
 	}
-	base, baseRecords := run(-1)
-	if baseRecords == 0 {
+	base, baseStats := run(-1)
+	if baseStats.records == 0 {
 		t.Fatal("flight recorder filed no records")
 	}
+	checkStagePartition(t, baseStats.stages, obs.StageCXLMedia, obs.StageIMC)
 	for _, lanes := range windowLaneConfigs {
-		got, records := run(lanes)
+		got, st := run(lanes)
 		sameRun(t, fmt.Sprintf("lanes=%d", lanes), got, base)
-		if records != baseRecords {
-			t.Fatalf("lanes=%d: flight saw %d records, oracle %d", lanes, records, baseRecords)
+		if st != baseStats {
+			t.Fatalf("lanes=%d: flight stats differ from the oracle's: %+v vs %+v",
+				lanes, st, baseStats)
 		}
 	}
 }

@@ -44,19 +44,14 @@ func RunOverhead(cfg sim.Config, quick bool) *OverheadResult {
 		return rig, apps
 	}
 
-	// Baseline: same machine and workloads, no profiling.
+	// Baseline: same machine and workloads, no profiling.  Profiled: full
+	// snapshot + PFBuilder + PFEstimator + PFAnalyzer + materializer per
+	// epoch.  The two alternate epoch by epoch, so that load from other
+	// processes on the host falls on both alike.
 	rig, apps := build()
 	for _, a := range apps {
 		rig.Machine.Attach(a.Core, a.Gen)
 	}
-	t0 := time.Now()
-	for e := 0; e < epochs; e++ {
-		rig.Machine.Run(epoch)
-	}
-	base := time.Since(t0).Seconds()
-
-	// Profiled: full snapshot + PFBuilder + PFEstimator + PFAnalyzer +
-	// materializer per epoch.
 	rig2, apps2 := build()
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -70,11 +65,18 @@ func RunOverhead(cfg sim.Config, quick bool) *OverheadResult {
 	if err != nil {
 		panic(err)
 	}
-	t1 := time.Now()
-	if _, err := p.Run(); err != nil {
-		panic(err)
+	var baseDur, profDur time.Duration
+	for e := 0; e < epochs; e++ {
+		t0 := time.Now()
+		rig.Machine.Run(epoch)
+		t1 := time.Now()
+		if _, err := p.Step(); err != nil {
+			panic(err)
+		}
+		baseDur += t1.Sub(t0)
+		profDur += time.Since(t1)
 	}
-	profiled := time.Since(t1).Seconds()
+	base, profiled := baseDur.Seconds(), profDur.Seconds()
 	runtime.ReadMemStats(&after)
 
 	res := &OverheadResult{

@@ -9,8 +9,10 @@ import (
 )
 
 // BundleSchema versions the bundle document so readers can refuse formats
-// they do not understand.
-const BundleSchema = 1
+// they do not understand.  Schema 2 records a latency instead of a
+// completion cycle, carries the device crossings, moves seq to promoted
+// records, and aggregates stages as the FlightRec.Stages partition.
+const BundleSchema = 2
 
 // Bundle is the postmortem artifact: the flight recorder's tail store and
 // stats, a Prometheus text snapshot of the metrics registry, the /status

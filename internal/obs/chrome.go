@@ -25,34 +25,41 @@ type chromeDoc struct {
 }
 
 // WriteChromeTrace renders records as Chrome trace_event JSON: one track
-// per (core, request), one complete event per span, cycles converted to
-// microseconds at ghz.  The output loads in Perfetto (ui.perfetto.dev) as a
+// per (core, record id), a "req" event over the whole request carrying
+// its address, class, serve location and LRSM replay cycles, and one event
+// per stage of its partition (FlightRec.Stages), cycles converted to
+// microseconds at ghz.  locName names a serve-location ordinal; nil prints
+// the ordinal.  The output loads in Perfetto (ui.perfetto.dev) as a
 // per-request latency waterfall.
-func WriteChromeTrace(w io.Writer, recs []ReqRec, ghz float64) error {
+func WriteChromeTrace(w io.Writer, recs []TraceRec, ghz float64, locName func(uint8) string) error {
 	if ghz <= 0 {
 		ghz = 1
 	}
 	us := func(cycles uint64) float64 { return float64(cycles) / (ghz * 1e3) }
-	doc := chromeDoc{DisplayTimeUnit: "ns", TraceEvents: make([]chromeEvent, 0, len(recs)*4)}
+	doc := chromeDoc{DisplayTimeUnit: "ns", TraceEvents: make([]chromeEvent, 0, len(recs)*6)}
+	var buf [MaxStages]Span
 	for i := range recs {
 		r := &recs[i]
-		for _, sp := range r.Spans() {
-			ev := chromeEvent{
-				Name: sp.Stage.String(),
-				Cat:  "cxl-path",
-				Ph:   "X",
-				TS:   us(sp.Start),
-				Dur:  us(sp.End - sp.Start),
-				PID:  r.Core,
-				TID:  r.ID,
-			}
-			if sp.Stage == StageReq {
-				ev.Args = map[string]any{
-					"addr":  r.Addr,
-					"class": r.Class,
-					"loc":   r.Loc,
-				}
-			}
+		ev := chromeEvent{Cat: "cxl-path", Ph: "X", PID: int32(r.Core), TID: r.ID}
+		var loc any = r.Loc
+		if locName != nil {
+			loc = locName(r.Loc)
+		}
+		req := ev
+		req.Name, req.TS, req.Dur = StageReq.String(), us(r.Issue), us(r.Latency())
+		req.Args = map[string]any{
+			"addr":  r.Addr,
+			"class": FlightClassName(r.Class),
+			"loc":   loc,
+		}
+		if r.Replay > 0 {
+			req.Args[StageLRSM.String()] = r.Replay
+		}
+		doc.TraceEvents = append(doc.TraceEvents, req)
+		for _, sp := range r.Stages(&buf) {
+			ev.Name = sp.Stage.String()
+			ev.TS = us(r.Issue + uint64(sp.Start))
+			ev.Dur = us(uint64(sp.End - sp.Start))
 			doc.TraceEvents = append(doc.TraceEvents, ev)
 		}
 	}

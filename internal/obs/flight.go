@@ -2,19 +2,20 @@ package obs
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
 )
 
-// Flight is the always-on flight recorder: every completed memory request
-// leaves a compact fixed-size record in a per-core ring buffer, and the
-// requests whose end-to-end latency lands beyond an adaptive per-class
+// Flight is the always-on flight recorder: every completed demand load and
+// store leaves a compact fixed-size record in a per-core ring buffer, and
+// the requests whose end-to-end latency lands beyond an adaptive per-class
 // threshold (an online p99 estimate from a streaming P² quantile sketch)
 // are promoted into a bounded tail store together with their promotion
-// context.  Unlike the 1-in-N tracer, which samples uniformly and almost
-// never catches a p99.9 event with its waterfall, the flight recorder sees
-// every request and keeps exactly the ones that form the tail.
+// context.  A record carries every crossing of the request's path, so the
+// same record feeds tail capture, the per-stage residency aggregates, and
+// the sampled Perfetto waterfall (Sample, WriteChromeTrace).
 //
 // The recorder is strictly an observer: it never touches engine, cache, or
 // PMU state, so simulated timing is byte-identical with it attached (the
@@ -40,7 +41,7 @@ const (
 )
 
 // FlightClassName maps a FlightRec.Class ordinal to the request-class
-// label the tracer and path maps use.
+// label the path maps use.
 func FlightClassName(c uint8) string {
 	if c&1 == FlightStore {
 		return "DWr"
@@ -50,39 +51,153 @@ func FlightClassName(c uint8) string {
 
 // flightBounds is the latency histogram (and exemplar) bucketing in core
 // cycles: L1 hits land in the first buckets, local DRAM around 200-400,
-// healthy CXL at 700-1500, and the retry/viral pathologies beyond.
+// healthy CXL at 700-1500, and the retry/viral pathologies beyond.  The
+// bounds are the powers of two from 8 to 16384; flightHist.observe relies
+// on it.
 var flightBounds = []float64{8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384}
 
-// FlightRec is the packed per-request record (48 bytes, no pointers, no
-// heap).  Stage timestamps are cycle deltas from Issue so the struct stays
-// compact; a zero delta means the request never reached that stage (an L1
-// hit has no L2 entry).  Loc is the sim-side ServeLoc ordinal — obs cannot
-// import the simulator, so the CLI tools map it back to a name.
+// Memory paths a record can take past the LLC (FlightRec.Path).
+const (
+	FlightPathNone = 0 // served in the core or a cache
+	FlightPathIMC  = 1 // a local or remote DRAM channel
+	FlightPathCXL  = 2 // the M2PCIe port, the FlexBus link and a CXL device
+)
+
+// FlightRec is the packed per-request record (56 bytes, no pointers, no
+// heap).  Every crossing is a 32-bit cycle delta from Issue; a zero delta
+// means the request never reached it (an L1 hit has no L2 entry).  Loc is
+// the sim-side ServeLoc ordinal — obs cannot import the simulator, so the
+// CLI tools map it back to a name.
 type FlightRec struct {
 	Addr  uint64 `json:"addr"`
 	Issue uint64 `json:"issue"`
-	Done  uint64 `json:"done"`
+	Lat   uint32 `json:"latency"` // Done - Issue
 
-	L2Start  uint32 `json:"l2_start"`  // delta from Issue; 0 = not reached
-	TOREnter uint32 `json:"tor_enter"` // delta from Issue; 0 = not reached
-	MemEnter uint32 `json:"mem_enter"` // delta from Issue; 0 = not reached
-	Seq      uint32 `json:"seq"`       // promotion-pipeline sequence number
+	L2Start  uint32 `json:"l2_start"`  // L1D miss found, L2 lookup begins
+	TOREnter uint32 `json:"tor_enter"` // TOR insert at the home CHA
+	MemEnter uint32 `json:"mem_enter"` // memory path entered (IMC or M2PCIe)
 
-	Core  uint16 `json:"core"`
-	Class uint8  `json:"class"` // FlightLoad or FlightStore
-	Loc   uint8  `json:"loc"`   // ServeLoc ordinal
+	// The device crossings of the request's own read.  M2PExit,
+	// DevArrive and MediaStart are CXL-only; DataReady is when the IMC or
+	// the CXL device had the data.
+	M2PExit    uint32 `json:"m2p_exit"`    // link transfer to the device starts
+	DevArrive  uint32 `json:"dev_arrive"`  // request reaches the device
+	MediaStart uint32 `json:"media_start"` // device media access begins
+	DataReady  uint32 `json:"data_ready"`  // data ready at the IMC or device
 
-	LFB uint8 `json:"lfb"` // core LFB occupancy at completion
-	SB  uint8 `json:"sb"`  // core store-buffer occupancy at completion
+	// Replay is a duration, not a crossing: the LRSM replay cycles of the
+	// request's own link transfers (CRC-corrupted flits resent).  It lies
+	// inside the m2pcie and cxl_return stages.
+	Replay uint32 `json:"replay"`
+
+	Core  uint8 `json:"core"`
+	Class uint8 `json:"class"` // FlightLoad or FlightStore
+	Loc   uint8 `json:"loc"`   // ServeLoc ordinal
+	Path  uint8 `json:"path"`  // FlightPathNone, FlightPathIMC or FlightPathCXL
 }
 
 // Latency is the end-to-end request latency in cycles.
-func (r *FlightRec) Latency() uint64 { return r.Done - r.Issue }
+func (r *FlightRec) Latency() uint64 { return uint64(r.Lat) }
+
+// Done is the completion cycle.
+func (r *FlightRec) Done() uint64 { return r.Issue + uint64(r.Lat) }
+
+// Stage identifies one segment of a request's traversal of the machine —
+// the waterfall rows of the paper's §2.2 data paths.
+type Stage uint8
+
+// Stages, in path order.  StageReq is the whole request and StageLRSM the
+// replay detours inside the link stages; the others partition a request.
+const (
+	StageReq      Stage = iota // whole request: issue -> done
+	StageCore                  // issue -> L2 lookup: SB and LFB waits, L1D
+	StageL2                    // L2 lookup -> TOR insert, or -> done on an L2 hit
+	StageCHA                   // TOR insert -> memory path, or -> done on an LLC hit
+	StageIMC                   // IMC queues and DRAM media (and UPI when remote)
+	StageIMCRet                // DRAM data ready -> done: mesh hop back, fill
+	StageM2PCIe                // M2PCIe ingress: mesh -> link credit, M2S replays
+	StageCXLLink               // FlexBus serialization + flight, host -> device
+	StageCXLDevQ               // device packing buffer + controller + RPQ wait
+	StageCXLMedia              // device media access
+	StageCXLRet                // device data -> done: link back, M2PCIe, mesh
+	StageLRSM                  // LRSM replay cycles (inside m2pcie, cxl_return)
+	StageCount
+)
+
+var stageNames = [StageCount]string{
+	"req", "core", "l2", "cha", "imc", "imc_return",
+	"m2pcie", "cxl_link", "cxl_devq", "cxl_media", "cxl_return", "lrsm_replay",
+}
+
+// String returns the stage's waterfall/export name.
+func (s Stage) String() string {
+	if int(s) < len(stageNames) {
+		return stageNames[s]
+	}
+	return "stage?"
+}
+
+// Span is one stage of a record, in cycles from its Issue.
+type Span struct {
+	Stage      Stage
+	Start, End uint32
+}
+
+// MaxStages bounds a record's partition: core, l2, cha and the five
+// stages of a CXL read.
+const MaxStages = 8
+
+// Stages partitions the record's [Issue, Done] at the crossings it reached
+// into consecutive stage spans, in path order, dropping empty ones.  A
+// stage runs from its crossing to the next crossing reached, so the last
+// one reached runs to Done: an L2 hit's l2 stage ends at Done, and a
+// store's L1D write and TSO commit wait land in the stage its RFO ended
+// in.  The spans' lengths sum to Latency() for any record, including one
+// decoded from a corrupt bundle (crossings are clamped to the latency).
+func (r *FlightRec) Stages(buf *[MaxStages]Span) []Span {
+	type mark struct {
+		at uint32
+		st Stage
+	}
+	marks := [7]mark{{r.L2Start, StageL2}, {r.TOREnter, StageCHA}}
+	n := 2
+	switch r.Path {
+	case FlightPathIMC:
+		marks[2] = mark{r.MemEnter, StageIMC}
+		marks[3] = mark{r.DataReady, StageIMCRet}
+		n = 4
+	case FlightPathCXL:
+		marks[2] = mark{r.MemEnter, StageM2PCIe}
+		marks[3] = mark{r.M2PExit, StageCXLLink}
+		marks[4] = mark{r.DevArrive, StageCXLDevQ}
+		marks[5] = mark{r.MediaStart, StageCXLMedia}
+		marks[6] = mark{r.DataReady, StageCXLRet}
+		n = 7
+	}
+	out := buf[:0]
+	from, cur := uint32(0), StageCore
+	for _, m := range marks[:n] {
+		if m.at == 0 {
+			continue // never reached
+		}
+		at := min(m.at, r.Lat)
+		if at > from {
+			out = append(out, Span{Stage: cur, Start: from, End: at})
+			from = at
+		}
+		cur = m.st
+	}
+	if r.Lat > from {
+		out = append(out, Span{Stage: cur, Start: from, End: r.Lat})
+	}
+	return out
+}
 
 // TailRec is a promoted record: the full FlightRec plus the context the
 // promotion pipeline stamps at decision time.
 type TailRec struct {
 	FlightRec
+	Seq       uint32  `json:"seq"`            // promotion-pipeline sequence number
 	Epoch     uint64  `json:"epoch"`          // profiler epoch at promotion
 	Pending   int32   `json:"pending_events"` // engine events in flight (-1 = unknown)
 	Threshold float64 `json:"threshold"`      // the p99 estimate the record beat
@@ -220,24 +335,61 @@ type flightHist struct {
 
 // observe files one latency: bucket i holds the values in
 // (bounds[i-1], bounds[i]], the last bucket everything above the top bound.
-func (h *flightHist) observe(v float64) {
-	h.counts[sort.SearchFloat64s(flightBounds, v)]++
-	h.sum += v
+// The bounds are 8·2^i, so past the first bucket a latency's bucket is the
+// bit length of lat-1 less three.
+func (h *flightHist) observe(lat uint64) {
+	b := 0
+	if lat > 8 {
+		b = min(bits.Len64(lat-1)-3, len(flightBounds))
+	}
+	h.counts[b]++
+	h.sum += float64(lat)
 }
 
-// flightAgg is the per-class aggregate stage residency over every record
-// seen (not just promoted ones): the same segmentation the tail waterfalls
-// use, so a bundle can compare its promoted spans against the population.
+// StageTotals accumulates records stage by stage: how many records had
+// each stage non-empty, and the cycles they spent in it.
+type StageTotals struct {
+	Spans, Cycles [StageCount]uint64
+}
+
+// Add files one record: its latency under StageReq, its partition
+// (FlightRec.Stages), and its replay cycles under StageLRSM.
+func (t *StageTotals) Add(r *FlightRec) {
+	t.add(StageReq, r.Lat)
+	var buf [MaxStages]Span
+	for _, sp := range r.Stages(&buf) {
+		t.add(sp.Stage, sp.End-sp.Start)
+	}
+	t.add(StageLRSM, r.Replay)
+}
+
+func (t *StageTotals) add(st Stage, cycles uint32) {
+	if cycles > 0 {
+		t.Spans[st]++
+		t.Cycles[st] += uint64(cycles)
+	}
+}
+
+// flightAgg is the per-class aggregate over every record seen (not just
+// promoted ones): its stage totals are the same partition the tail
+// waterfalls and the /trace export draw, so a bundle can compare its
+// promoted spans against the population.
 type flightAgg struct {
-	records     uint64
-	promoted    uint64
-	totalCycles uint64
-	coreCycles  uint64 // issue -> L2 entry, or the whole latency pre-L2
-	l2Cycles    uint64 // L2 entry -> TOR entry
-	chaCycles   uint64 // TOR entry -> memory-path entry
-	devCycles   uint64 // memory-path entry -> done (IMC or M2PCIe/CXL + return)
-	byLoc       [16]uint64
-	devByLoc    [16]uint64
+	records  uint64
+	promoted uint64
+	stages   StageTotals
+	byLoc    [16]uint64
+	devByLoc [16]uint64 // memory-path entry -> done, by serve location
+}
+
+// file adds one record.
+func (a *flightAgg) file(r *FlightRec) {
+	a.records++
+	a.stages.Add(r)
+	if mem := r.MemEnter; mem > 0 && r.Lat > mem {
+		a.devByLoc[r.Loc&15] += uint64(r.Lat - mem)
+	}
+	a.byLoc[r.Loc&15]++
 }
 
 // Flight owns the per-core rings, the promotion pipeline (quantile
@@ -340,35 +492,9 @@ func (f *Flight) lane(core int) *flightLane {
 func (f *Flight) process(r *FlightRec) {
 	cls := int(r.Class & 1)
 	f.seq++
-	r.Seq = f.seq
 	lat := r.Latency()
-
-	a := &f.agg[cls]
-	a.records++
-	a.totalCycles += lat
-	l2 := uint64(r.L2Start)
-	tor := uint64(r.TOREnter)
-	mem := uint64(r.MemEnter)
-	switch {
-	case l2 == 0:
-		a.coreCycles += lat
-	default:
-		a.coreCycles += l2
-	}
-	if tor > l2 && l2 > 0 {
-		a.l2Cycles += tor - l2
-	}
-	if mem > tor && tor > 0 {
-		a.chaCycles += mem - tor
-	}
-	if mem > 0 && lat > mem {
-		dev := lat - mem
-		a.devCycles += dev
-		a.devByLoc[r.Loc&15] += dev
-	}
-	a.byLoc[r.Loc&15]++
-
-	f.hist[cls].observe(float64(lat))
+	f.agg[cls].file(r)
+	f.hist[cls].observe(lat)
 
 	sk := &f.sketch[cls]
 	warm := sk.cnt >= flightWarmup
@@ -385,7 +511,7 @@ func (f *Flight) process(r *FlightRec) {
 // promote copies the record into the tail store with its context and pins
 // it as the exemplar of its latency bucket.  Caller holds f.mu.
 func (f *Flight) promote(r *FlightRec, cls int, thr float64) {
-	t := TailRec{FlightRec: *r, Epoch: f.epoch.Load(), Pending: -1, Threshold: thr}
+	t := TailRec{FlightRec: *r, Seq: f.seq, Epoch: f.epoch.Load(), Pending: -1, Threshold: thr}
 	if f.pendingFn != nil {
 		t.Pending = int32(f.pendingFn())
 	}
@@ -396,7 +522,7 @@ func (f *Flight) promote(r *FlightRec, cls int, thr float64) {
 	}
 	f.tailN++
 	f.agg[cls].promoted++
-	f.hist[cls].ex.Mark(float64(r.Latency()), r.Seq, r.Done)
+	f.hist[cls].ex.Mark(float64(r.Latency()), t.Seq, r.Done())
 }
 
 // RecordsTotal is the count of records ever filed across all cores.
@@ -426,6 +552,20 @@ func (f *Flight) Seen(class int) uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.agg[class&1].records
+}
+
+// Stages returns the stage totals over every record filed, both classes.
+func (f *Flight) Stages() StageTotals {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	var t StageTotals
+	for c := range f.agg {
+		for st := range t.Spans {
+			t.Spans[st] += f.agg[c].stages.Spans[st]
+			t.Cycles[st] += f.agg[c].stages.Cycles[st]
+		}
+	}
+	return t
 }
 
 // Threshold returns the current promotion threshold (p99 estimate) for a
@@ -460,18 +600,36 @@ func (f *Flight) tailLocked() []TailRec {
 	return out
 }
 
-// CoreRecords returns one core's ring contents, oldest first.
-func (f *Flight) CoreRecords(core int) []FlightRec {
-	ln := f.lane(core)
+// first returns the per-core ordinal of the oldest record the ring holds;
+// it holds ordinals first() through n-1.
+func (ln *flightLane) first() uint64 { return ln.n - uint64(len(ln.ring)) }
+
+// at returns the record with per-core ordinal k, which the ring holds.
+func (ln *flightLane) at(k uint64) FlightRec {
+	return ln.ring[k%uint64(cap(ln.ring))]
+}
+
+// TraceRec is a record picked for export, with the id of its track.
+type TraceRec struct {
+	FlightRec
+	ID uint64 // the core's record ordinal (0 = its first), or a tail Seq
+}
+
+// Sample returns one record in every from each core's ring: those whose
+// per-core ordinal is a multiple of every, core by core, oldest first.
+// The pick depends only on each core's own record stream, so a fixed seed
+// exports the same records at any ring size that still holds them.
+// every < 1 is treated as 1.
+func (f *Flight) Sample(every int) []TraceRec {
+	n := uint64(max(every, 1))
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([]FlightRec, 0, len(ln.ring))
-	if ln.n > uint64(len(ln.ring)) {
-		pos := ln.n % uint64(cap(ln.ring))
-		out = append(out, ln.ring[pos:]...)
-		out = append(out, ln.ring[:pos]...)
-	} else {
-		out = append(out, ln.ring...)
+	var out []TraceRec
+	for i := range f.lanes {
+		ln := &f.lanes[i]
+		for k := (ln.first() + n - 1) / n * n; k < ln.n; k += n {
+			out = append(out, TraceRec{FlightRec: ln.at(k), ID: k})
+		}
 	}
 	return out
 }
@@ -484,20 +642,25 @@ type FlightHist struct {
 	Exemplars []Exemplar `json:"exemplars,omitempty"`
 }
 
-// FlightClassStats is the per-class slice of a snapshot.
+// StageStat is one stage's aggregate over a class's records: how many
+// records had the stage non-empty and the cycles they spent in it.
+type StageStat struct {
+	Stage  string `json:"stage"`
+	Spans  uint64 `json:"spans"`
+	Cycles uint64 `json:"cycles"`
+}
+
+// FlightClassStats is the per-class slice of a snapshot.  Stages lists
+// every stage in path order; "req" is the end-to-end latency.
 type FlightClassStats struct {
-	Name        string     `json:"name"`
-	Records     uint64     `json:"records"`
-	Promoted    uint64     `json:"promoted"`
-	Threshold   float64    `json:"threshold_cycles"`
-	TotalCycles uint64     `json:"total_cycles"`
-	CoreCycles  uint64     `json:"core_cycles"`
-	L2Cycles    uint64     `json:"l2_cycles"`
-	CHACycles   uint64     `json:"cha_cycles"`
-	DevCycles   uint64     `json:"dev_cycles"`
-	ByLoc       []uint64   `json:"by_loc"`
-	DevByLoc    []uint64   `json:"dev_cycles_by_loc"`
-	Hist        FlightHist `json:"hist"`
+	Name      string      `json:"name"`
+	Records   uint64      `json:"records"`
+	Promoted  uint64      `json:"promoted"`
+	Threshold float64     `json:"threshold_cycles"`
+	Stages    []StageStat `json:"stages"`
+	ByLoc     []uint64    `json:"by_loc"`
+	DevByLoc  []uint64    `json:"dev_cycles_by_loc"`
+	Hist      FlightHist  `json:"hist"`
 }
 
 // FlightSnapshot is the /flight JSON document and the flight section of a
@@ -539,11 +702,11 @@ func (f *Flight) Snapshot() FlightSnapshot {
 		if f.sketch[c].cnt >= flightWarmup {
 			cs.Threshold = f.sketch[c].estimate()
 		}
-		cs.TotalCycles = a.totalCycles
-		cs.CoreCycles = a.coreCycles
-		cs.L2Cycles = a.l2Cycles
-		cs.CHACycles = a.chaCycles
-		cs.DevCycles = a.devCycles
+		cs.Stages = make([]StageStat, StageCount)
+		for st := range cs.Stages {
+			cs.Stages[st] = StageStat{Stage: Stage(st).String(),
+				Spans: a.stages.Spans[st], Cycles: a.stages.Cycles[st]}
+		}
 		cs.ByLoc = append([]uint64(nil), a.byLoc[:]...)
 		cs.DevByLoc = append([]uint64(nil), a.devByLoc[:]...)
 		h := &f.hist[c]

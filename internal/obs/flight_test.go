@@ -2,26 +2,33 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
-// flightRec builds a load record with the given issue/latency and a full
-// set of stage deltas carved proportionally out of the latency.
+// flightRec builds a CXL-served load record with the given issue/latency
+// and a full set of crossings carved proportionally out of the latency.
 func flightRec(core int, issue, lat uint64) FlightRec {
 	return FlightRec{
-		Addr:     0x1000 + issue,
-		Issue:    issue,
-		Done:     issue + lat,
-		Core:     uint16(core),
-		Class:    FlightLoad,
-		Loc:      9, // SrvCXL ordinal on the sim side
-		L2Start:  uint32(lat / 10),
-		TOREnter: uint32(lat / 5),
-		MemEnter: uint32(lat / 2),
+		Addr:       0x1000 + issue,
+		Issue:      issue,
+		Lat:        uint32(lat),
+		Core:       uint8(core),
+		Class:      FlightLoad,
+		Loc:        9, // SrvCXL ordinal on the sim side
+		Path:       FlightPathCXL,
+		L2Start:    uint32(lat / 10),
+		TOREnter:   uint32(lat / 5),
+		MemEnter:   uint32(lat / 2),
+		M2PExit:    uint32(lat * 6 / 10),
+		DevArrive:  uint32(lat * 7 / 10),
+		MediaStart: uint32(lat * 8 / 10),
+		DataReady:  uint32(lat * 9 / 10),
 	}
 }
 
@@ -69,7 +76,7 @@ func TestFlightRingWrap(t *testing.T) {
 	for i := uint64(0); i < 10; i++ {
 		f.Record(0, flightRec(0, i*100, 50))
 	}
-	recs := f.CoreRecords(0)
+	recs := f.Sample(1)
 	if len(recs) != 4 {
 		t.Fatalf("ring holds %d records, want cap 4", len(recs))
 	}
@@ -240,11 +247,8 @@ func TestFlightRingsBuiltAtFirstRecord(t *testing.T) {
 	if got := cap(f.lanes[0].ring); got != 64 {
 		t.Fatalf("core 0 ring capacity %d, want 64", got)
 	}
-	if recs := f.CoreRecords(5); len(recs) != 0 {
-		t.Fatalf("idle core 5 returned %d records", len(recs))
-	}
-	if recs := f.CoreRecords(0); len(recs) != 64 {
-		t.Fatalf("core 0 returned %d records, want its 64-record ring", len(recs))
+	if recs := f.Sample(1); len(recs) != 64 || recs[0].Core != 0 {
+		t.Fatalf("rings returned %d records, want core 0's 64-record ring", len(recs))
 	}
 	if f.Snapshot().Records != 100 {
 		t.Fatalf("snapshot records = %d, want 100", f.Snapshot().Records)
@@ -304,8 +308,8 @@ func TestFlightSnapshotHistMatchesReference(t *testing.T) {
 }
 
 // TestFlightConcurrentReaders records on one goroutine, as the machine
-// does, while others take snapshots and read rings, as the HTTP handlers
-// do.  Every snapshot must be consistent — its record count equals the
+// does, while others take snapshots and sample the rings, as the HTTP
+// handlers do.  Every snapshot must be consistent — its record count equals the
 // sum of its per-class counts — and every ring must read oldest first.
 func TestFlightConcurrentReaders(t *testing.T) {
 	const cores, perCore, readers = 4, 3000, 3
@@ -335,10 +339,10 @@ func TestFlightConcurrentReaders(t *testing.T) {
 					return
 				}
 				last = s.Records
-				recs := f.CoreRecords(g % cores)
+				recs := f.Sample(1)
 				for i := 1; i < len(recs); i++ {
-					if recs[i].Issue <= recs[i-1].Issue {
-						errs <- fmt.Sprintf("core %d ring out of order at %d", g%cores, i)
+					if recs[i].Core == recs[i-1].Core && recs[i].Issue <= recs[i-1].Issue {
+						errs <- fmt.Sprintf("core %d ring out of order at %d", recs[i].Core, i)
 						return
 					}
 				}
@@ -475,5 +479,168 @@ func TestFlightRegisterMetrics(t *testing.T) {
 		if !bytes.Contains([]byte(out), []byte(want)) {
 			t.Fatalf("metrics missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestFlightRecSize pins the record at 56 bytes: four busy cores' default
+// 4,096-record rings cost 128 KiB of live heap per 8 bytes of record.
+func TestFlightRecSize(t *testing.T) {
+	if got := unsafe.Sizeof(FlightRec{}); got > 56 {
+		t.Fatalf("FlightRec is %d bytes, budget 56", got)
+	}
+}
+
+// TestFlightStagesPartition: the stages run from crossing to crossing in
+// path order, the last reached one runs to Done, empty ones drop, and
+// their lengths sum to the latency even for a corrupt record.
+func TestFlightStagesPartition(t *testing.T) {
+	cxl := flightRec(0, 1000, 1000)
+	cxl.Replay = 40
+	for _, tc := range []struct {
+		name string
+		r    FlightRec
+		want string
+	}{
+		{"l1 hit", FlightRec{Lat: 5}, "[{core 0 5}]"},
+		{"l2 hit", FlightRec{Lat: 20, L2Start: 4}, "[{core 0 4} {l2 4 20}]"},
+		{"llc hit", FlightRec{Lat: 90, L2Start: 4, TOREnter: 30}, "[{core 0 4} {l2 4 30} {cha 30 90}]"},
+		{"dram", FlightRec{Lat: 300, L2Start: 4, TOREnter: 30, MemEnter: 60, DataReady: 280, Path: FlightPathIMC},
+			"[{core 0 4} {l2 4 30} {cha 30 60} {imc 60 280} {imc_return 280 300}]"},
+		{"cxl", cxl, "[{core 0 100} {l2 100 200} {cha 200 500} {m2pcie 500 600} {cxl_link 600 700} {cxl_devq 700 800} {cxl_media 800 900} {cxl_return 900 1000}]"},
+		// A root-port fast fail reaches no device: M2PCIe runs to done.
+		{"cxl fast fail", FlightRec{Lat: 120, L2Start: 4, TOREnter: 30, MemEnter: 60, Path: FlightPathCXL},
+			"[{core 0 4} {l2 4 30} {cha 30 60} {m2pcie 60 120}]"},
+		// A crossing at the previous one's cycle opens no empty span.
+		{"empty stage", FlightRec{Lat: 50, L2Start: 4, TOREnter: 4}, "[{core 0 4} {cha 4 50}]"},
+		// Out-of-order and out-of-range crossings still partition.
+		{"corrupt", FlightRec{Lat: 50, L2Start: 40, TOREnter: 10, MemEnter: 90, DataReady: 70, Path: FlightPathIMC},
+			"[{core 0 40} {cha 40 50}]"},
+	} {
+		var buf [MaxStages]Span
+		spans := tc.r.Stages(&buf)
+		if got := fmt.Sprint(spans); got != tc.want {
+			t.Errorf("%s: stages %s, want %s", tc.name, got, tc.want)
+		}
+		var sum uint64
+		for _, sp := range spans {
+			sum += uint64(sp.End - sp.Start)
+		}
+		if sum != tc.r.Latency() {
+			t.Errorf("%s: stages sum to %d, latency %d", tc.name, sum, tc.r.Latency())
+		}
+	}
+
+	// The recorder files the same partition, plus the envelope and replay.
+	f := NewFlight(1, 4, 4)
+	f.Record(0, cxl)
+	st := f.Stages()
+	if st.Cycles[StageReq] != 1000 || st.Cycles[StageCXLMedia] != 100 ||
+		st.Cycles[StageLRSM] != 40 || st.Spans[StageIMC] != 0 {
+		t.Fatalf("recorder stage totals %+v", st)
+	}
+}
+
+// TestFlightSampleEveryN: the export picks the records whose per-core
+// ordinal is a multiple of N among those the ring still holds, core by
+// core, oldest first.
+func TestFlightSampleEveryN(t *testing.T) {
+	f := NewFlight(3, 4, 4)
+	for i := uint64(0); i < 10; i++ {
+		f.Record(0, flightRec(0, i*100, 50))
+		f.Record(2, flightRec(2, i*100+1, 50))
+	}
+	ids := func(recs []TraceRec) string {
+		var out []string
+		for _, r := range recs {
+			out = append(out, fmt.Sprintf("%d/%d@%d", r.Core, r.ID, r.Issue))
+		}
+		return fmt.Sprint(out)
+	}
+	// The rings hold ordinals 6..9 of cores 0 and 2; core 1 filed none.
+	if got, want := ids(f.Sample(3)), "[0/6@600 0/9@900 2/6@601 2/9@901]"; got != want {
+		t.Fatalf("Sample(3) = %s, want %s", got, want)
+	}
+	if got, want := ids(f.Sample(0)), ids(f.Sample(1)); got != want || len(f.Sample(1)) != 8 {
+		t.Fatalf("Sample(0) = %s, Sample(1) = %s; want the 8 held records", got, want)
+	}
+	if got := f.Sample(20); len(got) != 0 {
+		t.Fatalf("Sample(20) = %s, want none (ordinal 0 left the rings)", ids(got))
+	}
+}
+
+// TestFlightSampleTracksDistinct: every exported ring record gets a track
+// of its own, and a promoted record's Seq is its place in the filing
+// order.  Ring records once carried the Seq of the promotion pipeline,
+// stamped only on promoted copies, so every one of them read 0.
+func TestFlightSampleTracksDistinct(t *testing.T) {
+	f := NewFlight(2, 64, 8)
+	for i := 0; i < 2*flightWarmup; i++ {
+		f.Record(i%2, flightRec(i%2, uint64(i)*10, 100))
+	}
+	f.Record(1, flightRec(1, 1<<20, 5000))
+	tracks := map[[2]uint64]bool{}
+	for _, r := range f.Sample(1) {
+		k := [2]uint64{uint64(r.Core), r.ID}
+		if tracks[k] {
+			t.Fatalf("two exported records on track core %d id %d", r.Core, r.ID)
+		}
+		tracks[k] = true
+	}
+	if len(tracks) != 2*flightWarmup+1 {
+		t.Fatalf("%d tracks for %d records", len(tracks), 2*flightWarmup+1)
+	}
+	tail := f.TailRecs()
+	if len(tail) == 0 || tail[len(tail)-1].Seq != 2*flightWarmup+1 {
+		t.Fatalf("outlier promoted as %+v, want seq %d", tail, 2*flightWarmup+1)
+	}
+}
+
+// TestWriteChromeTrace renders one CXL record: a req event over the whole
+// request with its identity in args, then one event per stage, on the
+// record's (core, id) track, at 2 GHz.
+func TestWriteChromeTrace(t *testing.T) {
+	r := flightRec(2, 1000, 1000)
+	r.Replay = 40
+	var buf bytes.Buffer
+	recs := []TraceRec{{FlightRec: r, ID: 7}}
+	if err := WriteChromeTrace(&buf, recs, 2.0, func(uint8) string { return "CXL memory" }); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			TS   float64        `json:"ts"`
+			Dur  float64        `json:"dur"`
+			PID  int32          `json:"pid"`
+			TID  uint64         `json:"tid"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("trace is not valid JSON: %v", err)
+	}
+	evs := doc.TraceEvents
+	if len(evs) != 9 {
+		t.Fatalf("got %d events, want req + 8 stages", len(evs))
+	}
+	req := evs[0]
+	if req.Name != "req" || req.Ph != "X" || req.PID != 2 || req.TID != 7 ||
+		req.TS != 0.5 || req.Dur != 0.5 {
+		t.Fatalf("req event = %+v", req)
+	}
+	if req.Args["loc"] != "CXL memory" || req.Args["class"] != "DRd" ||
+		req.Args["lrsm_replay"] != float64(40) || req.Args["addr"] != float64(r.Addr) {
+		t.Fatalf("req args = %v", req.Args)
+	}
+	var dur float64
+	for _, ev := range evs[1:] {
+		if ev.PID != 2 || ev.TID != 7 || ev.Args != nil {
+			t.Fatalf("stage event off the record's track: %+v", ev)
+		}
+		dur += ev.Dur
+	}
+	if math.Abs(dur-req.Dur) > 1e-9 || evs[1].Name != "core" || evs[8].Name != "cxl_return" {
+		t.Fatalf("stage events %+v do not partition the request", evs[1:])
 	}
 }

@@ -16,7 +16,9 @@ func FuzzReadBundle(f *testing.F) {
 	for i := 0; i < 2*flightWarmup; i++ {
 		fl.Record(i%2, flightRec(i%2, uint64(i)*10, 200))
 	}
-	fl.Record(0, flightRec(0, 1<<16, 50000))
+	out := flightRec(0, 1<<16, 50000)
+	out.Replay = 616
+	fl.Record(0, out)
 	var buf bytes.Buffer
 	if err := DumpBundle(&buf, BundleOpts{
 		Trigger:   "fuzz",
@@ -28,8 +30,12 @@ func FuzzReadBundle(f *testing.F) {
 	}
 	f.Add(buf.Bytes())
 	f.Add([]byte(`{"schema": 1}`))
+	f.Add([]byte(`{"schema": 2}`))
 	f.Add([]byte(`{"schema": 99}`))
-	f.Add([]byte(`{"schema": 1, "flight": {"tail": [{}], "classes": null}}`))
+	f.Add([]byte(`{"schema": 2, "flight": {"tail": [{}], "classes": null}}`))
+	f.Add([]byte(`{"schema": 2, "flight": {"tail": [{"latency": 90, "mem_enter": 95, "m2p_exit": 20,
+		"dev_arrive": 4294967295, "replay": 7, "path": 2, "seq": 3}],
+		"classes": [{"stages": [{"stage": "cxl_media", "spans": 1, "cycles": 9}]}]}}`))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		b, err := ReadBundle(bytes.NewReader(raw))
 		if err != nil {

@@ -1,13 +1,15 @@
 // Package obs is the observability layer of the reproduction: a metrics
 // registry (counters, gauges, histograms with a Prometheus text endpoint),
-// a sampled request-path tracer that records per-request span waterfalls as
-// requests traverse SB/LFB -> L1D/L2 -> CHA -> IMC / M2PCIe / CXL, and a
-// live introspection HTTP server (/metrics, /status, /trace, /debug/pprof).
+// the flight recorder, which files one record per demand completion with
+// every crossing of its path (core -> L2 -> CHA -> IMC or M2PCIe / CXL
+// link / device queue / media) and feeds tail capture, stage residency
+// and the sampled Perfetto waterfall, and a live introspection HTTP server
+// (/metrics, /status, /trace, /flight, /debug/pprof).
 //
 // Design contract: everything on a simulator or profiler hot path is
 // allocation-free and guarded by one atomic flag, so attached-but-disabled
-// instrumentation costs a nil-check plus an atomic load (proved ≤2% by the
-// paired TracerOff benchmarks gated in `make bench-regress`).  Simulator
+// instrumentation costs a nil-check plus an atomic load (bounded at 2% by
+// the paired FlightOff benchmarks in `make bench-regress`).  Simulator
 // state that is not atomically updatable (engine depth, PMU counters) is
 // *pushed* into the registry at epoch-sync boundaries by the single-owner
 // profiler loop — readers (the HTTP server) only ever see atomic values, so

@@ -20,7 +20,7 @@ type StatusFunc func() any
 //
 //	/metrics      Prometheus text exposition of a Registry
 //	/status       JSON snapshot from the StatusFunc
-//	/trace        request-path spans as Chrome trace_event JSON (Perfetto)
+//	/trace        sampled flight records as Chrome trace_event JSON (Perfetto)
 //	/flight       flight-recorder snapshot (tail store, thresholds, exemplars)
 //	/flight/dump  a full postmortem bundle, assembled on demand
 //	/debug/pprof  the standard Go profiling handlers
@@ -28,12 +28,13 @@ type StatusFunc func() any
 // Everything is stdlib; there are no external dependencies.
 type Server struct {
 	reg    *Registry
-	tracer *Tracer
 	status StatusFunc
 	ghz    float64
 
-	flight *Flight
-	plan   string // canonical FaultPlan string for bundles, "" = healthy
+	flight     *Flight
+	plan       string // canonical FaultPlan string for bundles, "" = healthy
+	traceEvery int    // /trace exports one ring record in traceEvery (0 = off)
+	locName    func(uint8) string
 
 	mu     sync.Mutex
 	closed bool
@@ -41,14 +42,14 @@ type Server struct {
 	addr   net.Addr
 }
 
-// NewServer builds a server over the given registry, tracer, and status
-// source.  tracer and status may be nil (the endpoints then report 404 and
-// an empty object respectively); ghz scales trace timestamps.
-func NewServer(reg *Registry, tracer *Tracer, status StatusFunc, ghz float64) *Server {
+// NewServer builds a server over the given registry and status source.
+// status may be nil (the endpoint then reports an empty object); ghz
+// scales trace timestamps.
+func NewServer(reg *Registry, status StatusFunc, ghz float64) *Server {
 	if reg == nil {
 		reg = Default
 	}
-	return &Server{reg: reg, tracer: tracer, status: status, ghz: ghz}
+	return &Server{reg: reg, status: status, ghz: ghz}
 }
 
 // SetFlight attaches a flight recorder (and the fault-plan string bundles
@@ -57,6 +58,14 @@ func NewServer(reg *Registry, tracer *Tracer, status StatusFunc, ghz float64) *S
 func (s *Server) SetFlight(f *Flight, faultPlan string) {
 	s.flight = f
 	s.plan = faultPlan
+}
+
+// SetTrace makes /trace export the recorder's rings, one record in every
+// per core (Flight.Sample), with locName naming serve locations.  Call
+// before Start; every < 1 leaves /trace off.
+func (s *Server) SetTrace(every int, locName func(uint8) string) {
+	s.traceEvery = every
+	s.locName = locName
 }
 
 // Handler returns the introspection mux (useful for tests and embedding).
@@ -172,13 +181,13 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, _ *http.Request) {
-	if s.tracer == nil {
-		http.Error(w, "no tracer attached (run with tracing enabled)", http.StatusNotFound)
+	if s.flight == nil || s.traceEvery < 1 {
+		http.Error(w, "no trace sampling (run with -flight and -trace-sample N)", http.StatusNotFound)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Disposition", `attachment; filename="pathfinder-spans.json"`)
-	_ = WriteChromeTrace(w, s.tracer.Records(), s.ghz)
+	_ = WriteChromeTrace(w, s.flight.Sample(s.traceEvery), s.ghz, s.locName)
 }
 
 func (s *Server) handleFlight(w http.ResponseWriter, _ *http.Request) {

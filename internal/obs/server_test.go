@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,13 +15,17 @@ func newTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	reg := NewRegistry()
 	reg.Counter("pf_profiler_epochs_total", "epochs run").Add(3)
-	tr := NewTracer(8, 1)
-	tr.Enable()
-	commitOne(tr, 0, 0x40, Span{Stage: StageReq, Start: 0, End: 10})
+	fl := NewFlight(2, 8, 4)
+	for i := uint64(0); i < 4; i++ {
+		fl.Record(int(i%2), FlightRec{Issue: i * 100, Lat: 10, Core: uint8(i % 2)})
+	}
 	status := func() any {
 		return map[string]any{"epoch": 3, "flows": []string{"stream"}}
 	}
-	srv := httptest.NewServer(NewServer(reg, tr, status, 2.0).Handler())
+	s := NewServer(reg, status, 2.0)
+	s.SetFlight(fl, "")
+	s.SetTrace(2, nil)
+	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(srv.Close)
 	return srv
 }
@@ -72,13 +77,32 @@ func TestServerTrace(t *testing.T) {
 		t.Fatalf("/trace status = %d", code)
 	}
 	var doc struct {
-		TraceEvents []json.RawMessage `json:"traceEvents"`
+		TraceEvents []struct {
+			Name string `json:"name"`
+			PID  int32  `json:"pid"`
+			TID  uint64 `json:"tid"`
+		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal([]byte(body), &doc); err != nil {
 		t.Fatalf("/trace not JSON: %v", err)
 	}
-	if len(doc.TraceEvents) != 1 {
-		t.Fatalf("/trace has %d events, want 1", len(doc.TraceEvents))
+	// One record in two per core: ordinal 0 of cores 0 and 1, each an L1
+	// hit drawn as its req envelope and its core stage.
+	var got []string
+	for _, ev := range doc.TraceEvents {
+		got = append(got, fmt.Sprintf("%s %d/%d", ev.Name, ev.PID, ev.TID))
+	}
+	if want := "[req 0/0 core 0/0 req 1/0 core 1/0]"; fmt.Sprint(got) != want {
+		t.Fatalf("/trace events %v, want %s", got, want)
+	}
+
+	// Without trace sampling the endpoint is off.
+	off := NewServer(nil, nil, 1)
+	off.SetFlight(NewFlight(1, 4, 4), "")
+	bare := httptest.NewServer(off.Handler())
+	defer bare.Close()
+	if code, _ := get(t, bare.URL+"/trace"); code != http.StatusNotFound {
+		t.Fatalf("/trace without -trace-sample = %d, want 404", code)
 	}
 }
 
@@ -94,7 +118,7 @@ func TestServerPprofIndex(t *testing.T) {
 }
 
 func TestServerStartStop(t *testing.T) {
-	s := NewServer(nil, nil, nil, 1)
+	s := NewServer(nil, nil, 1)
 	addr, err := s.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +147,7 @@ func TestServerGracefulShutdown(t *testing.T) {
 		<-release // simulate a slow scraper mid-request
 		return map[string]any{"ok": true}
 	}
-	s := NewServer(NewRegistry(), nil, status, 1)
+	s := NewServer(NewRegistry(), status, 1)
 	addr, err := s.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +196,7 @@ func TestServerShutdownTimeout(t *testing.T) {
 		<-release
 		return nil
 	}
-	s := NewServer(NewRegistry(), nil, status, 1)
+	s := NewServer(NewRegistry(), status, 1)
 	addr, err := s.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +215,7 @@ func TestServerShutdownTimeout(t *testing.T) {
 
 // Shutdown before Start is a no-op, mirroring Close.
 func TestServerShutdownUnstarted(t *testing.T) {
-	s := NewServer(nil, nil, nil, 1)
+	s := NewServer(nil, nil, 1)
 	if err := s.Shutdown(time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +225,7 @@ func TestServerShutdownUnstarted(t *testing.T) {
 // order) must be idempotent no-ops.  The old code let a late Close race
 // the listener Shutdown had already torn down.
 func TestServerTeardownIdempotent(t *testing.T) {
-	s := NewServer(nil, nil, nil, 1)
+	s := NewServer(nil, nil, 1)
 	if _, err := s.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +256,7 @@ func TestServerTeardownIdempotent(t *testing.T) {
 
 func TestServerFlightEndpoints(t *testing.T) {
 	// Without a recorder both endpoints 404.
-	bare := httptest.NewServer(NewServer(NewRegistry(), nil, nil, 1).Handler())
+	bare := httptest.NewServer(NewServer(NewRegistry(), nil, 1).Handler())
 	defer bare.Close()
 	if code, _ := get(t, bare.URL+"/flight"); code != http.StatusNotFound {
 		t.Fatalf("/flight without recorder = %d, want 404", code)
@@ -246,7 +270,7 @@ func TestServerFlightEndpoints(t *testing.T) {
 	fl.Record(0, flightRec(0, 0, 123))
 	reg := NewRegistry()
 	reg.Counter("pf_epochs_total", "epochs").Add(2)
-	s := NewServer(reg, nil, func() any { return map[string]int{"epoch": 2} }, 1)
+	s := NewServer(reg, func() any { return map[string]int{"epoch": 2} }, 1)
 	s.SetFlight(fl, "seed=9,crc=1e-4")
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()

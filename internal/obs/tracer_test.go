@@ -6,130 +6,68 @@ import (
 	"testing"
 )
 
-func commitOne(t *Tracer, core int, addr uint64, stages ...Span) {
-	r := t.Begin(core, addr, "DRd")
-	for _, sp := range stages {
-		r.Span(sp.Stage, sp.Start, sp.End)
-	}
-	t.Commit(r)
-}
+// The request trace is the 1-in-N selection of flight records that /trace
+// exports (Flight.Sample) and WriteChromeTrace renders; these tests check
+// that export.
 
 func TestTracerDisabledSamplesNothing(t *testing.T) {
-	tr := NewTracer(8, 1)
-	for i := 0; i < 100; i++ {
-		if tr.Sample() {
-			t.Fatal("disabled tracer sampled a request")
+	f := NewFlight(2, 8, 4) // never enabled: the machine files nothing
+	for _, every := range []int{0, 1, 7} {
+		if recs := f.Sample(every); len(recs) != 0 {
+			t.Fatalf("Sample(%d) of an empty recorder = %+v", every, recs)
 		}
 	}
-	if recs := tr.Records(); len(recs) != 0 {
-		t.Fatalf("got %d records from disabled tracer", len(recs))
+	// The empty export is still a trace Perfetto loads: an events array,
+	// not null.
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, f.Sample(1), 2.0, nil); err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("empty trace is not valid JSON: %v", err)
+	}
+	if got := string(doc["traceEvents"]); got != "[]" {
+		t.Fatalf("traceEvents = %s, want []", got)
 	}
 }
 
 func TestTracerSamplingRate(t *testing.T) {
-	tr := NewTracer(1024, 10)
-	tr.Enable()
-	hits := 0
-	for i := 0; i < 1000; i++ {
-		if tr.Sample() {
-			hits++
-		}
+	f := NewFlight(1, 1024, 8)
+	for i := uint64(0); i < 1000; i++ {
+		f.Record(0, flightRec(0, i*100, 50))
 	}
-	if hits != 100 {
-		t.Fatalf("1-in-10 sampling over 1000: got %d hits, want 100", hits)
+	recs := f.Sample(10)
+	if len(recs) != 100 {
+		t.Fatalf("1-in-10 export over 1000 records: got %d, want 100", len(recs))
+	}
+	for i, r := range recs {
+		if want := uint64(i * 10); r.ID != want || r.Issue != want*100 {
+			t.Fatalf("recs[%d] = id %d issue %d, want id %d issue %d",
+				i, r.ID, r.Issue, want, want*100)
+		}
 	}
 }
 
+// TestTracerRingWrap: the export holds only what the ring kept, oldest
+// first, while the stage totals count every record filed.
 func TestTracerRingWrap(t *testing.T) {
-	tr := NewTracer(4, 1)
-	tr.Enable()
-	for i := uint64(1); i <= 10; i++ {
-		commitOne(tr, 0, i*64, Span{Stage: StageReq, Start: i, End: i + 100})
+	f := NewFlight(1, 4, 8)
+	for i := uint64(0); i < 10; i++ {
+		f.Record(0, flightRec(0, i*100, 100))
 	}
-	recs := tr.Records()
+	recs := f.Sample(1)
 	if len(recs) != 4 {
-		t.Fatalf("ring holds %d records, want 4", len(recs))
+		t.Fatalf("ring exports %d records, want 4", len(recs))
 	}
-	// Oldest-first commit order: records 7..10 survive.
-	for i, want := range []uint64{7, 8, 9, 10} {
+	for i, want := range []uint64{6, 7, 8, 9} {
 		if recs[i].ID != want {
 			t.Fatalf("recs[%d].ID = %d, want %d", i, recs[i].ID, want)
 		}
 	}
-	stats, committed, dropped := tr.Stats()
-	if committed != 10 || dropped != 6 {
-		t.Fatalf("committed=%d dropped=%d, want 10/6", committed, dropped)
-	}
-	if stats[StageReq].Spans != 10 || stats[StageReq].Cycles != 1000 {
-		t.Fatalf("StageReq stats = %+v, want 10 spans / 1000 cycles", stats[StageReq])
-	}
-}
-
-func TestReqRecDropsBadAndOverflowSpans(t *testing.T) {
-	var r ReqRec
-	r.Span(StageL2, 10, 10) // zero-length: dropped
-	r.Span(StageL2, 10, 5)  // inverted: dropped
-	for i := 0; i < maxSpans+4; i++ {
-		r.Span(StageCXLLink, uint64(i), uint64(i)+1)
-	}
-	if len(r.Spans()) != maxSpans {
-		t.Fatalf("got %d spans, want cap %d", len(r.Spans()), maxSpans)
-	}
-}
-
-func TestSealMem(t *testing.T) {
-	var r ReqRec
-	if r.MemSealed() {
-		t.Fatal("fresh record sealed")
-	}
-	r.SealMem()
-	if !r.MemSealed() {
-		t.Fatal("SealMem did not seal")
-	}
-}
-
-func TestWriteChromeTrace(t *testing.T) {
-	tr := NewTracer(8, 1)
-	tr.Enable()
-	r := tr.Begin(2, 0x1000, "DRd")
-	r.Loc = "cxl"
-	r.Span(StageReq, 100, 400)
-	r.Span(StageCXLLink, 150, 250)
-	tr.Commit(r)
-
-	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, tr.Records(), 2.0); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name string         `json:"name"`
-			Ph   string         `json:"ph"`
-			TS   float64        `json:"ts"`
-			Dur  float64        `json:"dur"`
-			PID  int32          `json:"pid"`
-			TID  uint64         `json:"tid"`
-			Args map[string]any `json:"args"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("trace is not valid JSON: %v", err)
-	}
-	if len(doc.TraceEvents) != 2 {
-		t.Fatalf("got %d events, want 2", len(doc.TraceEvents))
-	}
-	ev := doc.TraceEvents[0]
-	if ev.Name != "req" || ev.Ph != "X" || ev.PID != 2 || ev.TID != 1 {
-		t.Fatalf("bad req event: %+v", ev)
-	}
-	// 100 cycles at 2 GHz = 50 ns = 0.05 µs start; 300 cycles = 0.15 µs dur.
-	if ev.TS != 0.05 || ev.Dur != 0.15 {
-		t.Fatalf("ts/dur = %v/%v, want 0.05/0.15", ev.TS, ev.Dur)
-	}
-	if ev.Args["loc"] != "cxl" || ev.Args["class"] != "DRd" {
-		t.Fatalf("req args = %v", ev.Args)
-	}
-	if doc.TraceEvents[1].Name != "cxl_link" {
-		t.Fatalf("second event = %q, want cxl_link", doc.TraceEvents[1].Name)
+	st := f.Stages()
+	if st.Spans[StageReq] != 10 || st.Cycles[StageReq] != 1000 {
+		t.Fatalf("req totals = %d spans / %d cycles, want 10 / 1000",
+			st.Spans[StageReq], st.Cycles[StageReq])
 	}
 }

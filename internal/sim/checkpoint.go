@@ -23,9 +23,9 @@ import (
 // workload substrate (CSR graphs, hash tables, decoded traces).
 //
 // Observability attachments sit outside the checkpoint boundary: the
-// tracer, flight recorder, and access hook describe an observer of one
-// particular run, not machine state, so Restore returns a machine with all
-// three detached.  Attach them after restore; the restore-then-attach
+// flight recorder and access hook describe an observer of one particular
+// run, not machine state, so Restore returns a machine with both
+// detached.  Attach them after restore; the restore-then-attach
 // golden suite proves the sequence behaves identically to the same attach
 // sequence on a fresh machine.
 type Checkpoint struct {
@@ -74,8 +74,8 @@ func (cp *Checkpoint) Bytes() int { return cp.bytes }
 // Restore builds a new machine positioned exactly at the checkpoint:
 // running it produces byte-identical PMU counters, digests, and analyzer
 // output to the machine the checkpoint was taken from (proven by the golden
-// restore-equivalence suite).  The tracer, flight recorder, and access hook
-// are detached; attach them after restore if the forked run needs them.
+// restore-equivalence suite).  The flight recorder and access hook are
+// detached; attach them after restore if the forked run needs them.
 func (cp *Checkpoint) Restore() *Machine {
 	m := New(cp.cfg, cp.space.Clone())
 	if err := cp.restoreInto(m); err != nil {
@@ -91,8 +91,8 @@ func (cp *Checkpoint) Restore() *Machine {
 // same spec) the fork allocates nothing.  The machine must have been built
 // from the same Config (same component counts and timing parameters);
 // typically it is a previous Restore() of this or an equivalently-specced
-// checkpoint.  Attachments (tracer, flight recorder, access hook) are
-// detached, exactly as Restore leaves them.
+// checkpoint.  Attachments (flight recorder, access hook) are detached,
+// exactly as Restore leaves them.
 func (cp *Checkpoint) RestoreInto(m *Machine) error {
 	if m.cfg != cp.cfg {
 		return fmt.Errorf("sim: RestoreInto machine built from a different Config (%q vs %q)",
@@ -154,8 +154,6 @@ func copyMachineState(dst, src *Machine) {
 	dst.dispatch = src.dispatch
 
 	// Attachments are observers of one particular run, not machine state.
-	dst.tr = nil
-	dst.cur = nil
 	dst.fl = nil
 	dst.accessHook = nil
 }

@@ -159,56 +159,9 @@ func TestCheckpointAcrossLaneModes(t *testing.T) {
 	}
 }
 
-// TestCheckpointRestoreThenAttachTracer proves attach-after-restore: a
-// tracer attached to a restored machine sees the same records as one
-// attached to a fresh machine at the same cycle.
-func TestCheckpointRestoreThenAttachTracer(t *testing.T) {
-	sumRecords := func(recs []obs.ReqRec) (n int, spanSum uint64) {
-		for i := range recs {
-			n++
-			for _, sp := range recs[i].Spans() {
-				spanSum += uint64(sp.Start) + uint64(sp.End) + uint64(sp.Stage)
-			}
-		}
-		return
-	}
-
-	fresh := ckptRig(t)
-	fresh.Run(ckptWarm)
-	trA := obs.NewTracer(4096, 4)
-	trA.Enable()
-	fresh.SetTracer(trA)
-	fresh.Run(ckptSuffix)
-	fresh.Sync()
-	wantN, wantSum := sumRecords(trA.Records())
-	if wantN == 0 {
-		t.Fatal("tracer on fresh machine recorded nothing")
-	}
-
-	src := ckptRig(t)
-	src.Run(ckptWarm)
-	cp, err := src.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := cp.Restore()
-	if m.Tracer() != nil {
-		t.Fatal("restored machine came with a tracer attached")
-	}
-	trB := obs.NewTracer(4096, 4)
-	trB.Enable()
-	m.SetTracer(trB)
-	m.Run(ckptSuffix)
-	m.Sync()
-	gotN, gotSum := sumRecords(trB.Records())
-	if gotN != wantN || gotSum != wantSum {
-		t.Fatalf("restored-then-attached tracer saw %d records (span sum %d), fresh saw %d (%d)",
-			gotN, gotSum, wantN, wantSum)
-	}
-}
-
-// TestCheckpointRestoreThenAttachFlight does the same for the flight
-// recorder.
+// TestCheckpointRestoreThenAttachFlight proves attach-after-restore: a
+// flight recorder attached to a restored machine files the same records,
+// stage by stage, as one attached to a fresh machine at the same cycle.
 func TestCheckpointRestoreThenAttachFlight(t *testing.T) {
 	attachRun := func(m *Machine) *obs.Flight {
 		f := obs.NewFlight(m.Cores(), 1024, 64)
@@ -239,6 +192,50 @@ func TestCheckpointRestoreThenAttachFlight(t *testing.T) {
 	for _, cl := range []int{obs.FlightLoad, obs.FlightStore} {
 		if fA.Seen(cl) != fB.Seen(cl) {
 			t.Fatalf("flight class %d: fresh %d, restored %d", cl, fA.Seen(cl), fB.Seen(cl))
+		}
+	}
+	if a, b := fA.Stages(), fB.Stages(); a != b {
+		t.Fatalf("flight stages: fresh %+v, restored %+v", a, b)
+	}
+}
+
+// TestCheckpointRestoreThenAttachTracer: the trace a recorder attached to
+// a restored machine exports is, record for record, the one a recorder
+// attached to a fresh machine at the same cycle exports.
+func TestCheckpointRestoreThenAttachTracer(t *testing.T) {
+	export := func(m *Machine) []obs.TraceRec {
+		f := obs.NewFlight(m.Cores(), 1024, 16)
+		f.Enable()
+		m.SetFlight(f)
+		m.Run(ckptSuffix)
+		m.Sync()
+		return f.Sample(4)
+	}
+
+	fresh := ckptRig(t)
+	fresh.Run(ckptWarm)
+	want := export(fresh)
+	if len(want) == 0 {
+		t.Fatal("recorder on fresh machine exported nothing")
+	}
+
+	src := ckptRig(t)
+	src.Run(ckptWarm)
+	cp, err := src.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := cp.Restore()
+	if m.Flight() != nil {
+		t.Fatal("restored machine came with a flight recorder attached")
+	}
+	got := export(m)
+	if len(got) != len(want) {
+		t.Fatalf("restored-then-attached recorder exported %d records, fresh %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("export[%d]: restored %+v, fresh %+v", i, got[i], want[i])
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"pathfinder/internal/mem"
@@ -193,6 +194,23 @@ func TestEMRConfigDiffers(t *testing.T) {
 	}
 	// Both must build.
 	New(emr, testSpace(t))
+}
+
+// TestConfigByName: every CLI's -machine resolves through one lookup,
+// which returns the shipped configuration by name and refuses anything
+// else instead of falling back to SPR.
+func TestConfigByName(t *testing.T) {
+	for _, want := range []Config{SPR(), EMR()} {
+		got, err := ConfigByName(want.Name)
+		if err != nil || got != want {
+			t.Fatalf("ConfigByName(%q) = %q, %v", want.Name, got.Name, err)
+		}
+	}
+	for _, bad := range []string{"bogus", "", "SPR", "emr "} {
+		if c, err := ConfigByName(bad); err == nil || !strings.Contains(err.Error(), "spr, emr") {
+			t.Fatalf("ConfigByName(%q) = %q, %v; want an error naming the choices", bad, c.Name, err)
+		}
+	}
 }
 
 func TestSyncClockticks(t *testing.T) {

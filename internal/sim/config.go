@@ -175,6 +175,17 @@ func EMR() Config {
 	return c
 }
 
+// ConfigByName returns the shipped machine configuration called name, or
+// an error listing the names there are.
+func ConfigByName(name string) (Config, error) {
+	for _, mk := range []func() Config{SPR, EMR} {
+		if c := mk(); c.Name == name {
+			return c, nil
+		}
+	}
+	return Config{}, fmt.Errorf("unknown machine %q (choose from: spr, emr)", name)
+}
+
 // maxCores caps a machine's cores: an LLC presence word is a 32-bit
 // bitmap, one bit per core, enough for SPR's and EMR's 32 cores.
 const maxCores = 32

@@ -259,6 +259,7 @@ type accessResult struct {
 	done      Cycles
 	loc       ServeLoc
 	times     reqTimes
+	dev       devTimes
 	missedL2  bool
 	missedLLC bool
 }

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"pathfinder/internal/obs"
 	"pathfinder/internal/pmu"
 )
 
@@ -180,22 +179,6 @@ func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current simulated cycle.
 func (e *Engine) Now() Cycles { return e.now }
-
-// trace returns the machine's current traced request, or nil when no
-// request is being traced or its memory-device stages are already sealed.
-// Device modules (imcChannel, cxlPort) record through this so prefetches
-// and victim writebacks issued while a record is current cannot pollute
-// the demand request's waterfall.
-func (e *Engine) trace() *obs.ReqRec {
-	if e.mach == nil {
-		return nil
-	}
-	r := e.mach.cur
-	if r == nil || r.MemSealed() {
-		return nil
-	}
-	return r
-}
 
 // Pending reports the number of queued core steps.
 func (e *Engine) Pending() int { return len(e.heap) }

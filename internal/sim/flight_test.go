@@ -54,8 +54,8 @@ func TestFlightRecordsCompletions(t *testing.T) {
 	}
 
 	sawCXL := false
-	for _, r := range f.CoreRecords(0) {
-		if r.Done <= r.Issue {
+	for _, r := range ringRecords(f) {
+		if r.Lat == 0 {
 			t.Fatalf("record %+v has non-positive latency", r)
 		}
 		lat := r.Latency()
@@ -79,6 +79,87 @@ func TestFlightRecordsCompletions(t *testing.T) {
 	}
 	if !sawCXL {
 		t.Fatal("no CXL-served records captured")
+	}
+}
+
+// ringRecords returns every record the recorder's rings still hold.
+func ringRecords(f *obs.Flight) []obs.FlightRec {
+	var out []obs.FlightRec
+	for _, r := range f.Sample(1) {
+		out = append(out, r.FlightRec)
+	}
+	return out
+}
+
+// stagesOf returns the record's stage partition.
+func stagesOf(r *obs.FlightRec) []obs.Span {
+	var buf [obs.MaxStages]obs.Span
+	return append([]obs.Span(nil), r.Stages(&buf)...)
+}
+
+// TestFlightStagesSumToLatency: on a run that mixes loads and stores over
+// local and CXL memory, every ring record's stages partition its latency.
+func TestFlightStagesSumToLatency(t *testing.T) {
+	m, local, cxlr := windowRig(t)
+	f := obs.NewFlight(m.Cores(), 1<<13, 16)
+	f.Enable()
+	m.SetFlight(f)
+	m.Attach(0, workload.NewStream(local, 2, 0.3, 1))
+	m.Attach(1, workload.NewStream(cxlr, 2, 0.3, 2))
+	m.Attach(2, workload.NewPointerChase(cxlr, 2, 3))
+	m.Attach(3, workload.NewPointerChase(local, 2, 4))
+	m.Run(300_000)
+	m.Sync()
+
+	seen := map[[2]uint8]int{} // (class, path) -> records
+	for _, r := range ringRecords(f) {
+		var sum uint64
+		for _, sp := range stagesOf(&r) {
+			sum += uint64(sp.End - sp.Start)
+		}
+		if sum != r.Latency() {
+			t.Fatalf("record %+v: stages sum to %d cycles, latency %d", r, sum, r.Latency())
+		}
+		seen[[2]uint8{r.Class, r.Path}]++
+	}
+	for _, cls := range []uint8{obs.FlightLoad, obs.FlightStore} {
+		for _, path := range []uint8{obs.FlightPathIMC, obs.FlightPathCXL} {
+			if seen[[2]uint8{cls, path}] == 0 {
+				t.Fatalf("no %s record on path %d: %v", obs.FlightClassName(cls), path, seen)
+			}
+		}
+	}
+}
+
+// TestFlightReplayMatchesLRSM: on a CRC-faulted CXL pointer chase, the
+// replay cycles the records carry sum to what the removed request-path
+// tracer's lrsm_replay stage measured on the same run (100 replays of 308
+// cycles over 3015 requests).
+func TestFlightReplayMatchesLRSM(t *testing.T) {
+	cfg := smallConfig()
+	cfg.L1PFDegree, cfg.L2PFDegree = 0, 0
+	cfg.Faults = faultyPlan(0.02)
+	as := testSpace(t)
+	r, err := as.Alloc(1<<20, mem.Fixed(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := New(cfg, as)
+	f := obs.NewFlight(cfg.Cores, 64, 16)
+	f.Enable()
+	m.SetFlight(f)
+	m.Attach(0, workload.NewPointerChase(workload.Region{Base: r.Base, Size: r.Size}, 2, 7))
+	m.Run(2_000_000)
+	m.Sync()
+	st := f.Stages()
+	if n := f.RecordsTotal(); n != 3015 {
+		t.Fatalf("recorded %d requests, want 3015", n)
+	}
+	if got := st.Cycles[obs.StageLRSM]; got != 30_800 {
+		t.Fatalf("records carry %d replay cycles, want 30800", got)
+	}
+	if n := st.Spans[obs.StageLRSM]; n == 0 || n > 100 {
+		t.Fatalf("%d records carry a replay, want 1..100", n)
 	}
 }
 

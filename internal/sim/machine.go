@@ -48,15 +48,9 @@ type Machine struct {
 	// device (an LLC miss) — the signal memory-tiering policies sample.
 	accessHook func(core int, lineAddr uint64, write bool)
 
-	// tr is the attached request-path tracer (nil when tracing is off);
-	// cur is the record of the demand op currently executing, set only for
-	// the synchronous extent of one sampled op.
-	tr  *obs.Tracer
-	cur *obs.ReqRec
-
-	// fl is the attached flight recorder (nil when detached).  Unlike the
-	// sampled tracer it observes every demand load and store completion,
-	// filing packed records from the functional timing path.
+	// fl is the attached flight recorder (nil when detached).  It
+	// observes every demand load and store completion, filing packed
+	// records from the functional timing path.
 	fl *obs.Flight
 
 	// dispatch selects the dispatch oracle (see sweep.go): every core step
@@ -270,23 +264,9 @@ func (m *Machine) stepOne(c *Core, now Cycles) (next Cycles, ok bool) {
 
 	switch op.Kind {
 	case workload.Load:
-		if tr := m.tr; tr != nil && tr.Sample() {
-			m.cur = tr.Begin(c.id, op.Addr, "DRd")
-			next = m.load(c, op.Addr, t, op.Dep)
-			tr.Commit(m.cur)
-			m.cur = nil
-		} else {
-			next = m.load(c, op.Addr, t, op.Dep)
-		}
+		next = m.load(c, op.Addr, t, op.Dep)
 	case workload.Store:
-		if tr := m.tr; tr != nil && tr.Sample() {
-			m.cur = tr.Begin(c.id, op.Addr, "DWr")
-			next = m.store(c, op.Addr, t)
-			tr.Commit(m.cur)
-			m.cur = nil
-		} else {
-			next = m.store(c, op.Addr, t)
-		}
+		next = m.store(c, op.Addr, t)
 	case workload.Prefetch:
 		m.swPrefetch(c, op.Addr, t)
 		next = t + 1
@@ -320,11 +300,6 @@ func (m *Machine) load(c *Core, addr uint64, t Cycles, dep bool) Cycles {
 		c.bank.Inc(pmu.MemLoadL1Hit)
 		c.bank.Add(pmu.MemTransLoadLatency, uint64(m.cfg.L1Lat))
 		c.bank.Inc(pmu.MemTransLoadCount)
-		if rec := m.cur; rec != nil {
-			rec.Span(obs.StageReq, t, t+m.cfg.L1Lat)
-			rec.Loc = SrvL1.String()
-			rec.SealMem() // trainL1PF below may visit memory devices
-		}
 		m.trainL1PF(c, la, t)
 		if m.fl.Enabled() {
 			m.flightDone(c, obs.FlightLoad, addr, t, t+m.cfg.L1Lat, SrvL1, nil)
@@ -338,12 +313,6 @@ func (m *Machine) load(c *Core, addr uint64, t Cycles, dep bool) Cycles {
 		c.bank.Inc(pmu.MemLoadFBHit)
 		c.bank.Add(pmu.MemTransLoadLatency, uint64(e.done-t))
 		c.bank.Inc(pmu.MemTransLoadCount)
-		if rec := m.cur; rec != nil {
-			rec.Span(obs.StageLFB, t, e.done)
-			rec.Span(obs.StageReq, t, e.done)
-			rec.Loc = SrvLFB.String()
-			rec.SealMem()
-		}
 		m.trainL1PF(c, la, t)
 		if m.fl.Enabled() {
 			// Stage times belong to the merged-into miss, which may predate
@@ -362,13 +331,9 @@ func (m *Machine) load(c *Core, addr uint64, t Cycles, dep bool) Cycles {
 	res := m.missPath(c, ClassDRd, la, t)
 	c.bank.Add(pmu.MemTransLoadLatency, uint64(res.done-t))
 	c.bank.Inc(pmu.MemTransLoadCount)
-	if rec := m.cur; rec != nil {
-		rec.Span(obs.StageReq, t, res.done)
-		rec.Loc = res.loc.String()
-	}
 	m.trainL1PF(c, la, t)
 	if m.fl.Enabled() {
-		m.flightDone(c, obs.FlightLoad, addr, t, res.done, res.loc, &res.times)
+		m.flightDone(c, obs.FlightLoad, addr, t, res.done, res.loc, &res)
 	}
 
 	if dep {
@@ -391,9 +356,6 @@ func (m *Machine) load(c *Core, addr uint64, t Cycles, dep bool) Cycles {
 // everything that occupies a line-fill-buffer entry.
 func (m *Machine) missPath(c *Core, class ReqClass, la uint64, t Cycles) accessResult {
 	start, waitedOn, fbWaited := c.allocLFB(t, m.cfg.LFBEntries)
-	if rec := m.demandRec(class); rec != nil && start > t {
-		rec.Span(obs.StageLFB, t, start)
-	}
 	if fbWaited && class == ClassDRd {
 		blocked := accessResult{done: start, loc: SrvLFB, times: waitedOn.times,
 			missedL2: waitedOn.missedL2, missedLLC: waitedOn.missedLLC}
@@ -422,18 +384,6 @@ func (m *Machine) missPath(c *Core, class ReqClass, la uint64, t Cycles) accessR
 	return res
 }
 
-// demandRec returns the current trace record when the request class is the
-// sampled demand op itself (DRd/RFO) and the record's memory stages are
-// still open — prefetches and writebacks riding on the same op get
-// nil, so they never pollute the demand waterfall.
-func (m *Machine) demandRec(class ReqClass) *obs.ReqRec {
-	r := m.cur
-	if r == nil || r.MemSealed() || (class != ClassDRd && class != ClassRFO) {
-		return nil
-	}
-	return r
-}
-
 // fillsL1 reports whether a class installs the line into the L1D.
 func fillsL1(class ReqClass) bool {
 	switch class {
@@ -460,10 +410,6 @@ func (m *Machine) accessL2Down(c *Core, class ReqClass, la uint64, t Cycles) acc
 		m.countL2(c, class, true)
 		res.done = res.times.l2Start + m.cfg.L2Lat
 		res.loc = SrvL2
-		if rec := m.demandRec(class); rec != nil {
-			rec.Span(obs.StageL2, res.times.l2Start, res.done)
-			rec.SealMem() // trainL2PF below may visit memory devices
-		}
 		if fillsL1(class) {
 			m.fillL1(c, la, st, res.done)
 		}
@@ -475,9 +421,6 @@ func (m *Machine) accessL2Down(c *Core, class ReqClass, la uint64, t Cycles) acc
 	m.countL2(c, class, false)
 	res.missedL2 = true
 	tOff := res.times.l2Start + m.cfg.L2TagLat
-	if rec := m.demandRec(class); rec != nil {
-		rec.Span(obs.StageL2, res.times.l2Start, tOff)
-	}
 
 	// Offcore request bookkeeping.
 	c.bank.Inc(pmu.OffcoreAllRequests)
@@ -494,6 +437,7 @@ func (m *Machine) accessL2Down(c *Core, class ReqClass, la uint64, t Cycles) acc
 	res.loc = llc.loc
 	res.missedLLC = llc.missedLLC
 	res.times = llc.times
+	res.dev = llc.dev
 
 	// Offcore-outstanding trackers (chronological via events).
 	isRead := class != ClassRFO && class != ClassL2PFRFO
@@ -580,6 +524,7 @@ type llcResult struct {
 	missedLLC bool
 	shared    bool // other cores retain copies
 	times     reqTimes
+	dev       devTimes
 }
 
 // accessLLCDown resolves a request at its home LLC slice and, on a miss,
@@ -644,10 +589,6 @@ func (m *Machine) accessLLCDown(c *Core, class ReqClass, la uint64, t Cycles, rt
 			s.llc.SetState(w, Modified)
 		}
 		done := arrive + lat
-		if rec := m.demandRec(class); rec != nil {
-			rec.Span(obs.StageCHA, arrive, done)
-			rec.SealMem() // a later victim writeback may visit memory devices
-		}
 		m.torTransit(s, c, class, loc, arrive, done)
 		m.coreServeCounters(c, class, loc, done)
 		return llcResult{done: done, loc: loc, shared: sharedAfter, times: *rt}
@@ -662,11 +603,13 @@ func (m *Machine) accessLLCDown(c *Core, class ReqClass, la uint64, t Cycles, rt
 	rt.memEnter = tag + m.cfg.MeshLat
 
 	var data Cycles
+	var dev devTimes
 	var loc ServeLoc
 	switch m.as.KindOf(la) {
 	case mem.LocalDRAM:
 		ch := m.imc[mem.ChannelOf(la, len(m.imc))]
 		data = ch.read(m.eng, rt.memEnter)
+		dev.data = data
 		loc = SrvLocalDRAM
 	case mem.RemoteDRAM:
 		// Cross the UPI link, queue at the remote socket's IMC, and
@@ -678,20 +621,14 @@ func (m *Machine) accessLLCDown(c *Core, class ReqClass, la uint64, t Cycles, rt
 		} else {
 			data = upi + m.cfg.DRAMLat + m.cfg.RemoteDRAMLat
 		}
+		dev.data = data
 		loc = SrvRemoteDRAM
 	case mem.CXLDRAM:
-		dev := m.as.Node(m.as.NodeOf(la)).Device
-		data = m.ports[dev].read(m.eng, rt.memEnter, la)
+		port := m.ports[m.as.Node(m.as.NodeOf(la)).Device]
+		data, dev = port.read(m.eng, rt.memEnter, la)
 		loc = SrvCXL
 	}
 	done := data + m.cfg.MeshLat
-	if rec := m.demandRec(class); rec != nil {
-		rec.Span(obs.StageCHA, arrive, rt.memEnter)
-		if loc == SrvLocalDRAM || loc == SrvRemoteDRAM {
-			rec.Span(obs.StageIMC, rt.memEnter, data)
-		}
-		rec.SealMem() // the victim eviction below may visit memory devices
-	}
 
 	// Fill the LLC, handling the victim.
 	st := Exclusive
@@ -711,7 +648,7 @@ func (m *Machine) accessLLCDown(c *Core, class ReqClass, la uint64, t Cycles, rt
 
 	m.torTransit(s, c, class, loc, arrive, done)
 	m.coreServeCounters(c, class, loc, done)
-	return llcResult{done: done, loc: loc, missedLLC: true, times: *rt}
+	return llcResult{done: done, loc: loc, missedLLC: true, times: *rt, dev: dev}
 }
 
 // peerHoldsDirty reports whether any core in the presence bitmap holds la
@@ -987,9 +924,6 @@ func (m *Machine) store(c *Core, addr uint64, t Cycles) Cycles {
 			} else {
 				c.bank.Add(pmu.ExeBoundOnStores, w-t)
 			}
-			if rec := m.cur; rec != nil {
-				rec.Span(obs.StageSB, t, w)
-			}
 		}
 		start = w
 		c.pruneSB(start)
@@ -1002,7 +936,7 @@ func (m *Machine) store(c *Core, addr uint64, t Cycles) Cycles {
 	drainAt += m.cfg.SBDrainCycles
 	c.sbNextFree = drainAt
 
-	done, loc, times := m.drainStore(c, la, drainAt)
+	done, res := m.drainStore(c, la, drainAt)
 	// x86-TSO: stores commit to the cache in program order, so one slow
 	// RFO holds every younger store in the buffer behind it.
 	if done < c.sbLastDone {
@@ -1015,43 +949,33 @@ func (m *Machine) store(c *Core, addr uint64, t Cycles) Cycles {
 	c.sb = append(c.sb, sbEntry{line: la, done: done})
 	c.bank.Add(pmu.MemTransStoreSample, uint64(done-t))
 	c.bank.Inc(pmu.MemTransStoreCount)
-	if rec := m.cur; rec != nil {
-		rec.Span(obs.StageReq, t, done)
-	}
 	if m.fl.Enabled() {
-		m.flightDone(c, obs.FlightStore, addr, t, done, loc, &times)
+		m.flightDone(c, obs.FlightStore, addr, t, done, res.loc, &res)
 	}
 	return start + 1
 }
 
 // drainStore commits one store to the L1D at time t, acquiring ownership
 // via RFO when the line is not held in M/E state (§2.2 path #2).  It
-// returns the commit time, where the ownership was served from, and the
-// RFO's stage times (zero for the M/E fast path, which never leaves the
-// core).
-func (m *Machine) drainStore(c *Core, la uint64, t Cycles) (Cycles, ServeLoc, reqTimes) {
+// returns the commit time and the RFO's result: where the ownership was
+// served from and its stage times (zero for the M/E fast path, which never
+// leaves the core).
+func (m *Machine) drainStore(c *Core, la uint64, t Cycles) (Cycles, accessResult) {
 	if w := c.l1.Lookup(la); w >= 0 {
 		if st := c.l1.State(w); st == Modified || st == Exclusive {
 			c.l1.SetState(w, Modified)
-			if rec := m.cur; rec != nil && rec.Loc == "" {
-				rec.Loc = SrvL1.String()
-				rec.SealMem()
-			}
-			return t + m.cfg.L1Lat, SrvL1, reqTimes{}
+			return t + m.cfg.L1Lat, accessResult{loc: SrvL1}
 		}
 		// Shared/Forward: upgrade via RFO below.
 	}
 	res := m.missPath(c, ClassRFO, la, t)
-	if rec := m.cur; rec != nil && rec.Loc == "" {
-		rec.Loc = res.loc.String()
-	}
 	if w := c.l1.Peek(la); w >= 0 {
 		c.l1.SetState(w, Modified)
 	}
 	if res.loc == SrvL2 {
 		c.bank.Inc(pmu.MemStoreL2Hit)
 	}
-	return res.done + m.cfg.L1Lat, res.loc, res.times
+	return res.done + m.cfg.L1Lat, res
 }
 
 // ---------------------------------------------------------------------------
@@ -1196,14 +1120,6 @@ func (m *Machine) InlineSteps() uint64 { return m.eng.inlineSteps }
 // dispatches none; the dispatch oracle dispatches one per op.
 func (m *Machine) DispatchedEvents() uint64 { return m.eng.dispatched }
 
-// SetTracer attaches a request-path tracer (nil detaches).  With no tracer
-// — or a disabled one — the per-op cost is a nil check plus one atomic
-// load; sampled demand loads and stores record a span waterfall.
-func (m *Machine) SetTracer(tr *obs.Tracer) { m.tr = tr }
-
-// Tracer returns the attached tracer, or nil.
-func (m *Machine) Tracer() *obs.Tracer { return m.tr }
-
 // SetFlight attaches a flight recorder (nil detaches).  The recorder must
 // be sized for at least this machine's core count.  Attached but disabled
 // it costs one inlined atomic check per demand op; enabled it files a
@@ -1225,24 +1141,35 @@ func (m *Machine) SetFlight(f *obs.Flight) {
 func (m *Machine) Flight() *obs.Flight { return m.fl }
 
 // flightDone files one completed demand request with the attached flight
-// recorder.  Callers have already checked m.fl.Enabled().  rt carries the
-// stage times for requests that left the core (nil for cache-served
-// completions).
-func (m *Machine) flightDone(c *Core, class uint8, addr uint64, issue, done Cycles, loc ServeLoc, rt *reqTimes) {
+// recorder.  Callers have already checked m.fl.Enabled().  res carries the
+// crossings of a request that left the core (nil for L1 hits and LFB
+// merges: a merged load's crossings belong to the miss it joined, which
+// may predate its issue).
+func (m *Machine) flightDone(c *Core, class uint8, addr uint64, issue, done Cycles, loc ServeLoc, res *accessResult) {
 	r := obs.FlightRec{
 		Addr:  addr,
 		Issue: uint64(issue),
-		Done:  uint64(done),
-		Core:  uint16(c.id),
+		Lat:   flightDelta(issue, done),
+		Core:  uint8(c.id),
 		Class: class,
 		Loc:   uint8(loc),
-		LFB:   uint8(len(c.lfb)),
-		SB:    uint8(len(c.sb)),
 	}
-	if rt != nil {
+	if res != nil {
+		rt, dt := &res.times, &res.dev
 		r.L2Start = flightDelta(issue, rt.l2Start)
 		r.TOREnter = flightDelta(issue, rt.torEnter)
 		r.MemEnter = flightDelta(issue, rt.memEnter)
+		r.M2PExit = flightDelta(issue, dt.m2pExit)
+		r.DevArrive = flightDelta(issue, dt.devArrive)
+		r.MediaStart = flightDelta(issue, dt.mediaStart)
+		r.DataReady = flightDelta(issue, dt.data)
+		r.Replay = flightDelta(0, dt.replay)
+	}
+	switch loc {
+	case SrvLocalDRAM, SrvRemoteDRAM:
+		r.Path = obs.FlightPathIMC
+	case SrvCXL:
+		r.Path = obs.FlightPathCXL
 	}
 	m.fl.Record(c.id, r)
 }

@@ -107,3 +107,15 @@ type reqTimes struct {
 	memEnter Cycles // entered the memory device path (IMC or M2PCIe)
 	done     Cycles // data returned / request completed
 }
+
+// devTimes carries the crossings of one device read back to the request
+// that issued it, in the read's own result: it never enters an lfbEntry,
+// so a load merging into the miss, a prefetch, or a victim writeback
+// cannot take the crossings over.  Only the flight recorder reads them.
+type devTimes struct {
+	m2pExit    Cycles // CXL: the link transfer to the device starts
+	devArrive  Cycles // CXL: the request reaches the device
+	mediaStart Cycles // CXL: the media access begins
+	data       Cycles // data ready at the IMC or the CXL device
+	replay     Cycles // LRSM replay cycles of the read's own transfers
+}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"pathfinder/internal/mem"
@@ -9,9 +10,13 @@ import (
 	"pathfinder/internal/workload"
 )
 
-// traceRun drives n dependent loads over the node at fix, with every
-// request traced, and returns the committed records.
-func traceRun(t *testing.T, cfg Config, fix mem.NodeID, n int) []obs.ReqRec {
+// The request trace is the 1-in-N selection of flight records that /trace
+// exports (obs.Flight.Sample); these tests check what it shows of the
+// machine's request paths.
+
+// traceRun drives n dependent loads over the node at fix with an enabled
+// flight recorder whose rings hold every record, and exports them all.
+func traceRun(t *testing.T, cfg Config, fix mem.NodeID, n int) []obs.TraceRec {
 	t.Helper()
 	as := testSpace(t)
 	r, err := as.Alloc(1<<20, mem.Fixed(fix))
@@ -19,21 +24,40 @@ func traceRun(t *testing.T, cfg Config, fix mem.NodeID, n int) []obs.ReqRec {
 		t.Fatal(err)
 	}
 	m := New(cfg, as)
-	tr := obs.NewTracer(4096, 1)
-	tr.Enable()
-	m.SetTracer(tr)
+	f := obs.NewFlight(cfg.Cores, 4096, 16)
+	f.Enable()
+	m.SetFlight(f)
 	m.Attach(0, &opList{ops: seqLoads(r.Base, n, 64, true)})
 	m.Run(50_000_000)
 	m.Sync()
-	return tr.Records()
+	return f.Sample(1)
 }
 
-func stageSpans(r *obs.ReqRec) map[obs.Stage][]obs.Span {
-	out := make(map[obs.Stage][]obs.Span)
-	for _, sp := range r.Spans() {
-		out[sp.Stage] = append(out[sp.Stage], sp)
+// checkWaterfall requires every record served at loc to take path and to
+// cross exactly the stages want, in order, and at least one such record.
+func checkWaterfall(t *testing.T, recs []obs.TraceRec, loc ServeLoc, path uint8, want []obs.Stage) {
+	t.Helper()
+	saw := 0
+	for i := range recs {
+		r := &recs[i].FlightRec
+		if ServeLoc(r.Loc) != loc {
+			continue
+		}
+		saw++
+		if r.Path != path {
+			t.Fatalf("record %d %+v: path %d, want %d", recs[i].ID, r, r.Path, path)
+		}
+		var got []obs.Stage
+		for _, sp := range stagesOf(r) {
+			got = append(got, sp.Stage)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("record %d %+v: stages %v, want %v", recs[i].ID, r, got, want)
+		}
 	}
-	return out
+	if saw == 0 {
+		t.Fatalf("no %s-served records traced", loc)
+	}
 }
 
 func TestTracerCXLWaterfall(t *testing.T) {
@@ -43,178 +67,157 @@ func TestTracerCXLWaterfall(t *testing.T) {
 	if len(recs) != 64 {
 		t.Fatalf("traced %d records, want 64", len(recs))
 	}
-	sawCXL := false
-	for i := range recs {
-		r := &recs[i]
-		if r.Loc != SrvCXL.String() {
-			continue
-		}
-		sawCXL = true
-		byStage := stageSpans(r)
-		for _, st := range []obs.Stage{obs.StageReq, obs.StageL2, obs.StageCHA,
-			obs.StageM2PCIe, obs.StageCXLLink, obs.StageCXLDevQ,
-			obs.StageCXLMedia, obs.StageCXLRet} {
-			if len(byStage[st]) == 0 {
-				t.Fatalf("record %d (loc %s) missing stage %s: %+v", r.ID, r.Loc, st, r.Spans())
-			}
-		}
-		if len(byStage[obs.StageIMC]) != 0 {
-			t.Fatalf("CXL-served record %d carries an IMC span", r.ID)
-		}
-		// The waterfall is ordered and nested inside the request span.
-		req := byStage[obs.StageReq][0]
-		link := byStage[obs.StageCXLLink][0]
-		media := byStage[obs.StageCXLMedia][0]
-		if link.Start < req.Start || media.End > req.End {
-			t.Fatalf("device spans escape the request span: req=%+v link=%+v media=%+v",
-				req, link, media)
-		}
-		if link.End > media.Start+1 && link.End > media.End {
-			t.Fatalf("link span after media span: link=%+v media=%+v", link, media)
-		}
-	}
-	if !sawCXL {
-		t.Fatal("no CXL-served records traced")
-	}
+	checkWaterfall(t, recs, SrvCXL, obs.FlightPathCXL, []obs.Stage{
+		obs.StageCore, obs.StageL2, obs.StageCHA, obs.StageM2PCIe,
+		obs.StageCXLLink, obs.StageCXLDevQ, obs.StageCXLMedia, obs.StageCXLRet})
 }
 
 func TestTracerLocalDRAMUsesIMCStage(t *testing.T) {
 	cfg := smallConfig()
 	cfg.L1PFDegree, cfg.L2PFDegree = 0, 0
 	recs := traceRun(t, cfg, 0, 64)
-	saw := false
+	checkWaterfall(t, recs, SrvLocalDRAM, obs.FlightPathIMC, []obs.Stage{
+		obs.StageCore, obs.StageL2, obs.StageCHA, obs.StageIMC, obs.StageIMCRet})
 	for i := range recs {
-		r := &recs[i]
-		if r.Loc != SrvLocalDRAM.String() {
-			continue
+		if r := &recs[i]; r.M2PExit|r.DevArrive|r.MediaStart != 0 {
+			t.Fatalf("local-DRAM run record %d %+v carries CXL crossings", r.ID, r.FlightRec)
 		}
-		saw = true
-		byStage := stageSpans(r)
-		if len(byStage[obs.StageIMC]) == 0 {
-			t.Fatalf("DRAM-served record %d has no IMC span: %+v", r.ID, r.Spans())
-		}
-		for _, st := range []obs.Stage{obs.StageM2PCIe, obs.StageCXLLink,
-			obs.StageCXLDevQ, obs.StageCXLMedia} {
-			if len(byStage[st]) != 0 {
-				t.Fatalf("DRAM-served record %d carries CXL stage %s", r.ID, st)
-			}
-		}
-	}
-	if !saw {
-		t.Fatal("no DRAM-served records traced")
 	}
 }
 
-// Prefetch traffic issued while a sampled demand record is current must not
-// write device stages into it: the demand's own path stays clean.
+// checkDemandPath fails unless the record carries only crossings its serve
+// location can have: a cache-served record none, a DRAM-served one no CXL
+// crossing, a CXL-served one no IMC stage.  It reports whether a device
+// served the record.
+func checkDemandPath(t *testing.T, r *obs.FlightRec) (dev bool) {
+	t.Helper()
+	switch ServeLoc(r.Loc) {
+	case SrvLocalDRAM, SrvRemoteDRAM:
+		if r.Path != obs.FlightPathIMC || r.M2PExit|r.DevArrive|r.MediaStart != 0 {
+			t.Fatalf("DRAM-served record %+v carries CXL crossings", r)
+		}
+		return true
+	case SrvCXL:
+		if r.Path != obs.FlightPathCXL {
+			t.Fatalf("CXL-served record %+v: path %d", r, r.Path)
+		}
+		for _, sp := range stagesOf(r) {
+			if sp.Stage == obs.StageIMC || sp.Stage == obs.StageIMCRet {
+				t.Fatalf("CXL-served record %+v has an IMC stage", r)
+			}
+		}
+		return true
+	}
+	if r.MemEnter|r.M2PExit|r.DevArrive|r.MediaStart|r.DataReady|r.Replay != 0 ||
+		r.Path != obs.FlightPathNone {
+		t.Fatalf("cache-served record %+v carries device crossings", r)
+	}
+	return false
+}
+
+// TestTracerPrefetchDoesNotPolluteDemand: with the prefetchers training
+// hard on one core's dependent CXL chain, prefetch and writeback traffic
+// never reaches a demand's record — its device crossings travel in the
+// demand read's own result.
 func TestTracerPrefetchDoesNotPolluteDemand(t *testing.T) {
 	cfg := smallConfig() // default prefetch degrees: streams train hard
 	recs := traceRun(t, cfg, 2, 256)
+	var cached, dev int
 	for i := range recs {
-		r := &recs[i]
-		byStage := stageSpans(r)
-		// At most one request-level span and one media visit per record: a
-		// second media span could only come from a prefetch riding along.
-		if len(byStage[obs.StageReq]) > 1 {
-			t.Fatalf("record %d has %d req spans", r.ID, len(byStage[obs.StageReq]))
+		if checkDemandPath(t, &recs[i].FlightRec) {
+			dev++
+		} else {
+			cached++
 		}
-		if len(byStage[obs.StageCXLMedia]) > 1 {
-			t.Fatalf("record %d has %d media spans (prefetch pollution)",
-				r.ID, len(byStage[obs.StageCXLMedia]))
-		}
-		if r.Loc == SrvL1.String() || r.Loc == SrvL2.String() || r.Loc == SrvLFB.String() {
-			if len(byStage[obs.StageCXLMedia]) != 0 || len(byStage[obs.StageIMC]) != 0 {
-				t.Fatalf("cache-served record %d carries device spans: %+v", r.ID, r.Spans())
-			}
-		}
+	}
+	if cached == 0 || dev == 0 {
+		t.Fatalf("chain served %d records from caches and %d from devices; want both", cached, dev)
 	}
 }
 
-// The demand-seal guards must hold under the sweep's multi-core
-// interleaved stepping with prefetchers training hard: a sampled record on
-// one core stays current while other cores (and its own prefetches) issue
-// device traffic, and none of it may leak into the sealed waterfall.
+// TestTracerDemandSealUnderWindowLanes: a demand's record is sealed against
+// other traffic by construction, its crossings coming from its own read;
+// this checks it where a leak is likeliest — four cores interleaved by the
+// sequential sweep, prefetchers training hard.  The oracle exports the
+// same trace.
 func TestTracerDemandSealUnderWindowLanes(t *testing.T) {
-	m, local, cxlr := windowRig(t) // default prefetch degrees: streams train
-	tr := obs.NewTracer(1<<13, 1)
-	tr.Enable()
-	m.SetTracer(tr)
-	m.Attach(0, workload.NewStream(cxlr, 2, 0.2, 1))
-	m.Attach(1, workload.NewStream(cxlr, 2, 0.1, 2))
-	m.Attach(2, workload.NewStream(local, 2, 0, 3))
-	m.Attach(3, workload.NewStream(cxlr, 2, 0.3, 4))
-	m.Run(300_000)
-	m.Sync()
-
-	recs := tr.Records()
-	if len(recs) == 0 {
-		t.Fatal("no records traced")
+	export := func(lanes int) []obs.TraceRec {
+		m, local, cxlr := windowRig(t) // default prefetch degrees: streams train
+		m.SetLanes(lanes)
+		f := obs.NewFlight(m.Cores(), 1<<13, 16)
+		f.Enable()
+		m.SetFlight(f)
+		m.Attach(0, workload.NewStream(cxlr, 2, 0.2, 1))
+		m.Attach(1, workload.NewStream(cxlr, 2, 0.1, 2))
+		m.Attach(2, workload.NewStream(local, 2, 0, 3))
+		m.Attach(3, workload.NewStream(cxlr, 2, 0.3, 4))
+		m.Run(300_000)
+		m.Sync()
+		return f.Sample(1)
 	}
+	recs := export(0)
+	var cached, dev int
 	for i := range recs {
-		r := &recs[i]
-		byStage := stageSpans(r)
-		if len(byStage[obs.StageReq]) > 1 {
-			t.Fatalf("record %d has %d req spans", r.ID, len(byStage[obs.StageReq]))
+		if checkDemandPath(t, &recs[i].FlightRec) {
+			dev++
+		} else {
+			cached++
 		}
-		// One device visit max: extra media/IMC spans could only come from
-		// prefetch or cross-core traffic filed into a stale record.
-		if len(byStage[obs.StageCXLMedia]) > 1 {
-			t.Fatalf("record %d has %d media spans (demand-seal breach)",
-				r.ID, len(byStage[obs.StageCXLMedia]))
-		}
-		if len(byStage[obs.StageIMC]) > 1 {
-			t.Fatalf("record %d has %d IMC spans (demand-seal breach)",
-				r.ID, len(byStage[obs.StageIMC]))
-		}
-		if len(byStage[obs.StageCXLMedia]) > 0 && len(byStage[obs.StageIMC]) > 0 {
-			t.Fatalf("record %d (loc %s) carries both IMC and CXL media spans", r.ID, r.Loc)
-		}
-		if r.Loc == SrvL1.String() || r.Loc == SrvL2.String() || r.Loc == SrvLFB.String() {
-			if len(byStage[obs.StageCXLMedia]) != 0 || len(byStage[obs.StageIMC]) != 0 {
-				t.Fatalf("cache-served record %d carries device spans: %+v", r.ID, r.Spans())
-			}
-		}
-		// Spans nest inside the request envelope.
-		if req, ok := byStage[obs.StageReq]; ok {
-			for _, sp := range r.Spans() {
-				if sp.Start < req[0].Start || sp.End > req[0].End {
-					t.Fatalf("record %d: span %+v escapes request envelope %+v", r.ID, sp, req[0])
-				}
-			}
-		}
+	}
+	if cached == 0 || dev == 0 {
+		t.Fatalf("rig served %d records from caches and %d from devices; want both", cached, dev)
+	}
+	if !reflect.DeepEqual(export(-1), recs) {
+		t.Fatal("the oracle exports a different trace than the sweep")
 	}
 }
 
+// TestTracerDisabledRecordsNothing: disabling the recorder mid-run stops
+// filing at once, inline sweep steps included; the export stays as it was
+// while the machine runs on.
 func TestTracerDisabledRecordsNothing(t *testing.T) {
-	as := testSpace(t)
-	r, err := as.Alloc(1<<20, mem.Fixed(2))
-	if err != nil {
-		t.Fatal(err)
+	m, local, cxlr := windowRig(t)
+	f := obs.NewFlight(m.Cores(), 1<<12, 16)
+	f.Enable()
+	m.SetFlight(f)
+	m.Attach(0, workload.NewStream(cxlr, 2, 0.2, 1))
+	m.Attach(1, workload.NewStream(local, 2, 0.2, 2))
+	m.Run(100_000)
+	n, export := f.RecordsTotal(), f.Sample(1)
+	if n == 0 {
+		t.Fatal("enabled recorder filed nothing")
 	}
-	m := New(smallConfig(), as)
-	tr := obs.NewTracer(64, 1) // attached but never enabled
-	m.SetTracer(tr)
-	m.Attach(0, &opList{ops: seqLoads(r.Base, 128, 64, true)})
-	m.Run(10_000_000)
-	if got := tr.Records(); len(got) != 0 {
-		t.Fatalf("disabled tracer committed %d records", len(got))
+	f.Disable()
+	before := m.InlineSteps()
+	m.Run(100_000)
+	m.Sync()
+	if m.InlineSteps() == before {
+		t.Fatal("machine took no inline steps after the recorder was disabled")
+	}
+	if got := f.RecordsTotal(); got != n {
+		t.Fatalf("disabled recorder filed %d more records", got-n)
+	}
+	if !reflect.DeepEqual(f.Sample(1), export) {
+		t.Fatal("disabled recorder's export changed")
 	}
 }
 
-// Tracing must not perturb simulated timing: PMU counters are identical
-// with tracing off, sampled, and full-rate.
+// TestTracerDoesNotPerturbTiming: exporting the trace between Run slices,
+// at full rate and one in seven, from rings that wrap, leaves every PMU
+// counter as it is with no recorder attached.
 func TestTracerDoesNotPerturbTiming(t *testing.T) {
-	run := func(every int) map[string]uint64 {
+	run := func(every int) []uint64 {
 		as := testSpace(t)
 		r, err := as.Alloc(1<<20, mem.Fixed(2))
 		if err != nil {
 			t.Fatal(err)
 		}
 		m := New(smallConfig(), as)
+		var f *obs.Flight
 		if every > 0 {
-			tr := obs.NewTracer(256, every)
-			tr.Enable()
-			m.SetTracer(tr)
+			f = obs.NewFlight(m.Cores(), 64, 8)
+			f.Enable()
+			m.SetFlight(f)
 		}
 		ops := seqLoads(r.Base, 512, 64, true)
 		for i := range ops {
@@ -223,28 +226,22 @@ func TestTracerDoesNotPerturbTiming(t *testing.T) {
 			}
 		}
 		m.Attach(0, &opList{ops: ops})
-		m.Run(20_000_000)
-		m.Sync()
-		out := make(map[string]uint64)
-		for _, b := range m.Banks() {
-			for ev, v := range b.Values() {
-				if v != 0 {
-					out[fmt.Sprintf("%s/%d", b.Name(), ev)] = v
-				}
+		exported := 0
+		for s := 0; s < 100; s++ {
+			m.Run(5_000)
+			if f != nil {
+				exported += len(f.Sample(every))
 			}
 		}
-		return out
+		m.Run(20_000_000)
+		m.Sync()
+		if f != nil && (exported == 0 || f.RecordsTotal() < 512) {
+			t.Fatalf("every=%d: exported %d records of %d filed", every, exported, f.RecordsTotal())
+		}
+		return bankSums(m)
 	}
 	base := run(0)
 	for _, every := range []int{1, 7} {
-		got := run(every)
-		if len(got) != len(base) {
-			t.Fatalf("every=%d: %d nonzero counters vs %d untraced", every, len(got), len(base))
-		}
-		for k, v := range base {
-			if got[k] != v {
-				t.Fatalf("every=%d: counter %s = %d, untraced %d", every, k, got[k], v)
-			}
-		}
+		sameSums(t, fmt.Sprintf("every=%d", every), run(every), base)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"pathfinder/internal/cxl"
-	"pathfinder/internal/obs"
 	"pathfinder/internal/pmu"
 )
 
@@ -505,13 +504,12 @@ func flitsOf(size float64) int {
 // real wire bandwidth, so every later message queues behind them and the
 // inflation shows up in M2PCIe/packing-buffer occupancy.  Returns the
 // start of the final (successful) serialization, a drop-in for
-// byteServer.acquire.
-func (p *cxlPort) linkXfer(eng *Engine, srv *byteServer, dir cxl.Direction, ready Cycles, size float64) Cycles {
-	start := srv.acquire(ready, size)
+// byteServer.acquire, and the cycles the replays delayed it by.
+func (p *cxlPort) linkXfer(eng *Engine, srv *byteServer, dir cxl.Direction, ready Cycles, size float64) (start, replay Cycles) {
+	start = srv.acquire(ready, size)
 	if p.plan.Empty() {
-		return start
+		return start, 0
 	}
-	rec := eng.trace()
 
 	// The transfer's flits sit in the retry buffer from first transmission
 	// until the cumulative ack returns, one link round trip after arrival.
@@ -536,13 +534,11 @@ func (p *cxlPort) linkXfer(eng *Engine, srv *byteServer, dir cxl.Direction, read
 		eng.obsAt(start+p.cfg.FlexBusLat, evCXLCRC, p.id, 0, uint64(replayBytes+size))
 		prev := start
 		start = reStart + Cycles(replayBytes*srv.perByte)
-		if rec != nil {
-			rec.Span(obs.StageLRSM, prev, start)
-		}
+		replay += start - prev
 	}
 	ack := start + 2*p.cfg.FlexBusLat
 	eng.obsAt(ack, evRetryOcc, p.id, int32(-flits), 0)
-	return start
+	return start, replay
 }
 
 // removedFastFailLat is the host-side cost of the fast-fail path: once the
@@ -641,19 +637,21 @@ func (p *cxlPort) readRemoved(eng *Engine, arrival, txStart, devArrive Cycles) C
 }
 
 // read performs a CXL.mem load (M2S Req -> S2M DRS) of line la arriving at
-// the M2PCIe ingress at arrival, returning the host data-return time.
-func (p *cxlPort) read(eng *Engine, arrival Cycles, la uint64) Cycles {
+// the M2PCIe ingress at arrival, returning the host data-return time and
+// the read's device crossings.
+func (p *cxlPort) read(eng *Engine, arrival Cycles, la uint64) (Cycles, devTimes) {
 	if p.plan.IsolatedBy(uint64(arrival)) {
-		return p.fastFail(eng, arrival)
+		return p.fastFail(eng, arrival), devTimes{}
 	}
 
 	// M2PCIe ingress: the entry waits for link credit, which is starved
 	// when the device request packing buffer is full.
 	ready := p.packReq.admit(arrival + p.cfg.M2PLat)
-	txStart := p.linkXfer(eng, &p.linkTx, cxl.DirM2S, ready, cxl.BytesPerMessage(cxl.MemRd))
+	txStart, txReplay := p.linkXfer(eng, &p.linkTx, cxl.DirM2S, ready, cxl.BytesPerMessage(cxl.MemRd))
 	devArrive := txStart + p.cfg.FlexBusLat
+	dt := devTimes{m2pExit: txStart, devArrive: devArrive, replay: txReplay}
 	if p.plan.RemovedBy(uint64(devArrive)) {
-		return p.readRemoved(eng, arrival, txStart, devArrive)
+		return p.readRemoved(eng, arrival, txStart, devArrive), dt
 	}
 
 	// Device: packing buffer until the controller hands off to the MC.
@@ -679,28 +677,23 @@ func (p *cxlPort) read(eng *Engine, arrival Cycles, la uint64) Cycles {
 	p.devRPQ.commit(data)
 
 	// Response: S2M DRS over the link back to the host.
-	rxStart := p.linkXfer(eng, &p.linkRx, cxl.DirS2M, data, cxl.BytesPerMessage(cxl.MemData))
+	rxStart, rxReplay := p.linkXfer(eng, &p.linkRx, cxl.DirS2M, data, cxl.BytesPerMessage(cxl.MemData))
 	hostArrive := rxStart + p.cfg.FlexBusLat
 	done := hostArrive + p.cfg.M2PLat
 
-	if rec := eng.trace(); rec != nil {
-		// Stage boundaries mirror the occupancy integrals AnalyzeQueues
-		// reads: m2pcie = the M2PCIe ingress residency (arrival..txStart),
-		// cxl_devq + cxl_media = the packing-buffer + RPQ residency
-		// (devArrive..data) that prices the CXL DIMM queue estimate.
-		rec.Span(obs.StageM2PCIe, arrival, txStart)
-		rec.Span(obs.StageCXLLink, txStart, devArrive)
-		rec.Span(obs.StageCXLDevQ, devArrive, mediaStart)
-		rec.Span(obs.StageCXLMedia, mediaStart, data)
-		rec.Span(obs.StageCXLRet, data, done)
-	}
+	// The crossings mirror the occupancy integrals AnalyzeQueues reads:
+	// arrival..m2pExit is the M2PCIe ingress residency, and
+	// devArrive..data the packing-buffer + RPQ residency that prices the
+	// CXL DIMM queue estimate.
+	dt.mediaStart, dt.data = mediaStart, data
+	dt.replay += rxReplay
 
 	eng.obsAt(arrival, evCXLArrive, p.id, 0, uint64(txStart))
 	eng.obsAt(devArrive, evCXLReadDev, p.id, 0, 0)
 	eng.obsAt(rpqAdmit, evCXLReadRPQ, p.id, 0, 0)
 	eng.obsAt(data, evCXLReadData, p.id, 0, 0)
 	eng.obsAt(hostArrive, evM2PInc, p.id, int32(pmu.M2PTxInsertsBL), 0)
-	return done
+	return done, dt
 }
 
 // write performs a CXL.mem store (M2S RwD -> S2M NDR).  It returns the
@@ -712,7 +705,7 @@ func (p *cxlPort) write(eng *Engine, arrival Cycles) (admitted, drained Cycles) 
 	}
 
 	ready := p.packData.admit(arrival + p.cfg.M2PLat)
-	txStart := p.linkXfer(eng, &p.linkTx, cxl.DirM2S, ready, cxl.BytesPerMessage(cxl.MemWr))
+	txStart, _ := p.linkXfer(eng, &p.linkTx, cxl.DirM2S, ready, cxl.BytesPerMessage(cxl.MemWr))
 	devArrive := txStart + p.cfg.FlexBusLat
 	if p.plan.RemovedBy(uint64(devArrive)) {
 		// Same discovery flow as readRemoved, with the packing-data entry
@@ -734,7 +727,7 @@ func (p *cxlPort) write(eng *Engine, arrival Cycles) (admitted, drained Cycles) 
 	done := mediaStart + p.cfg.CXLMediaLat
 	p.devWPQ.commit(done)
 
-	rxStart := p.linkXfer(eng, &p.linkRx, cxl.DirS2M, mediaStart, cxl.BytesPerMessage(cxl.Cmp)) // NDR
+	rxStart, _ := p.linkXfer(eng, &p.linkRx, cxl.DirS2M, mediaStart, cxl.BytesPerMessage(cxl.Cmp)) // NDR
 	ackArrive := rxStart + p.cfg.FlexBusLat
 
 	eng.obsAt(arrival, evCXLArrive, p.id, 0, uint64(txStart))

@@ -1,7 +1,7 @@
 #!/bin/sh
 # obs_smoke.sh - end-to-end check of the introspection server: start
 # `pathfinder -serve` on a random port, require 200s with real content from
-# /metrics and /status, then shut the server down.  Run from the repo root
+# /metrics, /status, /flight and /trace, then shut the server down.  Run from the repo root
 # (CI's obs-smoke step and `make obs-smoke` both do).
 set -eu
 
@@ -56,8 +56,15 @@ grep -q '"records"' /tmp/obs_smoke_flight || fail "/flight JSON lacks a records 
 records=$(sed -n 's/.*"records": *\([0-9][0-9]*\).*/\1/p' /tmp/obs_smoke_flight | head -1)
 [ -n "$records" ] && [ "$records" -gt 0 ] || fail "/flight shows zero records after a run"
 
+# /trace exports one flight record in -trace-sample (default 64) per core
+# as Chrome trace_event JSON; LBM runs on CXL memory, so its records cross
+# the CXL device stages.
+code=$(curl -s -o /tmp/obs_smoke_trace -w '%{http_code}' "$url/trace")
+[ "$code" = 200 ] || fail "/trace returned $code"
+grep -q '"name":"cxl_media"' /tmp/obs_smoke_trace || fail "/trace has no cxl_media event"
+
 # SIGQUIT dumps a postmortem bundle (and keeps the process running): the
-# artifact must appear at -flight-dump and parse as a schema-1 bundle.
+# artifact must appear at -flight-dump and parse as a schema-2 bundle.
 kill -QUIT "$pid"
 for _ in $(seq 1 50); do
     grep -q '^pathfinder: flight bundle (sigquit) written' "$log" && break
@@ -67,7 +74,7 @@ done
 grep -q '^pathfinder: flight bundle (sigquit) written' "$log" || fail "no flight-bundle notice after SIGQUIT"
 kill -0 "$pid" 2>/dev/null || fail "SIGQUIT terminated the process (want dump-and-continue)"
 [ -s "$bundle" ] || fail "SIGQUIT bundle $bundle is missing or empty"
-grep -q '"schema": *1' "$bundle" || fail "bundle lacks the schema marker"
+grep -q '"schema": *2' "$bundle" || fail "bundle lacks the schema marker"
 grep -q '"trigger": *"sigquit"' "$bundle" || fail "bundle trigger is not sigquit"
 grep -q '"flight"' "$bundle" || fail "bundle lacks the flight section"
 grep -q '"tail"' "$bundle" || fail "bundle lacks the promoted tail store"
