@@ -23,7 +23,6 @@ import (
 
 	"pathfinder/internal/core"
 	"pathfinder/internal/cxl"
-	"pathfinder/internal/experiments"
 	"pathfinder/internal/mem"
 	"pathfinder/internal/mem/tier"
 	"pathfinder/internal/obs"
@@ -73,23 +72,15 @@ type runStatus struct {
 	Epoch       int          `json:"epoch"`
 	Epochs      int          `json:"epochs"`
 	EpochCycles uint64       `json:"epoch_cycles"`
-	Truncated   int          `json:"epochs_truncated"`
-	Note        string       `json:"last_note,omitempty"`
 	Apps        []statusApp  `json:"apps"`
 	Engine      statusEngine `json:"engine"`
 	Link        *statusLink  `json:"cxl_link,omitempty"`
-
-	// Checkpoints reports the warmed-image cache (experiments.Sweep): soak
-	// and sweep runs watch it to confirm warm-prefix reuse is engaging.
-	Checkpoints experiments.CheckpointCacheStats `json:"checkpoint_cache"`
 }
 
-// statusEngine surfaces the sequential sweep's effectiveness: ops the core
-// stepper executed inline versus events dispatched through the engine.  A
-// healthy run keeps inline_steps well above dispatched_events.
+// statusEngine surfaces the sequential sweep: the workload ops the core
+// stepper has executed inline.
 type statusEngine struct {
-	InlineSteps      uint64 `json:"inline_steps"`
-	DispatchedEvents uint64 `json:"dispatched_events"`
+	InlineSteps uint64 `json:"inline_steps"`
 }
 
 type statusApp struct {
@@ -155,7 +146,7 @@ func main() {
 	traceSample := flag.Int("trace-sample", 64, "/trace exports one flight record in N per core (0 = /trace off)")
 	flightRing := flag.Int("flight", 4096, "flight-recorder per-core ring capacity in records (0 = recorder off)")
 	flightTail := flag.Int("flight-tail", 512, "flight-recorder tail-store capacity in promoted records")
-	flightDump := flag.String("flight-dump", "pathfinder-flight-bundle.json", "postmortem bundle path written on SIGQUIT or a profiler watchdog trip")
+	flightDump := flag.String("flight-dump", "pathfinder-flight-bundle.json", "postmortem bundle path written on SIGQUIT")
 	flag.Parse()
 
 	if *listEvents {
@@ -260,8 +251,7 @@ func main() {
 		m.SetAccessHook(func(_ int, la uint64, _ bool) { mgr.ObserveAccess(la) })
 	}
 
-	// status is declared ahead of the profiler so the flight-dump closure
-	// (fired from the watchdog and the SIGQUIT handler) can embed /status.
+	// status holds the /status document, which the SIGQUIT bundle embeds.
 	var status atomic.Value
 	statusFn := func() any { return status.Load() }
 
@@ -269,31 +259,25 @@ func main() {
 	if cfg.Faults != nil {
 		faultPlanStr = cfg.Faults.String()
 	}
-	var flightDumpFn func(trigger string) error
 	if fl != nil {
-		flightDumpFn = func(trigger string) error {
-			err := obs.WriteBundleFile(*flightDump, obs.BundleOpts{
-				Trigger:   trigger,
-				Flight:    fl,
-				Metrics:   obs.Default,
-				Status:    statusFn,
-				FaultPlan: faultPlanStr,
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "pathfinder: flight bundle (%s) written to %s\n", trigger, *flightDump)
-			return nil
-		}
 		// SIGQUIT dumps a postmortem bundle and keeps running — the live
 		// equivalent of hitting /flight/dump, usable without -serve.
 		quit := make(chan os.Signal, 1)
 		signal.Notify(quit, syscall.SIGQUIT)
 		go func() {
 			for range quit {
-				if err := flightDumpFn("sigquit"); err != nil {
+				err := obs.WriteBundleFile(*flightDump, obs.BundleOpts{
+					Trigger:   "sigquit",
+					Flight:    fl,
+					Metrics:   obs.Default,
+					Status:    statusFn,
+					FaultPlan: faultPlanStr,
+				})
+				if err != nil {
 					fmt.Fprintf(os.Stderr, "pathfinder: flight dump: %v\n", err)
+					continue
 				}
+				fmt.Fprintf(os.Stderr, "pathfinder: flight bundle (sigquit) written to %s\n", *flightDump)
 			}
 		}()
 	}
@@ -306,29 +290,22 @@ func main() {
 		Mode:        core.ModeContinuous,
 		Metrics:     obs.Default,
 		Flight:      fl,
-		FlightDump:  flightDumpFn,
 	})
 	if err != nil {
 		fatalf("%v", err)
 	}
 
-	setStatus := func(state string, epoch, truncated int, note string, last *core.EpochResult) {
+	setStatus := func(state string, epoch int, last *core.EpochResult) {
 		st := runStatus{
 			Machine:     cfg.Name,
 			State:       state,
 			Epoch:       epoch,
 			Epochs:      *epochs,
 			EpochCycles: *epochK * 1000,
-			Truncated:   truncated,
-			Note:        note,
+			Engine:      statusEngine{InlineSteps: m.InlineSteps()},
 		}
 		for _, run := range runs {
 			st.Apps = append(st.Apps, statusApp{Label: run.Label, Core: run.Core})
-		}
-		st.Checkpoints = experiments.CheckpointCache()
-		st.Engine = statusEngine{
-			InlineSteps:      m.InlineSteps(),
-			DispatchedEvents: m.DispatchedEvents(),
 		}
 		if last != nil {
 			s := last.Snapshot
@@ -345,7 +322,7 @@ func main() {
 		}
 		status.Store(&st)
 	}
-	setStatus("running", 0, 0, "", nil)
+	setStatus("running", 0, nil)
 
 	var srv *obs.Server
 	if *serve != "" {
@@ -360,26 +337,24 @@ func main() {
 	}
 
 	var last *core.EpochResult
-	truncated := 0
-	note := ""
 	for e := 0; e < *epochs; e++ {
+		if last != nil {
+			// /status already holds the previous epoch's figures: recycle
+			// its snapshot so this epoch's capture reuses the arena.  The
+			// last epoch's snapshot stays for the reports below.
+			last.Snapshot.Release()
+		}
 		r, err := p.Step()
 		if err != nil {
 			fatalf("epoch %d: %v", e, err)
 		}
 		last = r
-		if r.Truncated {
-			truncated++
-		}
-		if r.Note != "" {
-			note = r.Note
-		}
-		setStatus("running", e+1, truncated, note, last)
+		setStatus("running", e+1, last)
 		if mgr != nil {
 			mgr.Tick()
 		}
 	}
-	setStatus("done", *epochs, truncated, note, last)
+	setStatus("done", *epochs, last)
 
 	all := want["all"]
 

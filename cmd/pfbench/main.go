@@ -29,8 +29,6 @@ func main() {
 	quick := flag.Bool("quick", false, "shorter runs (coarser numbers)")
 	parallel := flag.Int("parallel", runtime.NumCPU(),
 		"worker goroutines for independent machine runs (1 = serial)")
-	warmCache := flag.Bool("warm-cache", false,
-		"fork warm-shared experiment matrices from cached warmed checkpoints instead of re-warming every point (identical results, much faster warm-heavy sweeps)")
 	cpuprofile := flag.String("cpuprofile", "", "write CPU profile to file")
 	memprofile := flag.String("memprofile", "", "write heap profile to file")
 	traceFile := flag.String("trace", "", "write runtime execution trace to file")
@@ -139,7 +137,6 @@ func main() {
 	}()
 
 	experiments.SetParallelism(*parallel)
-	experiments.SetWarmCache(*warmCache)
 
 	cfg, err := sim.ConfigByName(*machine)
 	if err != nil {
@@ -263,10 +260,8 @@ func main() {
 		}
 		run(os.Stdout)
 	}
-	if *warmCache {
-		// Confirm prefix reuse actually engaged (the same stats ship on
-		// `pathfinder -serve` /status for soak runs).
-		s := experiments.CheckpointCache()
+	if s := experiments.CheckpointCache(); s.Forks > 0 {
+		// Confirm prefix reuse engaged for the warm-shared matrices.
 		fmt.Fprintf(os.Stderr, "pfbench: checkpoint cache: %d images (%d bytes), %d hits, %d misses, %d forks\n",
 			s.Entries, s.Bytes, s.Hits, s.Misses, s.Forks)
 	}

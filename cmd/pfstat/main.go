@@ -12,20 +12,13 @@
 // promotion counts, thresholds, and how the promoted tail's per-stage
 // residency compares against the whole recorded population, both split
 // by the recorder's stage partition (obs.FlightRec.Stages).
-//
-// With -status it summarizes a live `-serve` /status document — run state,
-// engine stepping counters, and the checkpoint cache — so soak and sweep
-// runs can confirm warm-prefix reuse is engaging without parsing JSON.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"strings"
-	"time"
 
 	"pathfinder/internal/mem"
 	"pathfinder/internal/obs"
@@ -49,15 +42,10 @@ func main() {
 	wsMB := flag.Uint64("ws-mb", 64, "working-set size in MiB")
 	machine := flag.String("machine", "spr", "machine model: spr or emr")
 	bundlePath := flag.String("bundle", "", "summarize this flight-recorder bundle instead of running")
-	statusAddr := flag.String("status", "", "summarize a live -serve /status document (host:port or URL) instead of running")
 	flag.Parse()
 
 	if *bundlePath != "" {
 		summarizeBundle(*bundlePath)
-		return
-	}
-	if *statusAddr != "" {
-		summarizeStatus(*statusAddr)
 		return
 	}
 
@@ -143,70 +131,6 @@ func main() {
 		t.AddRow(row...)
 	}
 	fmt.Print(t)
-}
-
-// statusDoc mirrors the fields of the -serve /status document pfstat
-// summarizes; unknown fields are ignored so the two binaries can evolve
-// independently.
-type statusDoc struct {
-	Machine     string `json:"machine"`
-	State       string `json:"state"`
-	Epoch       int    `json:"epoch"`
-	Epochs      int    `json:"epochs"`
-	EpochCycles uint64 `json:"epoch_cycles"`
-	Engine      struct {
-		InlineSteps      uint64 `json:"inline_steps"`
-		DispatchedEvents uint64 `json:"dispatched_events"`
-	} `json:"engine"`
-	Checkpoints struct {
-		Entries int    `json:"entries"`
-		Bytes   int    `json:"bytes"`
-		Hits    uint64 `json:"hits"`
-		Misses  uint64 `json:"misses"`
-		Forks   uint64 `json:"forks"`
-	} `json:"checkpoint_cache"`
-}
-
-// summarizeStatus fetches and prints a live /status document.  addr may be
-// a bare host:port (the /status path and scheme are filled in) or a full
-// URL.
-func summarizeStatus(addr string) {
-	url := addr
-	if !strings.Contains(url, "://") {
-		url = "http://" + url
-	}
-	if !strings.HasSuffix(url, "/status") {
-		url = strings.TrimSuffix(url, "/") + "/status"
-	}
-	client := &http.Client{Timeout: 10 * time.Second}
-	resp, err := client.Get(url)
-	if err != nil {
-		fatalf("fetching %s: %v", url, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		fatalf("fetching %s: %s", url, resp.Status)
-	}
-	var doc statusDoc
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		fatalf("decoding %s: %v", url, err)
-	}
-
-	t := &report.Table{Title: fmt.Sprintf("status %s", url),
-		Cols: []string{"property", "value"}}
-	t.AddRow("machine", doc.Machine)
-	t.AddRow("state", doc.State)
-	t.AddRow("epoch", fmt.Sprintf("%d/%d (%d kcycles each)", doc.Epoch, doc.Epochs, doc.EpochCycles/1000))
-	t.AddRow("engine inline steps", fmt.Sprint(doc.Engine.InlineSteps))
-	t.AddRow("engine dispatched events", fmt.Sprint(doc.Engine.DispatchedEvents))
-	c := doc.Checkpoints
-	t.AddRow("checkpoint images", fmt.Sprintf("%d (%d bytes)", c.Entries, c.Bytes))
-	t.AddRow("checkpoint hits/misses", fmt.Sprintf("%d / %d", c.Hits, c.Misses))
-	t.AddRow("checkpoint forks", fmt.Sprint(c.Forks))
-	fmt.Print(t)
-	if c.Misses > 0 && c.Hits == 0 && c.Forks == 0 {
-		fmt.Println("note: images were warmed but never forked — sweeps may not be routing through the cache")
-	}
 }
 
 // summarizeBundle prints the postmortem digest of a dumped flight bundle:

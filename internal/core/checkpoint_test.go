@@ -16,10 +16,9 @@ import (
 // barrier and only suffix epochs are compared.
 
 // runCheckpointGolden runs scenario `name` three ways — scratch, source
-// continued past its own checkpoint, and a fork restored on stepping mode
-// `lanes` (SetLanes: -1 the dispatch oracle, 1 the sweep) — and requires
-// identical digests from all three.
-func runCheckpointGolden(t *testing.T, name string, lanes int) {
+// continued past its own checkpoint, and a fork restored on the dispatch
+// oracle or the sweep — and requires identical digests from all three.
+func runCheckpointGolden(t *testing.T, name string, oracle bool) {
 	epochs, cyc, setup := goldenScenario(t, name)
 	warm := cyc // first epoch's worth of cycles is the shared prefix
 
@@ -64,13 +63,13 @@ func runCheckpointGolden(t *testing.T, name string, lanes int) {
 
 	// The fork runs the identical suffix on the requested stepping mode.
 	fork := cp.Restore()
-	fork.SetLanes(lanes)
+	fork.SetDispatchOracle(oracle)
 	forkCap := NewCapturer(fork)
 	for e := 0; e < epochs; e++ {
 		fork.Run(cyc)
 		got := EncodeDigest(forkCap.Capture())
 		if !bytes.Equal(want[e], got) {
-			t.Errorf("scenario %s lanes %d: restored epoch %d digest differs from scratch", name, lanes, e)
+			t.Errorf("scenario %s oracle=%v: restored epoch %d digest differs from scratch", name, oracle, e)
 			diffDigests(t, want[e], got)
 		}
 	}
@@ -78,8 +77,8 @@ func runCheckpointGolden(t *testing.T, name string, lanes int) {
 
 func checkpointGoldenAllLanes(t *testing.T, name string) {
 	t.Helper()
-	for _, lanes := range []int{-1, 1} {
-		runCheckpointGolden(t, name, lanes)
+	for _, oracle := range []bool{true, false} {
+		runCheckpointGolden(t, name, oracle)
 	}
 }
 
@@ -103,21 +102,21 @@ func TestCheckpointGoldenSurpriseRemoval(t *testing.T) {
 	checkpointGoldenAllLanes(t, "SurpriseRemoval")
 }
 
-// TestCheckpointGoldenLaneTransitions pins restore-then-SetLanes ordering:
-// switching between the sweep and the dispatch oracle between suffix
-// epochs on a restored machine must match a fresh machine making the same
-// transitions at the same cycles.
+// TestCheckpointGoldenLaneTransitions pins restore-then-SetDispatchOracle
+// ordering: switching between the sweep and the dispatch oracle between
+// suffix epochs on a restored machine must match a fresh machine making the
+// same transitions at the same cycles.
 func TestCheckpointGoldenLaneTransitions(t *testing.T) {
 	const name = "MultiCoreMixed"
 	epochs, cyc, setup := goldenScenario(t, name)
 	warm := cyc
-	transitions := []int{1, -1, 1}
+	transitions := []bool{false, true, false}
 
 	run := func(m *sim.Machine) []Digest {
 		cap := NewCapturer(m)
 		var out []Digest
 		for e := 0; e < epochs; e++ {
-			m.SetLanes(transitions[e%len(transitions)])
+			m.SetDispatchOracle(transitions[e%len(transitions)])
 			m.Run(cyc)
 			out = append(out, EncodeDigest(cap.Capture()))
 		}
@@ -139,7 +138,7 @@ func TestCheckpointGoldenLaneTransitions(t *testing.T) {
 	got := run(cp.Restore())
 	for e := range want {
 		if !bytes.Equal(want[e], got[e]) {
-			t.Errorf("epoch %d digest differs across restore-then-SetLanes transitions", e)
+			t.Errorf("epoch %d digest differs across restore-then-SetDispatchOracle transitions", e)
 			diffDigests(t, want[e], got[e])
 		}
 	}

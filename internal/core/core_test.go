@@ -469,6 +469,36 @@ func TestProfilerEndToEnd(t *testing.T) {
 	}
 }
 
+// TestWatchdogDisabledRunsFull checks that Run, with no wall-clock limit
+// on the epoch loop, yields full-length epochs that are never truncated.
+func TestWatchdogDisabledRunsFull(t *testing.T) {
+	m, local, _ := testRig(t)
+	p, err := NewProfiler(Spec{
+		Machine:     m,
+		Apps:        []AppRun{{Label: "s", Core: 0, Gen: workload.NewStream(region(local), 2, 0, 3)}},
+		EpochCycles: 300_000,
+		Epochs:      2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 2 {
+		t.Fatalf("Run returned %d epochs, want 2", len(res))
+	}
+	for i, r := range res {
+		if r.Truncated || r.Note != "" {
+			t.Fatalf("epoch %d: truncated=%v note=%q", i, r.Truncated, r.Note)
+		}
+		if win := r.Snapshot.End - r.Snapshot.Start; win != 300_000 {
+			t.Fatalf("epoch %d spans %d cycles", i, win)
+		}
+	}
+}
+
 func TestProfilerSpecValidation(t *testing.T) {
 	m, local, _ := testRig(t)
 	gen := workload.NewStream(region(local), 1, 0, 1)

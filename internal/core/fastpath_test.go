@@ -15,8 +15,9 @@ import (
 // advancing the engine clock without event-engine round-trips.  It must be
 // invisible to every observable: these tests run identical fixed-seed
 // scenarios on the sweep and on the dispatch oracle (one queued core step
-// per op, SetLanes(-1)), and require the captured snapshot digests — every PMU
-// counter of every bank, serialized — to be byte-identical per epoch.
+// per op, SetDispatchOracle(true)), and require the captured snapshot
+// digests — every PMU counter of every bank, serialized — to be
+// byte-identical per epoch.
 
 // fastpathScenario configures a freshly built rig (workloads, fault
 // plans, flight recorder).  It runs twice per test, once per engine mode, so both
@@ -33,9 +34,7 @@ type fastpathRun struct {
 func runFastpath(t *testing.T, fast bool, epochs int, cyc sim.Cycles, setup fastpathScenario) fastpathRun {
 	t.Helper()
 	m, localReg, cxlReg := testRig(t)
-	if !fast {
-		m.SetLanes(-1)
-	}
+	m.SetDispatchOracle(!fast)
 	cleanup := setup(t, m, region(localReg), region(cxlReg))
 	cap := NewCapturer(m)
 	var out fastpathRun
@@ -318,7 +317,7 @@ func TestFastpathCounters(t *testing.T) {
 		t.Errorf("inline steps (%d) should dominate dispatched events (%d) on a local stream", in, ev)
 	}
 	m2, localReg2, _ := testRig(t)
-	m2.SetLanes(-1)
+	m2.SetDispatchOracle(true)
 	m2.Attach(0, workload.NewStream(region(localReg2), 2, 0.2, 1))
 	m2.Run(500_000)
 	if m2.InlineSteps() != 0 {

@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 
 	"pathfinder/internal/mem"
 	"pathfinder/internal/obs"
@@ -100,8 +99,8 @@ func checkStagePartition(t *testing.T, st obs.StageTotals, want ...obs.Stage) {
 }
 
 // TestProfilerPublishesMetrics checks the epoch loop's registry series:
-// epochs, idle/truncation accounting with the accumulated note, pool
-// effectiveness, and engine depth.
+// exactly the names one profiler registers, epochs counted, pool
+// effectiveness, and every epoch's snapshot spanning the full EpochCycles.
 func TestProfilerPublishesMetrics(t *testing.T) {
 	as := mem.NewAddressSpace(12, []mem.Node{
 		{ID: 0, Kind: mem.LocalDRAM, Capacity: 8 << 30},
@@ -123,7 +122,6 @@ func TestProfilerPublishesMetrics(t *testing.T) {
 		Apps:        []AppRun{{Label: "chase", Core: 0, Gen: workload.NewPointerChase(region(cxl), 2, 3)}},
 		EpochCycles: 100_000,
 		Epochs:      3,
-		Watchdog:    time.Minute,
 		Metrics:     reg,
 	})
 	if err != nil {
@@ -134,14 +132,45 @@ func TestProfilerPublishesMetrics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if span := r.Snapshot.End - r.Snapshot.Start; span != 100_000 {
+			t.Fatalf("epoch %d snapshot spans %d cycles, want 100000", i, span)
+		}
+		if r.Truncated || r.Note != "" {
+			t.Fatalf("epoch %d: truncated=%v note=%q", i, r.Truncated, r.Note)
+		}
 		r.Snapshot.Release() // recycle so later captures hit the pool
+	}
+
+	var text strings.Builder
+	if err := reg.WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, line := range strings.Split(text.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			names = append(names, f[2])
+		}
+	}
+	want := []string{
+		"pf_cxl_error_completions_total",
+		"pf_cxl_fast_fails_total",
+		"pf_cxl_isolated_devices",
+		"pf_cxl_link_crc_errors_total",
+		"pf_cxl_link_replay_bytes_total",
+		"pf_cxl_link_retries_total",
+		"pf_cxl_viral_entries_total",
+		"pf_engine_inline_steps",
+		"pf_profiler_epochs_total",
+		"pf_snapshot_pool_hits_total",
+		"pf_snapshot_pool_misses_total",
+	}
+	if strings.Join(names, " ") != strings.Join(want, " ") {
+		t.Fatalf("registered series:\n  %s\nwant:\n  %s",
+			strings.Join(names, "\n  "), strings.Join(want, "\n  "))
 	}
 
 	if got := reg.Counter("pf_profiler_epochs_total", "").Value(); got != 3 {
 		t.Fatalf("pf_profiler_epochs_total = %d, want 3", got)
-	}
-	if got := reg.Counter("pf_profiler_epochs_truncated_total", "").Value(); got != 0 {
-		t.Fatalf("unexpected truncations: %d", got)
 	}
 	hits := reg.Counter("pf_snapshot_pool_hits_total", "").Value()
 	misses := reg.Counter("pf_snapshot_pool_misses_total", "").Value()
@@ -151,53 +180,7 @@ func TestProfilerPublishesMetrics(t *testing.T) {
 	if hits < 2 {
 		t.Fatalf("released snapshots not recycled: hits=%d misses=%d", hits, misses)
 	}
-	if reg.Gauge("pf_profiler_epoch_cycles", "").Value() != 100_000 {
-		t.Fatalf("pf_profiler_epoch_cycles = %v", reg.Gauge("pf_profiler_epoch_cycles", "").Value())
-	}
-}
-
-// TestWatchdogNoteAccumulatesContext pins the satellite bugfix: an epoch
-// ended early must carry chunks completed AND cycles simulated in its note.
-func TestWatchdogNoteAccumulatesContext(t *testing.T) {
-	as := mem.NewAddressSpace(12, []mem.Node{
-		{ID: 0, Kind: mem.LocalDRAM, Capacity: 8 << 30},
-	})
-	local, err := as.Alloc(1<<20, mem.Fixed(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := sim.SPR()
-	cfg.Cores = 2
-	cfg.LLCSlices = 2
-	cfg.LLCSize = 1 << 20
-	m := sim.New(cfg, as)
-
-	// A tiny finite workload that runs dry almost immediately inside a huge
-	// epoch: the run-dry path must report both chunk and cycle progress.
-	gen := &workload.Limit{G: workload.NewPointerChase(region(local), 1, 1), N: 64}
-	reg := obs.NewRegistry()
-	p, err := NewProfiler(Spec{
-		Machine:     m,
-		Apps:        []AppRun{{Label: "short", Core: 0, Gen: gen}},
-		EpochCycles: 50_000_000,
-		Epochs:      1,
-		Watchdog:    time.Minute,
-		Metrics:     reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := p.Step()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Truncated {
-		t.Fatal("idle run-dry must not be flagged truncated")
-	}
-	if !strings.Contains(r.Note, "chunks") || !strings.Contains(r.Note, "cycles simulated") {
-		t.Fatalf("note lacks accumulated context: %q", r.Note)
-	}
-	if got := reg.Counter("pf_profiler_epochs_idle_total", "").Value(); got != 1 {
-		t.Fatalf("pf_profiler_epochs_idle_total = %d, want 1", got)
+	if reg.Counter("pf_engine_inline_steps", "").Value() == 0 {
+		t.Fatal("pf_engine_inline_steps is 0: the sweep did not step inline")
 	}
 }

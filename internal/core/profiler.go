@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"pathfinder/internal/obs"
 	"pathfinder/internal/pmu"
@@ -39,31 +38,17 @@ type Spec struct {
 	CXLDevice   int
 	Mode        Mode
 
-	// Watchdog bounds the wall-clock time one epoch may take to simulate
-	// (0 disables it).  An epoch that exceeds the budget — a fault-storm
-	// pathology, a runaway workload — is cut short and its snapshot
-	// flagged Truncated instead of wedging the whole profiling run; the
-	// shortened window stays internally consistent because analyses use
-	// the snapshot's actual Start/End cycles.
-	Watchdog time.Duration
-
 	// Metrics, when non-nil, receives the epoch loop's observability
-	// series (pf_profiler_*, pf_engine_*, pf_snapshot_*, pf_cxl_link_*).
-	// All publishing happens at epoch-sync boundaries from the profiler's
-	// own goroutine, so a concurrent scrape only ever reads atomics.
+	// series (pf_profiler_epochs_total, pf_engine_inline_steps,
+	// pf_snapshot_pool_*, pf_cxl_*).  All publishing happens at epoch-sync
+	// boundaries from the profiler's own goroutine, so a concurrent scrape
+	// only ever reads atomics.
 	Metrics *obs.Registry
 
 	// Flight, when non-nil, is stamped with the running epoch ordinal
 	// (1-based) before each epoch, so promoted tail records carry the
 	// profiler context they happened under.
 	Flight *obs.Flight
-
-	// FlightDump, when set, is fired with a trigger name when an epoch
-	// trips the watchdog — the run is misbehaving, so the flight
-	// recorder's tail is dumped as a postmortem bundle while the evidence
-	// is fresh.  A dump failure is reported in the epoch Note, never as a
-	// run error.
-	FlightDump func(trigger string) error
 }
 
 // EpochResult bundles one epoch's snapshot with the per-application
@@ -74,9 +59,9 @@ type EpochResult struct {
 	Stalls   map[string]*StallBreakdown
 	Queues   map[string]*QueueReport
 
-	// Truncated marks an epoch the watchdog cut short; Note carries the
-	// human-readable reason for a shortened window (watchdog expiry, or
-	// the workload running dry before the epoch ended).
+	// Truncated is always false and Note always empty: every epoch runs
+	// its full EpochCycles.  They stay only because perfbench's
+	// profile-mix still reads them.
 	Truncated bool
 	Note      string
 }
@@ -108,13 +93,7 @@ type Profiler struct {
 // single-owner Step path.
 type profMetrics struct {
 	epochs      *obs.Counter
-	truncated   *obs.Counter
-	watchdog    *obs.Counter
-	idle        *obs.Counter
-	epochCycles *obs.Gauge
-	heapDepth   *obs.Gauge
 	inlineSteps *obs.Counter
-	dispatched  *obs.Counter
 	poolHits    *obs.Counter
 	poolMisses  *obs.Counter
 	linkRetries *obs.Counter
@@ -125,20 +104,13 @@ type profMetrics struct {
 	fastFails   *obs.Counter
 	isolated    *obs.Gauge
 
-	lastHits, lastMisses     uint64
-	lastInline, lastDispatch uint64
+	lastHits, lastMisses, lastInline uint64
 }
 
 func newProfMetrics(reg *obs.Registry) *profMetrics {
 	return &profMetrics{
 		epochs:      reg.Counter("pf_profiler_epochs_total", "scheduling epochs run"),
-		truncated:   reg.Counter("pf_profiler_epochs_truncated_total", "epochs cut short by the watchdog"),
-		watchdog:    reg.Counter("pf_profiler_watchdog_expiries_total", "watchdog budget expiries"),
-		idle:        reg.Counter("pf_profiler_epochs_idle_total", "epochs ended early with every workload idle"),
-		epochCycles: reg.Gauge("pf_profiler_epoch_cycles", "cycles simulated in the latest epoch"),
-		heapDepth:   reg.Gauge("pf_engine_events_pending", "pending core steps: the oracle's queue plus the sweep's mirror"),
 		inlineSteps: reg.Counter("pf_engine_inline_steps", "workload ops executed inline by the sequential sweep"),
-		dispatched:  reg.Counter("pf_engine_dispatched_events", "events dispatched through the engine"),
 		poolHits:    reg.Counter("pf_snapshot_pool_hits_total", "captures served from the snapshot pool"),
 		poolMisses:  reg.Counter("pf_snapshot_pool_misses_total", "captures that allocated a snapshot"),
 		linkRetries: reg.Counter("pf_cxl_link_retries_total", "LRSM link retries"),
@@ -244,75 +216,18 @@ func (p *Profiler) Materializer() *Materializer { return p.mat }
 // AppCores returns the cores running the labeled application.
 func (p *Profiler) AppCores(label string) []int { return p.cores[label] }
 
-// watchdogChunks is how many slices a watchdog-guarded epoch is run in;
-// the deadline is checked between slices.
-const watchdogChunks = 16
-
-// runEpoch advances the machine by the epoch length, honoring the
-// watchdog.  It reports whether the epoch was truncated, the full
-// truncation context — chunks completed and cycles simulated, not just the
-// last chunk's reason — and how many cycles actually ran.
-func (p *Profiler) runEpoch() (truncated bool, note string, ran sim.Cycles) {
-	m := p.spec.Machine
-	if p.spec.Watchdog <= 0 {
-		m.Run(p.spec.EpochCycles)
-		return false, "", p.spec.EpochCycles
-	}
-	deadline := time.Now().Add(p.spec.Watchdog)
-	chunk := p.spec.EpochCycles / watchdogChunks
-	if chunk == 0 {
-		chunk = 1
-	}
-	var done sim.Cycles
-	chunks := 0
-	for done < p.spec.EpochCycles {
-		step := chunk
-		if rest := p.spec.EpochCycles - done; rest < step {
-			step = rest
-		}
-		m.Run(step)
-		done += step
-		chunks++
-		if done == p.spec.EpochCycles {
-			return false, "", done
-		}
-		if m.Idle() {
-			// Every workload ran dry: finishing the window would only
-			// accumulate idle cycles.  Not a fault — just noted.
-			return false, fmt.Sprintf(
-				"core: workloads idle after %d of %d chunks, %d of %d epoch cycles simulated",
-				chunks, watchdogChunks, done, p.spec.EpochCycles), done
-		}
-		if time.Now().After(deadline) {
-			return true, fmt.Sprintf(
-				"core: watchdog truncated epoch after %d of %d chunks, %d of %d cycles simulated (budget %v)",
-				chunks, watchdogChunks, done, p.spec.EpochCycles, p.spec.Watchdog), done
-		}
-	}
-	return false, "", done
-}
-
 // publish pushes one epoch's observability series into the registry.  It
 // runs on the profiler's goroutine at an epoch-sync boundary; scrapers see
 // only the atomic handles.
-func (p *Profiler) publish(snap *Snapshot, truncated bool, note string, ran sim.Cycles) {
+func (p *Profiler) publish(snap *Snapshot) {
 	mt := p.met
 	if mt == nil {
 		return
 	}
 	mt.epochs.Inc()
-	if truncated {
-		mt.truncated.Inc()
-		mt.watchdog.Inc()
-	} else if note != "" {
-		mt.idle.Inc()
-	}
-	mt.epochCycles.Set(float64(ran))
-	mt.heapDepth.Set(float64(p.spec.Machine.PendingEvents()))
-	in, ev := p.spec.Machine.InlineSteps(), p.spec.Machine.DispatchedEvents()
+	in := p.spec.Machine.InlineSteps()
 	mt.inlineSteps.Add(in - mt.lastInline)
-	mt.dispatched.Add(ev - mt.lastDispatch)
-	mt.lastInline, mt.lastDispatch = in, ev
+	mt.lastInline = in
 	hits, misses := p.cap.PoolStats()
 	mt.poolHits.Add(hits - mt.lastHits)
 	mt.poolMisses.Add(misses - mt.lastMisses)
@@ -341,24 +256,14 @@ func (p *Profiler) Step() (*EpochResult, error) {
 	if p.spec.Flight != nil {
 		p.spec.Flight.SetEpoch(p.epoch)
 	}
-	truncated, note, ran := p.runEpoch()
-	if truncated && p.spec.FlightDump != nil {
-		if err := p.spec.FlightDump("watchdog"); err != nil {
-			note += fmt.Sprintf("; flight bundle dump failed: %v", err)
-		} else {
-			note += "; flight bundle dumped (watchdog)"
-		}
-	}
+	p.spec.Machine.Run(p.spec.EpochCycles)
 	snap := p.cap.Capture()
-	p.publish(snap, truncated, note, ran)
-	snap.Truncated = truncated
+	p.publish(snap)
 	res := &EpochResult{
-		Snapshot:  snap,
-		PathMaps:  make(map[string]*PathMap, len(p.cores)),
-		Stalls:    make(map[string]*StallBreakdown, len(p.cores)),
-		Queues:    make(map[string]*QueueReport, len(p.cores)),
-		Truncated: truncated,
-		Note:      note,
+		Snapshot: snap,
+		PathMaps: make(map[string]*PathMap, len(p.cores)),
+		Stalls:   make(map[string]*StallBreakdown, len(p.cores)),
+		Queues:   make(map[string]*QueueReport, len(p.cores)),
 	}
 	for label, plan := range p.plans {
 		pm := &PathMap{}

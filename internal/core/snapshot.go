@@ -154,10 +154,6 @@ func (idx *BankIndex) CXLBank(i int) int { return idx.offsetIn(idx.cxl, "cxl", i
 type Snapshot struct {
 	Seq        int
 	Start, End sim.Cycles
-	// Truncated marks a snapshot whose epoch the profiler watchdog cut
-	// short; Start/End describe the actual (shortened) window, so derived
-	// rates remain valid — consumers may want to weight or flag it.
-	Truncated bool
 
 	idx   *BankIndex
 	arena []uint64
@@ -293,7 +289,6 @@ func (c *Capturer) Capture() *Snapshot {
 	s.Seq = c.seq
 	s.Start = c.last
 	s.End = now
-	s.Truncated = false
 	s.idx = c.idx
 	s.pool = c.pool
 	c.seq++

@@ -52,8 +52,8 @@ func Parallelism() int {
 func SetLanes(int) int { return 0 }
 
 // workerMetrics returns the dispatch counter and the per-worker busy-time
-// counter of the pool, published to the process-wide registry so
-// `pathfinder -serve` exposes runner utilization mid-flight.
+// counter of the pool, published to the process-wide registry;
+// perfbench's fig-suite reads the busy time back as pool utilization.
 func workerMetrics(w int) (tasks, busy *obs.Counter) {
 	tasks = obs.Default.Counter("pf_runner_tasks_total", "experiment runs completed by the pool")
 	busy = obs.Default.Counter(

@@ -2,27 +2,17 @@ package experiments
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"pathfinder/internal/obs"
 	"pathfinder/internal/sim"
 )
 
-// warmCacheOn gates the checkpoint-fork path of Sweep (see SetWarmCache).
-// Off by default: the conservative mode warms every point from scratch,
-// and `pfbench -warm-cache` (or a test) opts into forking.
-var warmCacheOn atomic.Bool
-
-// SetWarmCache toggles warm-prefix forking for Sweep matrices: when on,
-// each sweep warms one machine, checkpoints it (cached under SweepSpec.Key
-// for the process lifetime), and forks per config point; when off, every
-// point warms from scratch.  Results are byte-identical either way —
-// restore-equivalence is proven by digest in the golden suites — only
-// wall-clock differs.  Returns the previous setting.
-func SetWarmCache(on bool) bool { return warmCacheOn.Swap(on) }
-
-// WarmCacheEnabled reports whether Sweep forks from warmed checkpoints.
-func WarmCacheEnabled() bool { return warmCacheOn.Load() }
+// SetWarmCache does nothing and returns true: Sweep always forks its
+// points from a warmed checkpoint.
+//
+// Deprecated: the warm cache is always on; perfbench's fig-suite is its
+// last caller.
+func SetWarmCache(bool) bool { return true }
 
 // SweepSpec describes a warm-then-fork experiment matrix: one machine is
 // built and warmed to the barrier cycle, checkpointed once, and every
@@ -60,17 +50,16 @@ type SweepSpec struct {
 	Run func(i int, m *sim.Machine)
 }
 
-// checkpointCache is the in-process warmed-image cache shared by pfbench's
-// figure suite and chaos's run-twice replay.  Entries live for the process
-// lifetime (a soak or bench run), keyed by SweepSpec.Key.
+// checkpointCache is the in-process warmed-image cache of Sweep.  Entries
+// live for the process lifetime (a pfbench or perfbench run), keyed by
+// SweepSpec.Key.
 var checkpointCache = struct {
 	mu sync.Mutex
 	m  map[string]*sim.Checkpoint
 }{m: make(map[string]*sim.Checkpoint)}
 
 // checkpointMetrics are the pf_checkpoint_* series on the process-wide
-// registry; `pathfinder -serve` republishes them under /status so soak runs
-// can confirm prefix reuse is engaging.
+// registry, read back by CheckpointCache.
 func checkpointMetrics() (hits, misses, forks *obs.Counter, bytes *obs.Gauge) {
 	hits = obs.Default.Counter("pf_checkpoint_cache_hits_total",
 		"sweeps that reused a cached warmed checkpoint")
@@ -83,13 +72,14 @@ func checkpointMetrics() (hits, misses, forks *obs.Counter, bytes *obs.Gauge) {
 	return
 }
 
-// CheckpointCacheStats is the /status view of the warmed-image cache.
+// CheckpointCacheStats summarizes the warmed-image cache: pfbench prints it
+// after a run that forked, and perfbench reads its forks and bytes.
 type CheckpointCacheStats struct {
-	Entries int    `json:"entries"`
-	Bytes   int    `json:"bytes"`
-	Hits    uint64 `json:"hits"`
-	Misses  uint64 `json:"misses"`
-	Forks   uint64 `json:"forks"`
+	Entries int
+	Bytes   int
+	Hits    uint64
+	Misses  uint64
+	Forks   uint64
 }
 
 // CheckpointCache reports the current cache contents and lifetime
@@ -122,7 +112,7 @@ func ResetCheckpointCache() {
 // warmCheckpoint returns the warmed image for spec, from cache when keyed
 // and present, else by building, warming, and checkpointing a machine.  A
 // nil return means the machine cannot be checkpointed (a non-forkable
-// generator) and the sweep must run from scratch.
+// generator) and the sweep must run from scratch (sweepScratch).
 func warmCheckpoint(spec *SweepSpec) *sim.Checkpoint {
 	hits, misses, _, bytes := checkpointMetrics()
 	if spec.Key != "" {
@@ -157,35 +147,24 @@ func warmCheckpoint(spec *SweepSpec) *sim.Checkpoint {
 }
 
 // Sweep fans the config points of a warm-shared matrix across the worker
-// pool.  With the warm cache enabled (SetWarmCache), one machine is warmed
-// to the barrier, checkpointed, and every point runs on a fork of the
-// frozen image; forked machines are recycled through a pool so
-// steady-state forks reuse buffers (RestoreInto) instead of rebuilding
-// (Restore).  With it disabled (the default), every point warms from
-// scratch.
+// pool: one machine is warmed to the barrier, checkpointed, and every point
+// runs on a fork of the frozen image; forked machines are recycled through
+// a pool so steady-state forks reuse buffers (RestoreInto) instead of
+// rebuilding (Restore).
 //
 // Results are deterministic and identical to warming each point from
-// scratch: restore-equivalence is proven by digest in the golden suites,
-// and result ordering follows runIndexed's index-keyed contract.  If the
-// warmed machine cannot be checkpointed — a generator without
-// workload.Forkable — Sweep transparently degrades to per-point scratch
-// warming and still produces identical results.
+// scratch: restore-equivalence is proven by digest in the golden suites
+// and by TestWarmSweepForkedMatchesScratch, and result ordering follows
+// runIndexed's index-keyed contract.  If the warmed machine cannot be
+// checkpointed — a generator without workload.Forkable — Sweep degrades to
+// sweepScratch and still produces identical results.
 func Sweep(spec SweepSpec) {
 	if spec.Points <= 0 {
 		return
 	}
-	var cp *sim.Checkpoint
-	if warmCacheOn.Load() {
-		cp = warmCheckpoint(&spec)
-	}
+	cp := warmCheckpoint(&spec)
 	if cp == nil {
-		runIndexed(spec.Label, spec.Points, func(i int) {
-			m := spec.Base()
-			if spec.Warm > 0 {
-				m.Run(spec.Warm)
-			}
-			spec.Run(i, m)
-		})
+		sweepScratch(spec)
 		return
 	}
 	_, _, forks, _ := checkpointMetrics()
@@ -203,5 +182,18 @@ func Sweep(spec SweepSpec) {
 		forks.Inc()
 		spec.Run(i, m)
 		machines.Put(m)
+	})
+}
+
+// sweepScratch runs every point of spec on its own machine, built and
+// warmed from scratch: Sweep's fallback for a machine it cannot
+// checkpoint, and the reference the forked path is tested against.
+func sweepScratch(spec SweepSpec) {
+	runIndexed(spec.Label, spec.Points, func(i int) {
+		m := spec.Base()
+		if spec.Warm > 0 {
+			m.Run(spec.Warm)
+		}
+		spec.Run(i, m)
 	})
 }

@@ -17,16 +17,14 @@ func TestWarmSweepForkedMatchesScratch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("warm-sweep matrix")
 	}
-	prev := SetWarmCache(false)
-	defer SetWarmCache(prev)
 	ResetCheckpointCache()
 
-	scratch := RunWarmSweep(sim.SPR(), true)
+	spec, scratch := warmSweepSpec(sim.SPR(), true)
+	sweepScratch(spec)
 	if s := CheckpointCache(); s.Entries != 0 {
 		t.Fatalf("scratch run populated the cache: %+v", s)
 	}
 
-	SetWarmCache(true)
 	before := CheckpointCache()
 	forked := RunWarmSweep(sim.SPR(), true)
 	after := CheckpointCache()
@@ -60,8 +58,6 @@ func (o *opaqueGen) Next(op *workload.Op) bool { return o.g.Next(op) }
 // (non-forkable generator) must transparently degrade to per-point scratch
 // warming and still run every point.
 func TestSweepScratchFallback(t *testing.T) {
-	prev := SetWarmCache(true)
-	defer SetWarmCache(prev)
 	ResetCheckpointCache()
 
 	ran := make([]int, 4)

@@ -14,9 +14,9 @@ import (
 // WarmSweepResult is the warm-forked fault-severity matrix: one warm-heavy
 // machine shared by every point, with a different link-fault plan installed
 // at the warm barrier per point.  It is the pfbench face of
-// experiments.Sweep — with -warm-cache the 16 points fork from one cached
-// warmed checkpoint instead of re-simulating the warm prefix 16 times, and
-// produce byte-identical numbers either way (restore-equivalence).
+// experiments.Sweep: the 16 points fork from one cached warmed checkpoint
+// instead of re-simulating the warm prefix 16 times, and produce the
+// numbers a scratch run of every point would (restore-equivalence).
 type WarmSweepResult struct {
 	Labels    []string
 	Bandwidth []float64 // delivered CXL GB/s during the measure phase
@@ -59,10 +59,17 @@ func warmSweepPlans(warm, measure uint64) (plans []*cxl.FaultPlan, labels []stri
 // RunWarmSweep measures link-fault severity against a shared warm-heavy
 // prefix: four cores (two reuse-heavy CXL streams, a CXL GUPS, a local
 // Zipf) warm caches and queues to the barrier, then each point installs
-// its fault plan and runs the measure phase.  Under Sweep the prefix is
-// simulated once and forked per point; without warm cache every point
-// re-warms from scratch — the results are identical by construction.
+// its fault plan and runs the measure phase.  Sweep simulates the prefix
+// once and forks it per point.
 func RunWarmSweep(cfg sim.Config, quick bool) *WarmSweepResult {
+	spec, out := warmSweepSpec(cfg, quick)
+	Sweep(spec)
+	return out
+}
+
+// warmSweepSpec builds RunWarmSweep's matrix and the result its points
+// fill in.
+func warmSweepSpec(cfg sim.Config, quick bool) (SweepSpec, *WarmSweepResult) {
 	warm := sim.Cycles(2_000_000)
 	measure := sim.Cycles(600_000)
 	if quick {
@@ -79,7 +86,7 @@ func RunWarmSweep(cfg sim.Config, quick bool) *WarmSweepResult {
 		Retries:   make([]float64, len(plans)),
 		Timeouts:  make([]float64, len(plans)),
 	}
-	Sweep(SweepSpec{
+	spec := SweepSpec{
 		Label: "warmsweep",
 		Key:   fmt.Sprintf("warmsweep:%s:quick=%v", cfg.Name, quick),
 		Base: func() *sim.Machine {
@@ -114,8 +121,8 @@ func RunWarmSweep(cfg sim.Config, quick bool) *WarmSweepResult {
 			out.Timeouts[i] = s.CXL(0, pmu.CXLDevTimeouts)
 			s.Release()
 		},
-	})
-	return out
+	}
+	return spec, out
 }
 
 // Table renders the severity matrix.

@@ -33,7 +33,7 @@ type Bundle struct {
 // BundleOpts names the sources a bundle is assembled from; every field
 // except Trigger and Flight is optional.
 type BundleOpts struct {
-	Trigger   string     // what fired the dump: "sigquit", "http", "chaos-violation", "watchdog", ...
+	Trigger   string     // what fired the dump: "sigquit", "http", "chaos-violation", ...
 	Flight    *Flight    // the recorder to snapshot
 	Metrics   *Registry  // rendered as a Prometheus text snapshot
 	Status    func() any // the same provider the /status endpoint uses

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"pathfinder/internal/mem"
@@ -151,11 +152,11 @@ func TestCheckpointAcrossLaneModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, lanes := range []int{-1, 0} {
+	for _, oracle := range []bool{true, false} {
 		m := cp.Restore()
-		m.SetLanes(lanes)
+		m.SetDispatchOracle(oracle)
 		m.Run(ckptSuffix)
-		diffBanks(t, "lanes", want, bankValues(m))
+		diffBanks(t, fmt.Sprintf("oracle=%v", oracle), want, bankValues(m))
 	}
 }
 
@@ -337,8 +338,8 @@ func TestCheckpointIdleMachine(t *testing.T) {
 		t.Fatal(err)
 	}
 	fork := cp.Restore()
-	if fork.Now() != 0 || !fork.Idle() {
-		t.Fatalf("restored idle machine: now=%d idle=%v", fork.Now(), fork.Idle())
+	if fork.Now() != 0 || fork.PendingEvents() != 0 {
+		t.Fatalf("restored idle machine: now=%d pending=%d", fork.Now(), fork.PendingEvents())
 	}
 }
 
@@ -361,7 +362,7 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, warmRaw uint32, lanes int8, withFaults, lateCore bool) {
 		warm := Cycles(warmRaw%100_000) + 1
 		suffix := Cycles(50_000)
-		laneMode := int(lanes) // SetLanes: negative is the oracle
+		oracle := lanes < 0 // negative selects the dispatch oracle
 		var cxl workload.Region
 		build := func() *Machine {
 			as := testSpace(t)
@@ -387,7 +388,7 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 		// The reference never pauses, so the round-trip is checked against
 		// an uninterrupted run; only a late core must wait for its cycle.
 		scratch := build()
-		scratch.SetLanes(laneMode)
+		scratch.SetDispatchOracle(oracle)
 		if lateCore {
 			scratch.Run(warm)
 			attachLate(scratch)
@@ -398,7 +399,7 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 		want := bankValues(scratch)
 
 		src := build()
-		src.SetLanes(laneMode)
+		src.SetDispatchOracle(oracle)
 		src.Run(warm)
 		cp, err := src.Checkpoint()
 		if err != nil {
@@ -416,7 +417,7 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 		} else {
 			fork = cp.Restore()
 		}
-		fork.SetLanes(laneMode)
+		fork.SetDispatchOracle(oracle)
 		attachLate(fork)
 		fork.Run(suffix)
 		got := bankValues(fork)

@@ -129,9 +129,9 @@ type Engine struct {
 
 	heap []event // queued core steps, (when, seq)-ordered binary heap
 
-	// Stepping observability: ops the sweep executed inline versus core
-	// steps the oracle dispatched from the queue (the
-	// pf_engine_inline_steps / pf_engine_dispatched_events counter pair).
+	// Stepping observability: ops the sweep executed inline (the
+	// pf_engine_inline_steps counter) versus core steps the oracle
+	// dispatched from the queue.
 	inlineSteps uint64
 	dispatched  uint64
 

@@ -37,7 +37,7 @@ func probe(m *Machine, log *[]string, i int, thinks ...uint16) {
 func oracleRig(t *testing.T) (*Machine, *[]string) {
 	t.Helper()
 	m := New(smallConfig(), testSpace(t))
-	m.SetLanes(-1)
+	m.SetDispatchOracle(true)
 	return m, new([]string)
 }
 
@@ -68,7 +68,7 @@ func TestEngineWheelHeapMerge(t *testing.T) {
 // the same steps in the same order and stop at the same clock.
 func TestEngineStepRunUntilEquivalence(t *testing.T) {
 	const end = 200
-	run := func(slice Cycles, lanes func(k int) int) (string, Cycles) {
+	run := func(slice Cycles, oracle func(k int) bool) (string, Cycles) {
 		m := New(smallConfig(), testSpace(t))
 		log := new([]string)
 		for i, think := range []uint16{1, 2, 5} {
@@ -79,21 +79,21 @@ func TestEngineStepRunUntilEquivalence(t *testing.T) {
 			probe(m, log, i, thinks...)
 		}
 		for k := 0; m.Now() < end; k++ {
-			m.SetLanes(lanes(k))
+			m.SetDispatchOracle(oracle(k))
 			m.Run(slice)
 		}
 		return fmt.Sprint(*log), m.Now()
 	}
-	want, wantNow := run(end, func(int) int { return -1 })
+	want, wantNow := run(end, func(int) bool { return true })
 	for _, tc := range []struct {
-		name  string
-		slice Cycles
-		lanes func(k int) int
+		name   string
+		slice  Cycles
+		oracle func(k int) bool
 	}{
-		{"one-cycle slices switching modes", 1, func(k int) int { return -(k % 2) }},
-		{"sweep", end, func(int) int { return 0 }},
+		{"one-cycle slices switching modes", 1, func(k int) bool { return k%2 == 1 }},
+		{"sweep", end, func(int) bool { return false }},
 	} {
-		got, now := run(tc.slice, tc.lanes)
+		got, now := run(tc.slice, tc.oracle)
 		if got != want {
 			t.Fatalf("%s: steps %v, oracle RunUntil ran %v", tc.name, got, want)
 		}

@@ -248,7 +248,7 @@ func TestCXLSurpriseRemoval(t *testing.T) {
 	if cas == 0 || cas >= 4096 {
 		t.Fatalf("device served %d reads, want some but not all", cas)
 	}
-	if !m.Idle() {
+	if m.PendingEvents() != 0 {
 		t.Fatal("machine did not drain after removal")
 	}
 	if cas+host.Read(pmu.M2PErrCompletions) != 4096 {

@@ -196,9 +196,9 @@ func TestFlightUndersizedPanics(t *testing.T) {
 // with the recorder detached, attached-disabled, and attached-enabled — on
 // the dispatch oracle and on the sequential sweep.
 func TestFlightDoesNotPerturbTiming(t *testing.T) {
-	run := func(lanes int, flight bool) ([]uint64, uint64) {
+	run := func(oracle, flight bool) ([]uint64, uint64) {
 		m, local, cxlr := windowRig(t)
-		m.SetLanes(lanes)
+		m.SetDispatchOracle(oracle)
 		var f *obs.Flight
 		if flight {
 			f = obs.NewFlight(m.Cores(), 512, 32)
@@ -218,17 +218,17 @@ func TestFlightDoesNotPerturbTiming(t *testing.T) {
 		return bankSums(m), recs
 	}
 
-	base, _ := run(-1, false)
+	base, _ := run(true, false)
 	var recCounts []uint64
 	for _, tc := range []struct {
-		lanes  int
+		oracle bool
 		flight bool
-	}{{-1, true}, {0, true}, {0, false}} {
-		sums, recs := run(tc.lanes, tc.flight)
-		sameSums(t, fmt.Sprintf("lanes=%d flight=%v", tc.lanes, tc.flight), sums, base)
+	}{{true, true}, {false, true}, {false, false}} {
+		sums, recs := run(tc.oracle, tc.flight)
+		sameSums(t, fmt.Sprintf("oracle=%v flight=%v", tc.oracle, tc.flight), sums, base)
 		if tc.flight {
 			if recs == 0 {
-				t.Fatalf("lanes=%d: enabled recorder saw nothing", tc.lanes)
+				t.Fatalf("oracle=%v: enabled recorder saw nothing", tc.oracle)
 			}
 			recCounts = append(recCounts, recs)
 		}

@@ -1090,14 +1090,9 @@ func (m *Machine) DeviceIsolated(dev int) bool {
 	return m.ports[dev].plan.IsolatedBy(uint64(m.eng.Now()))
 }
 
-// Idle reports whether the machine has no scheduled work left: every
-// attached workload has run dry.  The profiler watchdog uses it to
-// distinguish a finished workload from a stalled epoch.
-func (m *Machine) Idle() bool { return m.PendingEvents() == 0 }
-
-// PendingEvents reports the current scheduled-work depth (the oracle's
-// queued core steps plus the sweep's mirrored ones) — the
-// pf_engine_events_pending gauge.
+// PendingEvents reports the current scheduled-work depth: the oracle's
+// queued core steps plus the sweep's mirrored ones.  It is zero once every
+// attached workload has run dry.
 func (m *Machine) PendingEvents() int { return m.eng.Pending() + m.pendingSteps() }
 
 // pendingSteps counts core steps armed in the sweep's mirror.
@@ -1116,8 +1111,8 @@ func (m *Machine) pendingSteps() int {
 func (m *Machine) InlineSteps() uint64 { return m.eng.inlineSteps }
 
 // DispatchedEvents reports how many queued core steps the engine has
-// dispatched — the pf_engine_dispatched_events counter.  The sweep
-// dispatches none; the dispatch oracle dispatches one per op.
+// dispatched.  The sweep dispatches none; the dispatch oracle dispatches
+// one per op.
 func (m *Machine) DispatchedEvents() uint64 { return m.eng.dispatched }
 
 // SetFlight attaches a flight recorder (nil detaches).  The recorder must

@@ -10,11 +10,11 @@ package sim
 // dispatch order of an engine that queues one core step per op without
 // paying a queue push, pop and lane drain per op.
 //
-// The dispatch oracle (SetLanes(-1)) is that engine: every op round-trips
-// through the step queue.  The golden suites run both and require
-// byte-identical digests; absorbCoreEvents and flushStepMirror move pending
-// steps between the two at any point of a run, so on the sweep the queue
-// is always empty.
+// The dispatch oracle (SetDispatchOracle(true)) is that engine: every op
+// round-trips through the step queue.  The golden suites run both and
+// require byte-identical digests; absorbCoreEvents and flushStepMirror move
+// pending steps between the two at any point of a run, so on the sweep the
+// queue is always empty.
 
 // WindowStats is what the removed parallel window scheduler reported.
 //
@@ -30,24 +30,28 @@ type WindowStats struct {
 // Deprecated: see WindowStats; perfbench is its last caller.
 func (m *Machine) WindowStats() WindowStats { return WindowStats{} }
 
-// SetLanes selects how core steps run.  n < 0 selects the dispatch oracle,
-// which the golden suites compare the sweep against; any n >= 0 selects the
-// sequential sweep, the default.  Switching between Run slices is supported:
-// pending steps move between the mirror and the engine in order.
-//
-// Deprecated: lane counts are gone; perfbench is the last caller that
-// passes one (0 and 1, both the sweep).  Tests still select the oracle with
-// SetLanes(-1).
-func (m *Machine) SetLanes(n int) {
-	if dispatch := n < 0; dispatch != m.dispatch {
-		m.dispatch = dispatch
-		if dispatch {
+// SetDispatchOracle selects how core steps run: on selects the dispatch
+// oracle, which the golden suites compare the sweep against; off selects
+// the sequential sweep, the default.  Switching between Run slices is
+// supported: pending steps move between the mirror and the engine in
+// order.
+func (m *Machine) SetDispatchOracle(on bool) {
+	if on != m.dispatch {
+		m.dispatch = on
+		if on {
 			m.flushStepMirror()
 		} else {
 			m.absorbCoreEvents()
 		}
 	}
 }
+
+// SetLanes does nothing: every machine runs the sequential sweep unless
+// SetDispatchOracle selects the oracle.
+//
+// Deprecated: lane counts are gone; perfbench is its last caller, and it
+// passes only 0 and 1.
+func (m *Machine) SetLanes(int) {}
 
 // armStep mirrors core c's next step at cycle `at`, allocating its tie-break
 // seq from the engine counter — exactly the seq the oracle would have

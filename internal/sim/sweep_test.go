@@ -9,9 +9,9 @@ import (
 )
 
 // White-box tests for the sequential sweep (DESIGN.md §12): mid-run
-// transitions between the sweep and the dispatch oracle, and a sweep that
-// starts no goroutines.  The step-order tests in engine_test.go compare
-// the two at same-cycle ties.
+// transitions between the sweep and the dispatch oracle, a sweep that
+// starts no goroutines, and the deprecated lane stubs.  The step-order
+// tests in engine_test.go compare the two at same-cycle ties.
 
 // windowRig builds a 4-core machine with one local and one CXL region.
 func windowRig(t *testing.T) (*Machine, workload.Region, workload.Region) {
@@ -64,14 +64,14 @@ func TestWindowLaneTransitions(t *testing.T) {
 		m.Attach(3, workload.NewStream(local, 0, 0.5, 8))
 	}
 	base, blocal, bcxl := windowRig(t)
-	base.SetLanes(-1)
+	base.SetDispatchOracle(true)
 	drive(base, blocal, bcxl)
 	base.Run(400_000)
 
 	m, local, cxlr := windowRig(t)
 	drive(m, local, cxlr)
-	for i, lanes := range []int{0, -1, 0, -1, 0, 0, -1, 0} {
-		m.SetLanes(lanes)
+	for i, oracle := range []bool{false, true, false, true, false, false, true, false} {
+		m.SetDispatchOracle(oracle)
 		m.Run(50_000)
 		if m.Now() != Cycles((i+1)*50_000) {
 			t.Fatalf("after slice %d: now=%d", i, m.Now())
@@ -100,5 +100,25 @@ func TestSweepStartsNoGoroutines(t *testing.T) {
 	}
 	if after := runtime.NumGoroutine(); after != before {
 		t.Fatalf("Run left %d goroutines running, had %d before", after, before)
+	}
+}
+
+// TestWindowStatsPopulated: the deprecated lane stubs select nothing.  Any
+// SetLanes value, negative included, leaves the sweep on, and the window
+// counters stay zero, since the sweep opens no windows.
+func TestWindowStatsPopulated(t *testing.T) {
+	for _, lanes := range []int{-1, 0, 1, 2} {
+		m, local, cxlr := windowRig(t)
+		m.SetLanes(lanes)
+		m.Attach(0, workload.NewStream(local, 2, 0.2, 1))
+		m.Attach(1, workload.NewStream(cxlr, 2, 0.3, 2))
+		m.Run(100_000)
+		if ws := m.WindowStats(); ws != (WindowStats{}) {
+			t.Fatalf("SetLanes(%d): window counters = %+v, want zero", lanes, ws)
+		}
+		if m.InlineSteps() == 0 || m.DispatchedEvents() != 0 {
+			t.Fatalf("SetLanes(%d) left the sweep: %d inline steps, %d dispatched",
+				lanes, m.InlineSteps(), m.DispatchedEvents())
+		}
 	}
 }

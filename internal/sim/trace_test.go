@@ -141,9 +141,9 @@ func TestTracerPrefetchDoesNotPolluteDemand(t *testing.T) {
 // sequential sweep, prefetchers training hard.  The oracle exports the
 // same trace.
 func TestTracerDemandSealUnderWindowLanes(t *testing.T) {
-	export := func(lanes int) []obs.TraceRec {
+	export := func(oracle bool) []obs.TraceRec {
 		m, local, cxlr := windowRig(t) // default prefetch degrees: streams train
-		m.SetLanes(lanes)
+		m.SetDispatchOracle(oracle)
 		f := obs.NewFlight(m.Cores(), 1<<13, 16)
 		f.Enable()
 		m.SetFlight(f)
@@ -155,7 +155,7 @@ func TestTracerDemandSealUnderWindowLanes(t *testing.T) {
 		m.Sync()
 		return f.Sample(1)
 	}
-	recs := export(0)
+	recs := export(false)
 	var cached, dev int
 	for i := range recs {
 		if checkDemandPath(t, &recs[i].FlightRec) {
@@ -167,7 +167,7 @@ func TestTracerDemandSealUnderWindowLanes(t *testing.T) {
 	if cached == 0 || dev == 0 {
 		t.Fatalf("rig served %d records from caches and %d from devices; want both", cached, dev)
 	}
-	if !reflect.DeepEqual(export(-1), recs) {
+	if !reflect.DeepEqual(export(true), recs) {
 		t.Fatal("the oracle exports a different trace than the sweep")
 	}
 }
